@@ -10,11 +10,13 @@ from .estimators import (
     DegenerateModelError,
     EstimatorKind,
     EvaluationPlan,
+    EvaluationSet,
     IncompatibleModelError,
     IndexEstimate,
     build_plan,
     default_bin_schedule,
     estimate_main_index,
+    evaluation_sets,
 )
 from .harness import (
     DEFAULT_MASTER_SEED,
@@ -54,11 +56,13 @@ __all__ = [
     "DegenerateModelError",
     "EstimatorKind",
     "EvaluationPlan",
+    "EvaluationSet",
     "IncompatibleModelError",
     "IndexEstimate",
     "build_plan",
     "default_bin_schedule",
     "estimate_main_index",
+    "evaluation_sets",
     "DEFAULT_MASTER_SEED",
     "BenchmarkConfig",
     "ConvergenceRecord",

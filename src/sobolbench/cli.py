@@ -22,7 +22,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .estimators import EstimatorKind, IncompatibleModelError, build_plan, estimate_main_index
+from .estimators import (
+    EstimatorKind,
+    IncompatibleModelError,
+    build_plan,
+    estimate_main_index,
+    evaluation_sets,
+)
 from .harness import (
     DEFAULT_MASTER_SEED,
     BenchmarkConfig,
@@ -174,9 +180,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     spec = SamplerSpec(kind=args.sampler, seed=args.seed, run_index=args.run_index)
 
     print(f"test {model.name} (d={model.d}), sampler {args.sampler}, N={args.n}")
+    # The estimators share their model evaluations; each line still reports
+    # what the estimator would cost alone.
+    shared = {
+        kind: evaluations
+        for evaluations, group in evaluation_sets(model, kinds, args.n, spec)
+        for kind in group
+    }
     any_negative = False
     for kind in kinds:
-        plan = build_plan(model, kind, args.n, spec, bin_count=args.bins)
+        plan = build_plan(
+            model, kind, args.n, spec, bin_count=args.bins, evaluations=shared[kind]
+        )
         estimates = estimate_main_index(kind, plan, model)
         print(f"\nestimator {kind.value}: {plan.eval_count} model evaluations")
         if kind is EstimatorKind.ORACLE:

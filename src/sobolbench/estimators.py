@@ -9,16 +9,19 @@ shared estimate of the total variance D to give S_i = D_i / D:
 * ``oracle`` : mean((fA - f0) * (fAB_i - fB))           (exact mean f0)
 * ``dlr``    : sort by x_i, bin, variance of bin means  (single sample set)
 
-A plan materializes exactly the model evaluations an estimator needs for all
-d inputs from one unit point set of dimension d, 2d, or 3d, whose coordinate
-blocks form the base matrices A, B, C.
+Model outputs live in an evaluation set: one unit point set of dimension d,
+2d, or 3d, whose coordinate blocks form the base matrices A, B, C, and the
+outputs at A, B, C, AB_i and CA_i, each evaluated the first time it is read.
+A plan is one estimator's view of the blocks it reads, so several
+estimators built on one set share its evaluations and each estimator is a
+pure reduction over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,10 +38,14 @@ __all__ = [
     "EstimatorKind",
     "BinSchedule",
     "EvaluationPlan",
+    "EvaluationSet",
     "IndexEstimate",
     "IncompatibleModelError",
     "DegenerateModelError",
     "default_bin_schedule",
+    "eval_count",
+    "draw_width",
+    "evaluation_sets",
     "build_plan",
     "estimate_mean_and_variance",
     "estimate_sobol_original",
@@ -117,14 +124,120 @@ class EvaluationPlan:
     eval_count: int = 0
 
 
+# Output blocks each estimator reduces: "a", "b" and "c" are the outputs at
+# the base matrices A, B and C, one block of N evaluations each; "ab" and
+# "ca" hold one block per input, d blocks each (see EvaluationPlan).
+_OUTPUT_BLOCKS = {
+    EstimatorKind.SOBOL: ("a", "ab"),
+    EstimatorKind.SK: ("a", "b", "ab"),
+    EstimatorKind.OWEN: ("a", "b", "ab", "ca"),
+    EstimatorKind.ORACLE: ("a", "b", "ab"),
+    EstimatorKind.DLR: ("a",),
+}
+
+
+def _output_blocks(kind: EstimatorKind, analytic_f0: bool = True) -> tuple[str, ...]:
+    """The output blocks ``kind`` reads, in evaluation order."""
+    if kind == EstimatorKind.ORACLE and not analytic_f0:
+        # No exact mean available: spend one extra block on estimating it.
+        return _OUTPUT_BLOCKS[kind] + ("c",)
+    return _OUTPUT_BLOCKS[kind]
+
+
+def eval_count(kind: EstimatorKind, d: int, n: int, analytic_f0: bool = True) -> int:
+    """Model evaluations of one ``kind`` run for all d inputs, alone."""
+    blocks = _output_blocks(kind, analytic_f0)
+    return n * sum(d if len(b) == 2 else 1 for b in blocks)
+
+
+def draw_width(kind: EstimatorKind, d: int, analytic_f0: bool = True) -> int:
+    """Columns of the unit draw ``kind`` needs alone: d, 2d or 3d."""
+    matrices = {m for block in _output_blocks(kind, analytic_f0) for m in block}
+    return d * len(matrices)
+
+
 def _transform_block(model: InputModel, u: UnitPointSet) -> np.ndarray:
     if model.covariance is not None:
         return transform_correlated_normal(u, model.covariance)
     return transform_independent(u, model.marginals)
 
 
-def _unit_block(values: np.ndarray, lo: int, hi: int) -> UnitPointSet:
-    return UnitPointSet(n=values.shape[0], dims=hi - lo, values=values[:, lo:hi])
+class EvaluationSet:
+    """Model outputs on one unit draw, each computed the first time it is read.
+
+    The draw has ``dims`` = d, 2d or 3d columns; its coordinate blocks become
+    the base matrices A, B, C in model space.  Outputs are keyed by block
+    name: ``"a"``, ``"b"``, ``"c"`` (shape (n,)), and ``"ab"``, ``"ca"``
+    (shape (d, n)), where block ``"xy"`` row i is the output at matrix y
+    with column i taken from matrix x.  Every estimator whose plan is built
+    on one set reduces the same arrays.
+    """
+
+    def __init__(self, model: InputModel, n: int, sampler: SamplerSpec, dims: int):
+        if dims not in (model.d, 2 * model.d, 3 * model.d):
+            raise ValueError(f"draw width {dims} is not d, 2d or 3d for d={model.d}")
+        self.model = model
+        self.n = n
+        self.sampler = sampler
+        self.dims = dims
+        self._x: dict[str, np.ndarray] = {}
+        self._f: dict[str, np.ndarray] = {}
+
+    def x(self, matrix: str) -> np.ndarray:
+        """Base matrix ``"a"``, ``"b"`` or ``"c"`` in model space."""
+        if not self._x:
+            # Every matrix of a draw is read by some estimator of the set, so
+            # all are transformed at once and the unit draw is not kept.
+            d = self.model.d
+            u = generate_uniform(self.sampler, self.n, self.dims).values
+            for j, name in enumerate("abc"[: self.dims // d]):
+                block = u[:, j * d : (j + 1) * d]
+                self._x[name] = _transform_block(
+                    self.model, UnitPointSet(n=self.n, dims=d, values=block)
+                )
+        if matrix not in self._x:
+            raise ValueError(
+                f"a {self.dims}-column draw has no matrix {matrix.upper()}"
+            )
+        return self._x[matrix]
+
+    def f(self, block: str) -> np.ndarray:
+        """Outputs of one block (see the class docstring)."""
+        if block not in self._f:
+            if len(block) == 1:
+                self._f[block] = self.model.f(self.x(block))
+            else:
+                donor, base = self.x(block[0]), self.x(block[1])
+                out = np.empty((self.model.d, self.n))
+                for i in range(self.model.d):
+                    mixed = base.copy()
+                    mixed[:, i] = donor[:, i]
+                    out[i] = self.model.f(mixed)
+                self._f[block] = out
+        return self._f[block]
+
+
+def evaluation_sets(
+    model: InputModel,
+    kinds: Sequence[EstimatorKind],
+    n: int,
+    sampler: SamplerSpec,
+) -> Iterator[tuple[EvaluationSet, list[EstimatorKind]]]:
+    """Evaluation sets that give ``kinds`` the bits of standalone plans.
+
+    Sobol' dimensions are prefix-stable, so under QMC one draw at the widest
+    width serves every estimator.  An MC draw depends on its width, so MC
+    shares only among estimators of equal width.  Sets are yielded one at a
+    time, unfilled, so a caller can drop each before the next is filled.
+    """
+    analytic_f0 = model.analytic_f0 is not None
+    groups: dict[int, list[EstimatorKind]] = {}
+    for kind in kinds:
+        groups.setdefault(draw_width(kind, model.d, analytic_f0), []).append(kind)
+    if sampler.kind == "QMC":
+        groups = {max(groups): list(kinds)}
+    for dims, group in groups.items():
+        yield EvaluationSet(model, n, sampler, dims), group
 
 
 def build_plan(
@@ -133,14 +246,16 @@ def build_plan(
     n: int,
     sampler: SamplerSpec,
     bin_count: Optional[int] = None,
+    evaluations: Optional[EvaluationSet] = None,
 ) -> EvaluationPlan:
-    """Generate the point sets and model evaluations for one estimator run.
+    """The model outputs one estimator run reads, for all d inputs.
 
-    One unit point set of dimension d (DLR), 2d (Sobol/S-K/Oracle), or 3d
-    (Owen, and Oracle when f0 must be pre-estimated) is drawn; its coordinate
-    blocks become the matrices A, B, C in model space.  Direct estimators
-    reject dependent-input models; DLR rejects sample counts the bin schedule
-    cannot partition.
+    The outputs come from ``evaluations`` when given (a set for the same
+    model, n and sampler, shared with other estimators), else from a private
+    set drawn at the width this estimator needs alone: d (DLR), 2d
+    (Sobol/S-K/Oracle) or 3d (Owen, and Oracle when f0 must be
+    pre-estimated).  Direct estimators reject dependent-input models; DLR
+    rejects sample counts the bin schedule cannot partition.
     """
     d = model.d
     if kind != EstimatorKind.DLR and model.has_dependent_inputs:
@@ -149,6 +264,7 @@ def build_plan(
             "direct formulas assume independent inputs"
         )
 
+    bins = None
     if kind == EstimatorKind.DLR:
         if bin_count is not None:
             if n % bin_count != 0:
@@ -158,62 +274,33 @@ def build_plan(
             bins = BinSchedule(n=n, m=bin_count, n_m=n // bin_count)
         else:
             bins = default_bin_schedule(n)
-        u = generate_uniform(sampler, n, d)
-        a = _transform_block(model, u)
-        f_a = model.f(a)
-        return EvaluationPlan(
-            kind=kind, n=n, d=d, x_a=a, f_a=f_a, bins=bins, eval_count=n
-        )
 
-    needs_c = kind == EstimatorKind.OWEN or (
-        kind == EstimatorKind.ORACLE and model.analytic_f0 is None
-    )
-    dims = 3 * d if needs_c else 2 * d
-    u = generate_uniform(sampler, n, dims)
-    a = _transform_block(model, _unit_block(u.values, 0, d))
-    b = _transform_block(model, _unit_block(u.values, d, 2 * d))
-    f_a = model.f(a)
-    f_b = model.f(b) if kind != EstimatorKind.SOBOL else None
-    f_ab = np.empty((d, n))
-    for i in range(d):
-        ab_i = b.copy()
-        ab_i[:, i] = a[:, i]
-        f_ab[i] = model.f(ab_i)
-    eval_count = n * (d + 1) + (n if f_b is not None else 0)
+    analytic_f0 = model.analytic_f0 is not None
+    if evaluations is None:
+        evaluations = EvaluationSet(model, n, sampler, draw_width(kind, d, analytic_f0))
+    elif (
+        evaluations.model is not model
+        or (evaluations.n, evaluations.sampler) != (n, sampler)
+    ):
+        raise ValueError("evaluation set was drawn for another model, n or sampler")
+    outputs = {b: evaluations.f(b) for b in _output_blocks(kind, analytic_f0)}
 
-    f_ca = None
-    f_c = None
     f0_source = None
-    if kind == EstimatorKind.OWEN:
-        c = _transform_block(model, _unit_block(u.values, 2 * d, 3 * d))
-        f_ca = np.empty((d, n))
-        for i in range(d):
-            ca_i = a.copy()
-            ca_i[:, i] = c[:, i]
-            f_ca[i] = model.f(ca_i)
-        eval_count += d * n
-    elif kind == EstimatorKind.ORACLE:
-        if model.analytic_f0 is not None:
-            f0_source = "analytic"
-        else:
-            # No exact mean available: spend one extra block on estimating it.
-            c = _transform_block(model, _unit_block(u.values, 2 * d, 3 * d))
-            f_c = model.f(c)
-            eval_count += n
-            f0_source = "estimated"
-
+    if kind == EstimatorKind.ORACLE:
+        f0_source = "analytic" if analytic_f0 else "estimated"
     return EvaluationPlan(
         kind=kind,
         n=n,
         d=d,
-        x_a=a,
-        f_a=f_a,
-        f_b=f_b,
-        f_ab=f_ab,
-        f_ca=f_ca,
-        f_c=f_c,
+        x_a=evaluations.x("a"),
+        f_a=outputs["a"],
+        f_b=outputs.get("b"),
+        f_ab=outputs.get("ab"),
+        f_ca=outputs.get("ca"),
+        f_c=outputs.get("c"),
+        bins=bins,
         f0_source=f0_source,
-        eval_count=eval_count,
+        eval_count=eval_count(kind, d, n, analytic_f0),
     )
 
 

@@ -1,8 +1,9 @@
 """Benchmark protocol: RMSE ladders, convergence-rate fits, cost accounting.
 
-For each estimator and each sample count N = 2^p on a ladder, K replicate
-runs are performed (disjoint Sobol' blocks for QMC, independently seeded
-streams for MC) and the root-mean-square error of each S_i against the
+For each sample count N = 2^p on a ladder, K replicate runs are performed
+(disjoint Sobol' blocks for QMC, independently seeded streams for MC).  Each
+run evaluates the model once and every estimator reduces the shared
+outputs; the root-mean-square error of each estimator's S_i against the
 model's analytic value is recorded:
 
     eps_i(N) = sqrt( (1/K) * sum_k (S_i_hat[k] - S_i_analytic)^2 )
@@ -20,7 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import EstimatorKind, build_plan, estimate_main_index
+from .estimators import (
+    EstimatorKind,
+    build_plan,
+    estimate_main_index,
+    eval_count,
+    evaluation_sets,
+)
 from .models import InputModel, TestCaseId, build
 from .sampling import SamplerSpec
 
@@ -117,29 +124,23 @@ class RateFit:
     window: str
 
 
-def cost(kind: EstimatorKind, d: int, n: int) -> tuple[int, int]:
+def cost(
+    kind: EstimatorKind, d: int, n: int, analytic_f0: bool = True
+) -> tuple[int, int]:
     """(actual, table1) evaluation counts for a full set of d indices.
 
-    ``actual`` is what the plans here evaluate (main effects only).
-    ``table1`` is the published convention, which for the original Sobol'
-    formula budgets the joint {S_i, S_i_tot} set: N(2d+1) instead of N(d+1).
-    The two differ only for that estimator.
+    ``actual`` is what one plan of ``kind`` evaluates alone (main effects
+    only; see :func:`eval_count`), whether or not the harness shares those
+    evaluations with other estimators.  ``table1`` is the published
+    convention, which for the original Sobol' formula budgets the joint
+    {S_i, S_i_tot} set: N(2d+1) instead of N(d+1).  The two differ only for
+    that estimator, and for an oracle without an analytic f0, whose plan
+    spends one extra block estimating it.
     """
-    actual = {
-        EstimatorKind.SOBOL: n * (d + 1),
-        EstimatorKind.SK: n * (d + 2),
-        EstimatorKind.OWEN: n * (2 * d + 2),
-        EstimatorKind.ORACLE: n * (d + 2),
-        EstimatorKind.DLR: n,
-    }[kind]
-    table1 = {
-        EstimatorKind.SOBOL: n * (2 * d + 1),
-        EstimatorKind.SK: n * (d + 2),
-        EstimatorKind.OWEN: n * (2 * d + 2),
-        EstimatorKind.ORACLE: n * (d + 2),
-        EstimatorKind.DLR: n,
-    }[kind]
-    return actual, table1
+    actual = eval_count(kind, d, n, analytic_f0)
+    if kind == EstimatorKind.SOBOL:
+        return actual, n * (2 * d + 1)
+    return actual, eval_count(kind, d, n)
 
 
 def rmse_against(estimates: np.ndarray, analytic: np.ndarray) -> np.ndarray:
@@ -165,11 +166,24 @@ def _sampler_for(cfg: BenchmarkConfig, run_index: int) -> SamplerSpec:
 
 
 def _run_cell(
-    model: InputModel, cfg: BenchmarkConfig, kind: EstimatorKind, n: int, k: int
-) -> np.ndarray:
-    plan = build_plan(model, kind, n, _sampler_for(cfg, k), bin_count=cfg.bin_override)
-    estimates = estimate_main_index(kind, plan, model)
-    return np.array([e.s_i_hat for e in estimates])
+    model: InputModel, cfg: BenchmarkConfig, n: int, k: int
+) -> dict[EstimatorKind, np.ndarray]:
+    """S_i estimates of every configured estimator at one (N, run index)."""
+    sampler = _sampler_for(cfg, k)
+    out = {}
+    for evaluations, kinds in evaluation_sets(model, cfg.estimators, n, sampler):
+        for kind in kinds:
+            plan = build_plan(
+                model, kind, n, sampler, bin_count=cfg.bin_override,
+                evaluations=evaluations,
+            )
+            out[kind] = np.array(
+                [e.s_i_hat for e in estimate_main_index(kind, plan, model)]
+            )
+            # The plan holds this set's arrays: drop it before the next set
+            # (an MC width group) is filled, so two never coexist.
+            del plan
+    return out
 
 
 def run_benchmark(
@@ -177,9 +191,11 @@ def run_benchmark(
 ) -> list[ConvergenceRecord]:
     """All ConvergenceRecords for the config, sorted by (estimator, input, N).
 
-    Replicates fan out over a thread pool when ``threads`` (or the
-    SOBOLBENCH_THREADS variable) exceeds one; every task is a pure function
-    of its (estimator, N, run index) triple and results are merged in a fixed
+    Each (N, run index) cell evaluates the model once for all configured
+    estimators (see :func:`evaluation_sets`) and every estimator reduces
+    those outputs.  Cells fan out over a thread pool when ``threads`` (or
+    the SOBOLBENCH_THREADS variable) exceeds one; every cell is a pure
+    function of its (N, run index) pair and results are merged in a fixed
     order, so the output is identical regardless of parallelism.
     """
     model = build(cfg.test)
@@ -187,21 +203,17 @@ def run_benchmark(
         raise ValueError(f"{model.name}: RMSE requires analytic reference indices")
     n_threads = resolve_threads(threads)
 
-    tasks = [
-        (kind, 1 << p, k)
-        for kind in cfg.estimators
-        for p in range(cfg.p_min, cfg.p_max + 1)
-        for k in range(cfg.k)
+    cells = [
+        (1 << p, k) for p in range(cfg.p_min, cfg.p_max + 1) for k in range(cfg.k)
     ]
-    results: dict[tuple[EstimatorKind, int, int], np.ndarray] = {}
+    results: dict[tuple[int, int], dict[EstimatorKind, np.ndarray]] = {}
     if n_threads == 1:
-        for kind, n, k in tasks:
-            results[(kind, n, k)] = _run_cell(model, cfg, kind, n, k)
+        for n, k in cells:
+            results[(n, k)] = _run_cell(model, cfg, n, k)
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             futures = {
-                (kind, n, k): pool.submit(_run_cell, model, cfg, kind, n, k)
-                for kind, n, k in tasks
+                (n, k): pool.submit(_run_cell, model, cfg, n, k) for n, k in cells
             }
         for key, fut in futures.items():
             results[key] = fut.result()
@@ -210,10 +222,12 @@ def run_benchmark(
     for kind in cfg.estimators:
         for p in range(cfg.p_min, cfg.p_max + 1):
             n = 1 << p
-            block = np.stack([results[(kind, n, k)] for k in range(cfg.k)])
+            block = np.stack([results[(n, k)][kind] for k in range(cfg.k)])
             rmse = rmse_against(block, model.analytic_main)
             mean_est = block.mean(axis=0)
-            actual, table1 = cost(kind, model.d, n)
+            actual, table1 = cost(
+                kind, model.d, n, analytic_f0=model.analytic_f0 is not None
+            )
             for i in range(model.d):
                 records.append(
                     ConvergenceRecord(

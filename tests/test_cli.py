@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, CSV outputs, plot-data layouts."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -102,6 +103,37 @@ def test_estimate_happy_path(capsys):
         fields = line.split()
         assert float(fields[2]) == 0.0
         assert abs(float(fields[1])) < 0.01
+
+
+@pytest.mark.parametrize("sampler", ["QMC", "MC"])
+def test_estimate_shared_run_prints_standalone_tables(sampler, capsys, monkeypatch):
+    # the estimators share one evaluation set, yet each table, and its
+    # nominal evaluation count, reads as if the estimator ran alone
+    import sobolbench.cli as cli
+
+    def run(estimators):
+        argv = ["estimate", "--test", "Ishigami", "--estimators", estimators,
+                "--sampler", sampler, "--n", "256"]
+        assert main(argv) == 0
+        # tables only: the header line, blank lines and the footnote on
+        # negative estimates appear once per command
+        lines = capsys.readouterr().out.splitlines()[1:]
+        return [ln for ln in lines if ln and "negative estimate" not in ln]
+
+    kinds = [k.value for k in EstimatorKind]
+    alone = [ln for k in kinds for ln in run(k)]
+    calls = []
+    model = cli.build("Ishigami")
+
+    def counted_f(x):
+        calls.append(len(x))
+        return model.f(x)
+
+    monkeypatch.setattr(cli, "build", lambda t: dataclasses.replace(model, f=counted_f))
+    assert run(",".join(kinds)) == alone
+    # d = 3: 2d + 2 = 8 calls under QMC; MC adds owen's 3d and dlr's d draws
+    assert len(calls) == (8 if sampler == "QMC" else 5 + 8 + 1)
+    assert "estimator sobol: 1024 model evaluations" in alone  # N(d+1)
 
 
 def test_estimate_negative_marker(capsys):

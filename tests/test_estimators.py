@@ -1,5 +1,7 @@
 """Estimator formulas: exact identities, plan construction, convergence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from sobolbench.estimators import (
     BinSchedule,
     DegenerateModelError,
     EstimatorKind,
+    EvaluationSet,
     IncompatibleModelError,
     build_plan,
     default_bin_schedule,
+    draw_width,
     estimate_dlr,
     estimate_main_index,
     estimate_mean_and_variance,
@@ -17,11 +21,16 @@ from sobolbench.estimators import (
     estimate_owen,
     estimate_sk,
     estimate_sobol_original,
+    eval_count,
+    evaluation_sets,
 )
-from sobolbench.models import InputModel, build
+from sobolbench.harness import cost
+from sobolbench.models import TEST_CASE_NAMES, InputModel, build
 from sobolbench.sampling import SamplerSpec, Uniform
 
 QMC = SamplerSpec(kind="QMC", run_index=0)
+MC = SamplerSpec(kind="MC", seed=12345, run_index=2)
+PLAN_ARRAYS = ("x_a", "f_a", "f_b", "f_ab", "f_ca", "f_c")
 ALL_KINDS = tuple(EstimatorKind)
 DIRECT_KINDS = (
     EstimatorKind.SOBOL,
@@ -213,16 +222,13 @@ def test_plan_blocks_share_one_point_set():
     assert not np.array_equal(plan.f_a, plan.f_b)
 
 
+def _without_f0(base: InputModel) -> InputModel:
+    return dataclasses.replace(base, name=base.name + "NoF0", analytic_f0=None)
+
+
 def test_oracle_without_analytic_f0_estimates_it():
     base = build("Linear4")
-    stripped = InputModel(
-        name="Linear4NoF0",
-        d=base.d,
-        f=base.f,
-        marginals=base.marginals,
-        analytic_main=base.analytic_main,
-        analytic_D=base.analytic_D,
-    )
+    stripped = _without_f0(base)
     plan = build_plan(stripped, EstimatorKind.ORACLE, 1 << 12, QMC)
     assert plan.f0_source == "estimated"
     assert plan.f_c.shape == (1 << 12,)
@@ -233,6 +239,68 @@ def test_oracle_without_analytic_f0_estimates_it():
         [e.s_i_hat for e in estimates], base.analytic_main, atol=0.01
     )
     assert all(e.f0_source == "estimated" for e in estimates)
+
+
+def test_eval_count_table_matches_plans_and_cost():
+    # one table sizes the plans, harness.cost and the draw width, including
+    # the extra C block of an oracle that must estimate f0
+    n = 128
+    for model in (build("Ishigami"), _without_f0(build("Ishigami"))):
+        has_f0 = model.analytic_f0 is not None
+        for kind in ALL_KINDS:
+            plan = build_plan(model, kind, n, QMC)
+            populated = sum(
+                getattr(plan, a).size for a in PLAN_ARRAYS[1:]
+                if getattr(plan, a) is not None
+            )
+            assert plan.eval_count == populated == eval_count(kind, 3, n, has_f0)
+            assert plan.eval_count == cost(kind, 3, n, analytic_f0=has_f0)[0]
+    assert cost(EstimatorKind.ORACLE, 3, n, analytic_f0=False) == (n * 6, n * 5)
+    assert [draw_width(k, 3) for k in ALL_KINDS] == [6, 6, 9, 6, 3]
+    assert draw_width(EstimatorKind.ORACLE, 3, analytic_f0=False) == 9
+
+
+def _assert_same_plan(shared, alone):
+    for name in PLAN_ARRAYS:
+        a, b = getattr(shared, name), getattr(alone, name)
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+    assert (shared.bins, shared.f0_source, shared.eval_count) == (
+        alone.bins, alone.f0_source, alone.eval_count
+    )
+
+
+@pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
+@pytest.mark.parametrize("name", TEST_CASE_NAMES + ("Linear4NoF0",))
+def test_shared_plans_equal_standalone_plans(name, sampler):
+    # every estimator reduces the same bits whether its plan comes from a
+    # set shared with the others or from a draw of its own
+    model = _without_f0(build("Linear4")) if name == "Linear4NoF0" else build(name)
+    kinds = [
+        k for k in ALL_KINDS
+        if k == EstimatorKind.DLR or not model.has_dependent_inputs
+    ]
+    n = 64
+    seen = []
+    for evaluations, group in evaluation_sets(model, kinds, n, sampler):
+        for kind in group:
+            shared = build_plan(model, kind, n, sampler, evaluations=evaluations)
+            _assert_same_plan(shared, build_plan(model, kind, n, sampler))
+            seen.append(kind)
+    assert sorted(seen, key=kinds.index) == kinds
+
+
+def test_evaluation_set_rejects_mismatched_use():
+    m = build("Ishigami")
+    evaluations = EvaluationSet(m, 64, QMC, 6)
+    with pytest.raises(ValueError, match="no matrix C"):
+        build_plan(m, EstimatorKind.OWEN, 64, QMC, evaluations=evaluations)
+    with pytest.raises(ValueError, match="another model"):
+        build_plan(m, EstimatorKind.SK, 128, QMC, evaluations=evaluations)
+    with pytest.raises(ValueError, match="another model"):
+        build_plan(build("Linear4"), EstimatorKind.SK, 64, QMC, evaluations=evaluations)
+    with pytest.raises(ValueError, match="draw width"):
+        EvaluationSet(m, 64, QMC, 4)
 
 
 def test_dependent_model_rejects_direct_formulas():

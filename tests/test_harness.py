@@ -1,9 +1,13 @@
 """Benchmark protocol: replicate RMSE, rate fitting, cost accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sobolbench.estimators import EstimatorKind
+import sobolbench.estimators as estimators
+import sobolbench.harness as harness
+from sobolbench.estimators import EstimatorKind, build_plan, estimate_main_index
 from sobolbench.harness import (
     BenchmarkConfig,
     ConvergenceRecord,
@@ -15,6 +19,7 @@ from sobolbench.harness import (
     run_benchmark,
 )
 from sobolbench.models import InputModel, TestCaseId as CaseId, build
+from sobolbench.sampling import SamplerSpec
 
 IMPROVED = (
     EstimatorKind.SK,
@@ -187,6 +192,94 @@ def test_missing_analytic_reference_rejected(monkeypatch):
     )
     with pytest.raises(ValueError, match="analytic reference"):
         run_benchmark(cfg)
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Counts run_benchmark's model calls and records its unit-draw widths."""
+    work = {"f": 0, "draws": []}
+    draw = estimators.generate_uniform
+
+    def counted_draw(spec, n, dims):
+        work["draws"].append(dims)
+        return draw(spec, n, dims)
+
+    build_model = harness.build
+
+    def counted_build(test):
+        model = build_model(test)
+
+        def f(x):
+            work["f"] += 1
+            return model.f(x)
+
+        return dataclasses.replace(model, f=f)
+
+    monkeypatch.setattr(estimators, "generate_uniform", counted_draw)
+    monkeypatch.setattr(harness, "build", counted_build)
+    return work
+
+
+def _one_rung(test, kinds, sampler, p=6, k=2):
+    return BenchmarkConfig(
+        test=test, estimators=kinds, sampler=sampler, p_min=p, p_max=p, k=k
+    )
+
+
+def test_qmc_cell_evaluates_once_for_all_estimators(counted):
+    # GFunc10A, d = 10: one 3d draw and 2d + 2 = 22 model calls per cell
+    # serve all five estimators (58 calls if each ran alone)
+    run_benchmark(_one_rung("GFunc10A", tuple(EstimatorKind), "QMC"))
+    assert counted["draws"] == [30, 30]
+    assert counted["f"] == 2 * 22
+
+
+def test_qmc_dlr_only_draws_d_columns(counted):
+    run_benchmark(_one_rung("DepQuad4", (EstimatorKind.DLR,), "QMC", p=8, k=3))
+    assert counted["draws"] == [4, 4, 4]
+    assert counted["f"] == 3
+
+
+def test_mc_cell_shares_only_equal_width_draws(counted):
+    # ParkAhn7, d = 7: sobol, sk and oracle share a 2d draw (d + 2 calls);
+    # owen keeps its 3d draw (2d + 2) and dlr its d draw (1): 3d + 5 = 26
+    run_benchmark(_one_rung("ParkAhn7", tuple(EstimatorKind), "MC"))
+    assert counted["draws"] == [14, 21, 7] * 2
+    assert counted["f"] == 2 * 26
+
+
+def test_shared_cells_match_standalone_plans():
+    # every record equals the one computed from standalone plans, which
+    # draw and evaluate per estimator
+    cfg = BenchmarkConfig(
+        test="Ishigami", estimators=tuple(EstimatorKind), sampler="MC",
+        p_min=6, p_max=7, k=3,
+    )
+    model = build("Ishigami")
+
+    def standalone(kind, n):
+        block = []
+        for k in range(cfg.k):
+            spec = SamplerSpec(kind="MC", seed=cfg.master_seed, run_index=k)
+            plan = build_plan(model, kind, n, spec)
+            block.append([e.s_i_hat for e in estimate_main_index(kind, plan, model)])
+        return np.array(block)
+
+    blocks = {(k, 1 << p): standalone(k, 1 << p) for k in EstimatorKind for p in (6, 7)}
+    for r in run_benchmark(cfg, threads=2):
+        block = blocks[(r.estimator, r.n)]
+        assert r.rmse == float(rmse_against(block, model.analytic_main)[r.input - 1])
+        assert r.mean_estimate == float(block.mean(axis=0)[r.input - 1])
+
+
+def test_records_charge_oracle_f0_block(monkeypatch):
+    # a model without an analytic mean makes the oracle plan evaluate an
+    # extra C block, and its records say so; table1 keeps the convention
+    base = build("Linear4")
+    stripped = dataclasses.replace(base, analytic_f0=None)
+    monkeypatch.setattr(harness, "build", lambda t: stripped)
+    records = run_benchmark(_one_rung("Linear4", (EstimatorKind.ORACLE,), "QMC"))
+    assert {(r.n_cpu_actual, r.n_cpu_table1) for r in records} == {(64 * 7, 64 * 6)}
 
 
 def test_rmse_against_identical_estimates():
