@@ -10,13 +10,11 @@ from .estimators import (
     DegenerateModelError,
     EstimatorKind,
     EvaluationPlan,
-    EvaluationSet,
     IncompatibleModelError,
     IndexEstimate,
     build_plan,
     default_bin_schedule,
     estimate_main_index,
-    evaluation_sets,
 )
 from .harness import (
     DEFAULT_MASTER_SEED,
@@ -56,13 +54,11 @@ __all__ = [
     "DegenerateModelError",
     "EstimatorKind",
     "EvaluationPlan",
-    "EvaluationSet",
     "IncompatibleModelError",
     "IndexEstimate",
     "build_plan",
     "default_bin_schedule",
     "estimate_main_index",
-    "evaluation_sets",
     "DEFAULT_MASTER_SEED",
     "BenchmarkConfig",
     "ConvergenceRecord",

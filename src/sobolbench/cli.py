@@ -180,35 +180,43 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     spec = SamplerSpec(kind=args.sampler, seed=args.seed, run_index=args.run_index)
 
     print(f"test {model.name} (d={model.d}), sampler {args.sampler}, N={args.n}")
-    # The estimators share their model evaluations; each line still reports
-    # what the estimator would cost alone.
-    shared = {
-        kind: evaluations
-        for evaluations, group in evaluation_sets(model, kinds, args.n, spec)
-        for kind in group
-    }
+    # The estimators share their model evaluations; each table still reports
+    # what its estimator would cost alone.  Tables are printed in the order
+    # asked for once all are computed; each plan is dropped before the next
+    # evaluation set (an MC width group) is filled.
+    tables: dict[EstimatorKind, list[str]] = {}
     any_negative = False
+    for evaluations, group in evaluation_sets(model, kinds, args.n, spec):
+        for kind in group:
+            plan = build_plan(
+                model, kind, args.n, spec, bin_count=args.bins, evaluations=evaluations
+            )
+            estimates = estimate_main_index(kind, plan, model)
+            lines = tables[kind] = [
+                f"\nestimator {kind.value}: {plan.eval_count} model evaluations"
+            ]
+            if kind is EstimatorKind.ORACLE:
+                lines.append(f"  (f0 source: {plan.f0_source})")
+            del plan
+            lines.append(
+                f"  {'input':>5}  {'S_hat':>12}  {'analytic':>12}  {'|error|':>12}"
+            )
+            for est in estimates:
+                if model.analytic_main is not None:
+                    ref = model.analytic_main[est.input - 1]
+                    ref_s = f"{ref:12.6f}"
+                    err_s = f"{abs(est.s_i_hat - ref):12.6f}"
+                else:
+                    ref_s, err_s = f"{'n/a':>12}", f"{'n/a':>12}"
+                mark = ""
+                if est.s_i_hat < 0.0:
+                    mark = "  *"
+                    any_negative = True
+                lines.append(
+                    f"  {est.input:>5}  {est.s_i_hat:12.6f}  {ref_s}  {err_s}{mark}"
+                )
     for kind in kinds:
-        plan = build_plan(
-            model, kind, args.n, spec, bin_count=args.bins, evaluations=shared[kind]
-        )
-        estimates = estimate_main_index(kind, plan, model)
-        print(f"\nestimator {kind.value}: {plan.eval_count} model evaluations")
-        if kind is EstimatorKind.ORACLE:
-            print(f"  (f0 source: {plan.f0_source})")
-        print(f"  {'input':>5}  {'S_hat':>12}  {'analytic':>12}  {'|error|':>12}")
-        for est in estimates:
-            if model.analytic_main is not None:
-                ref = model.analytic_main[est.input - 1]
-                ref_s = f"{ref:12.6f}"
-                err_s = f"{abs(est.s_i_hat - ref):12.6f}"
-            else:
-                ref_s, err_s = f"{'n/a':>12}", f"{'n/a':>12}"
-            mark = ""
-            if est.s_i_hat < 0.0:
-                mark = "  *"
-                any_negative = True
-            print(f"  {est.input:>5}  {est.s_i_hat:12.6f}  {ref_s}  {err_s}{mark}")
+        print("\n".join(tables[kind]))
     if any_negative:
         print("\n  * negative estimate: statistical fluctuation around a small index")
     return 0

@@ -44,7 +44,6 @@ __all__ = [
     "DegenerateModelError",
     "default_bin_schedule",
     "eval_count",
-    "draw_width",
     "evaluation_sets",
     "build_plan",
     "estimate_mean_and_variance",

@@ -124,23 +124,20 @@ class RateFit:
     window: str
 
 
-def cost(
-    kind: EstimatorKind, d: int, n: int, analytic_f0: bool = True
-) -> tuple[int, int]:
+def cost(kind: EstimatorKind, d: int, n: int) -> tuple[int, int]:
     """(actual, table1) evaluation counts for a full set of d indices.
 
-    ``actual`` is what one plan of ``kind`` evaluates alone (main effects
-    only; see :func:`eval_count`), whether or not the harness shares those
-    evaluations with other estimators.  ``table1`` is the published
-    convention, which for the original Sobol' formula budgets the joint
-    {S_i, S_i_tot} set: N(2d+1) instead of N(d+1).  The two differ only for
-    that estimator, and for an oracle without an analytic f0, whose plan
-    spends one extra block estimating it.
+    ``actual`` is what one plan of ``kind`` evaluates alone on a model with
+    an analytic mean (main effects only; see :func:`eval_count`), whether or
+    not the harness shares those evaluations with other estimators.
+    ``table1`` is the published convention, which for the original Sobol'
+    formula budgets the joint {S_i, S_i_tot} set: N(2d+1) instead of N(d+1).
+    The two differ only for that estimator.
     """
-    actual = eval_count(kind, d, n, analytic_f0)
+    actual = eval_count(kind, d, n)
     if kind == EstimatorKind.SOBOL:
         return actual, n * (2 * d + 1)
-    return actual, eval_count(kind, d, n)
+    return actual, actual
 
 
 def rmse_against(estimates: np.ndarray, analytic: np.ndarray) -> np.ndarray:
@@ -225,9 +222,7 @@ def run_benchmark(
             block = np.stack([results[(n, k)][kind] for k in range(cfg.k)])
             rmse = rmse_against(block, model.analytic_main)
             mean_est = block.mean(axis=0)
-            actual, table1 = cost(
-                kind, model.d, n, analytic_f0=model.analytic_f0 is not None
-            )
+            actual, table1 = cost(kind, model.d, n)
             for i in range(model.d):
                 records.append(
                     ConvergenceRecord(

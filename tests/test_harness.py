@@ -272,16 +272,6 @@ def test_shared_cells_match_standalone_plans():
         assert r.mean_estimate == float(block.mean(axis=0)[r.input - 1])
 
 
-def test_records_charge_oracle_f0_block(monkeypatch):
-    # a model without an analytic mean makes the oracle plan evaluate an
-    # extra C block, and its records say so; table1 keeps the convention
-    base = build("Linear4")
-    stripped = dataclasses.replace(base, analytic_f0=None)
-    monkeypatch.setattr(harness, "build", lambda t: stripped)
-    records = run_benchmark(_one_rung("Linear4", (EstimatorKind.ORACLE,), "QMC"))
-    assert {(r.n_cpu_actual, r.n_cpu_table1) for r in records} == {(64 * 7, 64 * 6)}
-
-
 def test_rmse_against_identical_estimates():
     est = np.tile([0.3, 0.5], (10, 1))
     out = rmse_against(est, np.array([0.25, 0.75]))
