@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -306,9 +307,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     records = run_benchmark(cfg, threads=threads)
     records_path = out_dir / "records.csv"
     rates_path = out_dir / "rates.csv"
-    write_records_csv(records_path, records)
-    n_rates = write_rates_csv(rates_path, records, cfg.fit_window)
-
+    manifest_path = out_dir / "manifest.json"
     manifest = {
         "version": __version__,
         "generated": datetime.now(timezone.utc).isoformat(),
@@ -328,10 +327,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "threads": threads,
         "artifacts": {"records": records_path.name, "rates": rates_path.name},
     }
-    manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+    # Write every artifact to a temp file beside it and move them into place
+    # only once all are written: a failed run leaves the previous artifacts
+    # (or none), never a truncated one.
+    staged = {
+        path: path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        for path in (records_path, rates_path, manifest_path)
+    }
+    try:
+        write_records_csv(staged[records_path], records)
+        n_rates = write_rates_csv(staged[rates_path], records, cfg.fit_window)
+        with open(staged[manifest_path], "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
 
     print(f"wrote {records_path} ({len(records)} records)")
     print(f"wrote {rates_path} ({n_rates} fits)")

@@ -349,6 +349,21 @@ def estimate_oracle(
     return float(((f_a - f0) * (f_ab_i - f_b)).mean())
 
 
+def _argsort_ties_by_index(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, kind="stable")``, from numpy's faster default sort.
+
+    The default sort's order is the only one when the sorted keys strictly
+    increase.  Otherwise (equal keys, say from a narrow Uniform far from
+    zero, or NaN) x is sorted again stably so that ties keep sample order.
+    The sorted keys are freed on return, before the caller's gather.
+    """
+    order = np.argsort(x)
+    keys = x[order]
+    if np.all(keys[1:] > keys[:-1]):
+        return order
+    return np.argsort(x, kind="stable")
+
+
 def estimate_dlr(
     x_i_column: np.ndarray, f_a: np.ndarray, bins: BinSchedule
 ) -> float:
@@ -361,7 +376,7 @@ def estimate_dlr(
     """
     if x_i_column.shape[0] != bins.n or f_a.shape[0] != bins.n:
         raise ValueError("array length does not match the bin schedule")
-    order = np.argsort(x_i_column, kind="stable")
+    order = _argsort_ties_by_index(x_i_column)
     bin_means = f_a[order].reshape(bins.m, bins.n_m).mean(axis=1)
     return float((bin_means**2).mean() - f_a.mean() ** 2)
 

@@ -261,12 +261,19 @@ def build_gfunc(a: Sequence[float], name: str) -> InputModel:
     D_i = (1/3) / (1 + a_i)^2 and D = prod(1 + D_i) - 1; f0 = 1.
     """
     a_arr = np.asarray(a, dtype=float)
+    denom = 1.0 + a_arr
     d = a_arr.shape[0]
 
     def f(x: np.ndarray) -> np.ndarray:
-        return np.prod((np.abs(4.0 * x - 2.0) + a_arr) / (1.0 + a_arr), axis=1)
+        # The closed form's operations in its order, on one temporary.
+        t = np.multiply(x, 4.0)
+        t -= 2.0
+        np.abs(t, out=t)
+        t += a_arr
+        t /= denom
+        return np.prod(t, axis=1)
 
-    partial = (1.0 / 3.0) / (1.0 + a_arr) ** 2
+    partial = (1.0 / 3.0) / denom**2
     D = float(np.prod(1.0 + partial) - 1.0)
     return InputModel(
         name=name,

@@ -2,9 +2,10 @@
 
 Two samplers are provided: pseudo-random (``MC``, PCG64) and the Sobol'
 low-discrepancy sequence (``QMC``, Gray-code construction over the bundled
-direction-number table).  Unit samples are mapped to model space either
-columnwise through independent marginals or jointly through a Gaussian
-covariance via Cholesky factorization.
+direction-number table, read one byte of the Gray-code index at a time
+through lookup tables cached per dimension count).  Unit samples are mapped
+to model space either columnwise through independent marginals or jointly
+through a Gaussian covariance via Cholesky factorization.
 
 Generator conventions
 ---------------------
@@ -45,7 +46,7 @@ __all__ = [
     "transform_correlated_normal",
 ]
 
-_DIRECTION_CACHE: dict[int, np.ndarray] = {}
+_GRAY_TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -94,24 +95,45 @@ def mix_seed(master_seed: int, run_index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _gray_byte_tables(dims: int) -> np.ndarray:
+    """The (MAXBIT/8, 256, dims) uint32 tables of _sobol_raw, cached per dims.
+
+    ``T[c, b]`` is the XOR of the direction vectors ``V[8c + j]`` over the set
+    bits ``j`` of the byte value ``b``; each table is filled by doubling,
+    ``T[c, 2^j : 2^(j+1)] = T[c, :2^j] ^ V[8c + j]``.
+    """
+    tables = _GRAY_TABLE_CACHE.get(dims)
+    if tables is None:
+        V = direction_vectors(dims)
+        tables = np.zeros((MAXBIT // 8, 256, dims), dtype=np.uint32)
+        for c in range(MAXBIT // 8):
+            for j in range(8):
+                tables[c, 1 << j : 2 << j] = tables[c, : 1 << j] ^ V[8 * c + j]
+        _GRAY_TABLE_CACHE[dims] = tables
+    return tables
+
+
 def _sobol_raw(start: int, n: int, dims: int) -> np.ndarray:
     """Sobol' elements with raw sequence indices [start, start + n).
 
     Direct Gray-code construction: element i is the XOR of the direction
-    vectors selected by the set bits of gray(i) = i ^ (i >> 1).
+    vectors selected by the set bits of gray(i) = i ^ (i >> 1).  The XOR is
+    taken a byte of gray(i) at a time, as
+    ``T[0][g & 255] ^ T[1][(g >> 8) & 255] ^ T[2][...] ^ T[3][...]`` over the
+    tables of :func:`_gray_byte_tables`; a byte that is zero for the whole
+    block contributes nothing and is skipped.  XOR is exact, so the grouping
+    gives the same bits as one pass per direction vector.
     """
     if start + n > 1 << MAXBIT:
         raise ValueError("sequence index exceeds the 2^32 generator period")
-    if dims not in _DIRECTION_CACHE:
-        _DIRECTION_CACHE[dims] = direction_vectors(dims)
-    V = _DIRECTION_CACHE[dims]
-    idx = np.arange(start, start + n, dtype=np.uint64)
-    gray = idx ^ (idx >> np.uint64(1))
+    tables = _gray_byte_tables(dims)
+    idx = np.arange(start, start + n, dtype=np.uint32)
+    gray = idx ^ (idx >> np.uint32(1))
     out = np.zeros((n, dims), dtype=np.uint32)
-    for k in range(MAXBIT):
-        mask = ((gray >> np.uint64(k)) & np.uint64(1)).astype(bool)
-        if mask.any():
-            out[mask] ^= V[k, :]
+    for c, table in enumerate(tables):
+        byte = (gray >> np.uint32(8 * c)) & np.uint32(0xFF)
+        if byte.any():
+            out ^= np.take(table, byte, axis=0)
     return out * np.float64(2.0**-MAXBIT)
 
 

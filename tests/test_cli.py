@@ -4,9 +4,11 @@ import csv
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from sobolbench import cli
 from sobolbench.cli import main, parse_config
 from sobolbench.estimators import EstimatorKind
 
@@ -109,8 +111,6 @@ def test_estimate_happy_path(capsys):
 def test_estimate_shared_run_prints_standalone_tables(sampler, capsys, monkeypatch):
     # the estimators share one evaluation set, yet each table, and its
     # nominal evaluation count, reads as if the estimator ran alone
-    import sobolbench.cli as cli
-
     def run(estimators):
         argv = ["estimate", "--test", "Ishigami", "--estimators", estimators,
                 "--sampler", sampler, "--n", "256"]
@@ -281,6 +281,23 @@ def test_bench_unwritable_output_exit_4(tmp_path, capsys):
     code = main(["bench", "--config", str(cfg_path), "--out", str(blocker / "sub")])
     assert code == 4
     capsys.readouterr()
+
+
+def test_bench_failed_write_keeps_previous_artifacts(tmp_path, capsys, monkeypatch):
+    cfg_path = write_config(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert set(before) == {"records.csv", "rates.csv", "manifest.json"}
+
+    def fail(path, records, window):
+        Path(path).write_text("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_rates_csv", fail)
+    assert main(["bench", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
+    assert "disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_bench_incompatible_pairing_exit_3(tmp_path, capsys):

@@ -26,7 +26,7 @@ from sobolbench.estimators import (
 )
 from sobolbench.harness import cost
 from sobolbench.models import TEST_CASE_NAMES, InputModel, build
-from sobolbench.sampling import SamplerSpec, Uniform
+from sobolbench.sampling import SamplerSpec, Uniform, generate_uniform
 
 QMC = SamplerSpec(kind="QMC", run_index=0)
 MC = SamplerSpec(kind="MC", seed=12345, run_index=2)
@@ -364,7 +364,9 @@ def test_dlr_bins_are_exhaustive_partition():
     assert groups.size == 256
     assert np.allclose(np.sort(groups.ravel()), np.sort(f))
     want = float((groups.mean(axis=1) ** 2).mean() - f.mean() ** 2)
-    assert estimate_dlr(x, f, bins) == pytest.approx(want, rel=1e-13)
+    # distinct keys: the fast sort's order is the stable one, bit for bit
+    assert np.unique(x).size == x.size
+    assert estimate_dlr(x, f, bins) == want
 
 
 def test_dlr_tie_breaking_is_deterministic():
@@ -373,6 +375,40 @@ def test_dlr_tie_breaking_is_deterministic():
     bins = BinSchedule(n=8, m=2, n_m=4)
     want = float(((np.array([1.5, 5.5])) ** 2).mean() - f.mean() ** 2)
     assert estimate_dlr(x, f, bins) == pytest.approx(want, rel=1e-14)
+
+
+def _dlr_stable_reference(x, f, bins):
+    order = np.argsort(x, kind="stable")
+    bin_means = f[order].reshape(bins.m, bins.n_m).mean(axis=1)
+    return float((bin_means**2).mean() - f.mean() ** 2)
+
+
+@pytest.mark.parametrize("tied", [8.0, np.nan])
+def test_dlr_ties_across_bin_boundaries_keep_sample_order(tied):
+    # 28 equal keys straddle bin boundaries (sorted positions 8..35 for 8.0,
+    # the last 28 for NaN, which sorts last); the tie order decides which
+    # outputs fall in which bin
+    rng = np.random.default_rng(5)
+    x = rng.permutation(256).astype(float)
+    x[(x >= 8) & (x < 36)] = tied
+    f = rng.standard_normal(256)
+    bins = BinSchedule(n=256, m=16, n_m=16)
+    got = estimate_dlr(x, f, bins)
+    assert got == _dlr_stable_reference(x, f, bins)
+    reversed_ties = np.lexsort((-np.arange(256), x))
+    other = f[reversed_ties].reshape(bins.m, bins.n_m).mean(axis=1)
+    assert got != float((other**2).mean() - f.mean() ** 2)
+
+
+def test_dlr_ties_from_wide_offset_uniform():
+    # Uniform(2^52, 2^52 + 16) rounds 1024 distinct Sobol' coordinates onto
+    # 17 floats
+    u = generate_uniform(QMC, 1 << 10, 2).values
+    x = Uniform(2.0**52, 2.0**52 + 16.0).from_unit(u[:, 0])
+    assert np.unique(x).size == 17
+    f = u[:, 1]
+    bins = default_bin_schedule(1 << 10)
+    assert estimate_dlr(x, f, bins) == _dlr_stable_reference(x, f, bins)
 
 
 def test_dlr_length_mismatch():

@@ -13,7 +13,7 @@ from sobolbench.models import (
     evaluate,
     trilinear_exact_moments,
 )
-from sobolbench.sampling import Lognormal, Normal, Uniform
+from sobolbench.sampling import Lognormal, Normal, SamplerSpec, Uniform, generate_uniform
 
 
 def test_registry_builds_every_case():
@@ -171,6 +171,22 @@ def test_gfunc10b_reference_values():
     # at the distribution center every factor |4u-2|+a = 0 for a = 0
     assert evaluate(m, [0.5] * 10) == 0.0
     assert evaluate(m, [0.0] * 10) == pytest.approx(2.0**10, rel=1e-12)
+
+
+GFUNC_A = {"GFunc10A": (0.0, 0.0) + (3.0,) * 8, "GFunc10B": (0.0,) * 10}
+
+
+@pytest.mark.parametrize("name", sorted(GFUNC_A))
+@pytest.mark.parametrize("kind", ["MC", "QMC"])
+def test_gfunc_equals_closed_form_bit_for_bit(name, kind):
+    m = build(name)
+    a = np.asarray(GFUNC_A[name])
+    spec = SamplerSpec(kind=kind, seed=7, run_index=3)
+    x = generate_uniform(spec, 1 << 12, m.d).values
+    x_before = x.copy()
+    want = np.prod((np.abs(4.0 * x - 2.0) + a) / (1.0 + a), axis=1)
+    assert np.array_equal(m.f(x), want)
+    assert np.array_equal(x, x_before)
 
 
 def test_gfunc_strong_interactions():

@@ -11,6 +11,7 @@ from sobolbench.sampling import (
     SamplerSpec,
     Uniform,
     UnitPointSet,
+    _sobol_raw,
     cholesky_lower,
     generate_uniform,
     inverse_normal_cdf,
@@ -80,13 +81,61 @@ def test_qmc_matches_reference_implementation():
         assert np.array_equal(mine, ref), f"mismatch at dims={dims}"
 
 
-def test_qmc_far_block_matches_reference():
+@pytest.mark.filterwarnings("ignore:The balance properties")
+@pytest.mark.parametrize(
+    "dims,n,run_index",
+    [(7, 8, 1 << 17)]
+    # raw indices past 2^16 (three Gray-code bytes) and past 2^24 (all four)
+    + [(dims, 64, (1 << 10) + 3) for dims in (1, 21, 64)]
+    + [(dims, 16, (1 << 20) + 5) for dims in (1, 21, 64)],
+)
+def test_qmc_far_block_matches_reference(dims, n, run_index):
     qmc_mod = pytest.importorskip("scipy.stats.qmc")
-    eng = qmc_mod.Sobol(d=7, scramble=False, bits=32)
-    eng.fast_forward(1 + 131072 * 8)
-    ref = eng.random(8)
-    mine = qmc(8, 7, run_index=131072).values
-    assert np.array_equal(mine, ref)
+    eng = qmc_mod.Sobol(d=dims, scramble=False, bits=32)
+    eng.fast_forward(1 + run_index * n)
+    mine = qmc(n, dims, run_index=run_index).values
+    assert np.array_equal(mine, eng.random(n))
+
+
+def _sobol_by_bit(directions, start, n):
+    """One XOR pass per direction vector: the textbook Gray-code loop."""
+    idx = np.arange(start, start + n, dtype=np.uint64)
+    gray = idx ^ (idx >> np.uint64(1))
+    out = np.zeros((n, directions.shape[1]), dtype=np.uint32)
+    for k in range(directions.shape[0]):
+        mask = ((gray >> np.uint64(k)) & np.uint64(1)).astype(bool)
+        out[mask] ^= directions[k]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+@pytest.mark.parametrize("dims", [1, 21, 64])
+def test_qmc_last_block_before_period_matches_reference(dims):
+    # The engine's fast_forward steps one point at a time (minutes to reach
+    # 2^32 at d = 64), so the reference is the bit-by-bit loop over the
+    # engine's own direction vectors.
+    qmc_mod = pytest.importorskip("scipy.stats.qmc")
+    eng = qmc_mod.Sobol(d=dims, scramble=False, bits=32)
+    if getattr(eng, "_sv", None) is None:
+        pytest.skip("this scipy does not expose its direction vectors")
+    start, n = (1 << 32) - 64, 64
+    ref = _sobol_by_bit(eng._sv.T, start, n) * 2.0**-32
+    assert np.array_equal(_sobol_raw(start, n, dims), ref)
+
+
+def test_qmc_last_block_pinned():
+    # raw indices 2^32 - 4 .. 2^32 - 1, as uint32 (value * 2^32)
+    want = np.array(
+        [
+            [1073741825, 1073741823, 83907925],
+            [3221225473, 3221225471, 2231391573],
+            [2147483649, 2147483647, 1157649749],
+            [1, 4294967295, 3305133397],
+        ],
+        dtype=np.uint32,
+    )
+    got = _sobol_raw((1 << 32) - 4, 4, 3) * 2.0**32
+    assert np.array_equal(got, want)
 
 
 def test_qmc_star_discrepancy_beats_iid_average():
