@@ -17,10 +17,14 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .estimators import (
@@ -325,6 +329,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "fit_window": cfg.fit_window,
         },
         "threads": threads,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "artifacts": {"records": records_path.name, "rates": rates_path.name},
     }
 

@@ -207,11 +207,15 @@ class EvaluationSet:
                 self._f[block] = self.model.f(self.x(block))
             else:
                 donor, base = self.x(block[0]), self.x(block[1])
+                # One column-major scratch copy of the base serves all d
+                # mixed matrices: column i is swapped in from the donor for
+                # one call and restored after it, so f must not write to x.
+                mixed = base.copy(order="F")
                 out = np.empty((self.model.d, self.n))
                 for i in range(self.model.d):
-                    mixed = base.copy()
                     mixed[:, i] = donor[:, i]
                     out[i] = self.model.f(mixed)
+                    mixed[:, i] = base[:, i]
                 self._f[block] = out
         return self._f[block]
 

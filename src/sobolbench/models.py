@@ -32,9 +32,16 @@ __all__ = [
 class InputModel:
     """A model function together with its input distribution and references.
 
-    Exactly one of ``marginals`` / ``covariance`` is set.  ``f`` maps an
-    (n, d) array to n outputs.  The analytic fields are None when no closed
-    form is available.
+    Exactly one of ``marginals`` / ``covariance`` is set.  The analytic
+    fields are None when no closed form is available.
+
+    ``f`` maps an (n, d) array to n outputs, row by row.  It may receive a
+    column-major array (sample matrices are kept column-major so each input
+    column is contiguous).  It must not write to its input: AB_i and CA_i
+    outputs come from one scratch matrix whose column i is swapped in for
+    the call and restored after it.  Its result must not depend on memory
+    order; ``x.sum(axis=1)`` with d >= 8, for one, does (pairwise along
+    contiguous rows, one column at a time otherwise).
     """
 
     name: str

@@ -309,21 +309,29 @@ def cholesky_lower(cov: CovarianceSpec) -> np.ndarray:
 
 
 def transform_independent(u: UnitPointSet, marginals: Sequence[Marginal]) -> np.ndarray:
-    """Map unit samples to model space columnwise through the marginals."""
+    """Map unit samples to model space columnwise through the marginals.
+
+    The result is column-major (Fortran-ordered), so each input column a
+    model, a column swap or a sort reads is contiguous.
+    """
     if u.dims != len(marginals):
         raise ValueError(
             f"point set has {u.dims} dims but {len(marginals)} marginals given"
         )
-    out = np.empty_like(u.values)
+    out = np.empty((u.n, u.dims), order="F")
     for j, marg in enumerate(marginals):
         out[:, j] = marg.from_unit(u.values[:, j])
     return out
 
 
 def transform_correlated_normal(u: UnitPointSet, cov: CovarianceSpec) -> np.ndarray:
-    """Map unit samples to x = mu + L z with z the inverse-CDF standard normals."""
+    """Map unit samples to x = mu + L z with z the inverse-CDF standard normals.
+
+    The matmul reads the row-major z; the sum with mu is written
+    column-major, like :func:`transform_independent`'s result.
+    """
     if u.dims != cov.d:
         raise ValueError(f"point set has {u.dims} dims but covariance is {cov.d}-d")
     L = cholesky_lower(cov)
     z = ndtri(u.values)
-    return cov.mean + z @ L.T
+    return np.add(cov.mean, z @ L.T, out=np.empty(z.shape, order="F"))

@@ -4,9 +4,12 @@ import csv
 import dataclasses
 import hashlib
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from sobolbench import cli
 from sobolbench.cli import main, parse_config
@@ -204,7 +207,8 @@ def test_no_command_is_usage_error(capsys):
 # bench command
 
 
-def test_bench_writes_artifacts(tmp_path, capsys):
+def test_bench_writes_artifacts(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SOBOLBENCH_THREADS", raising=False)
     cfg_path = write_config(tmp_path)
     out_dir = tmp_path / "out"
     assert main(["bench", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
@@ -235,6 +239,10 @@ def test_bench_writes_artifacts(tmp_path, capsys):
     assert manifest["config"]["estimators"] == ["sk", "dlr"]
     assert manifest["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
     assert manifest["artifacts"]["records"] == "records.csv"
+    assert manifest["threads"] == 1
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
 
 
 def test_bench_reruns_byte_identical(tmp_path, capsys):

@@ -13,7 +13,15 @@ from sobolbench.models import (
     evaluate,
     trilinear_exact_moments,
 )
-from sobolbench.sampling import Lognormal, Normal, SamplerSpec, Uniform, generate_uniform
+from sobolbench.sampling import (
+    Lognormal,
+    Normal,
+    SamplerSpec,
+    Uniform,
+    generate_uniform,
+    transform_correlated_normal,
+    transform_independent,
+)
 
 
 def test_registry_builds_every_case():
@@ -276,6 +284,38 @@ def test_batch_matches_pointwise():
         batch = evaluate(m, x)
         single = np.array([evaluate(m, row) for row in x])
         assert np.allclose(batch, single, rtol=1e-14)
+
+
+def _model_space(m, spec):
+    u = generate_uniform(spec, 1 << 10, m.d)
+    if m.covariance is not None:
+        return transform_correlated_normal(u, m.covariance)
+    return transform_independent(u, m.marginals)
+
+
+@pytest.mark.parametrize("kind", ["MC", "QMC"])
+@pytest.mark.parametrize("name", TEST_CASE_NAMES)
+def test_model_output_does_not_depend_on_memory_order(name, kind):
+    # Sample matrices are column-major, and an AB_i/CA_i block swaps columns
+    # in one scratch copy, so f must give the same bits in either order and
+    # must not write to its input.  This is not automatic: x.sum(axis=1)
+    # adds each row pairwise once d >= 8 when rows are contiguous, but one
+    # column at a time on a column-major array, so such a model with d >= 8
+    # would change bits with the layout (np.prod, and sums over d <= 7, do
+    # not).
+    m = build(name)
+    spec = SamplerSpec(kind=kind, seed=11, run_index=2)
+    x = _model_space(m, spec)
+    # the first d columns of a row-major 2d-wide matrix: neither C- nor
+    # F-contiguous
+    wide = np.ascontiguousarray(np.hstack([x, x]))
+    layouts = [np.ascontiguousarray(x), np.asfortranarray(x), wide[:, : m.d]]
+    assert not (layouts[2].flags.c_contiguous or layouts[2].flags.f_contiguous)
+    want = m.f(layouts[0])
+    for arr in layouts:
+        before = arr.copy()
+        assert np.array_equal(m.f(arr), want)
+        assert np.array_equal(arr, before)
 
 
 def test_input_model_validation():

@@ -1,8 +1,14 @@
 """Point-set generation, distribution transforms, and covariance handling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sobolbench
 from sobolbench.sampling import (
     CovarianceSpec,
     LOGNORMAL_INTERPRETATIONS,
@@ -121,6 +127,20 @@ def test_qmc_last_block_before_period_matches_reference(dims):
     start, n = (1 << 32) - 64, 64
     ref = _sobol_by_bit(eng._sv.T, start, n) * 2.0**-32
     assert np.array_equal(_sobol_raw(start, n, dims), ref)
+
+
+def test_import_does_not_load_scipy_stats():
+    # The generator is in-house because importing scipy.stats (which holds
+    # scipy's Sobol' engine) costs about a second and 45 MB; a fresh
+    # interpreter shows whether the package or its CLI pulls it in.
+    src = Path(sobolbench.__file__).resolve().parents[1]
+    probe = "import sys, sobolbench.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_qmc_last_block_pinned():
@@ -335,6 +355,8 @@ def test_transform_independent_columns():
     u = qmc(8, 2)
     x = transform_independent(u, (Uniform(0.0, 2.0), Normal(5.0, 1.0)))
     assert x.shape == (8, 2)
+    # column-major, so every column a model or a sort reads is contiguous
+    assert x.flags.f_contiguous
     assert x[0, 0] == 1.0  # first point is u = 0.5 in every coordinate
     assert abs(x[0, 1] - 5.0) < 1e-12
     with pytest.raises(ValueError):
@@ -349,6 +371,7 @@ def test_correlated_diagonal_equals_independent():
     x_cor = transform_correlated_normal(u, cov)
     x_ind = transform_independent(u, tuple(Normal(m, s) for m, s in zip(mean, sig)))
     assert np.max(np.abs(x_cor - x_ind)) < 1e-12
+    assert x_cor.flags.f_contiguous
 
 
 def test_correlated_sample_statistics():
