@@ -12,6 +12,8 @@ shared estimate of the total variance D to give S_i = D_i / D:
 Model outputs live in an evaluation set: one unit point set of dimension d,
 2d, or 3d, whose coordinate blocks form the base matrices A, B, C, and the
 outputs at A, B, C, AB_i and CA_i, each evaluated the first time it is read.
+The sets of one (N, run) cell view one draw at the widest width, drawn and
+transformed once.
 A plan is one estimator's view of the blocks it reads, so several
 estimators built on one set share its evaluations and each estimator is a
 pure reduction over them.
@@ -155,10 +157,29 @@ def draw_width(kind: EstimatorKind, d: int, analytic_f0: bool = True) -> int:
     return d * len(matrices)
 
 
-def _transform_block(model: InputModel, u: UnitPointSet) -> np.ndarray:
+def _model_draw(
+    model: InputModel, n: int, sampler: SamplerSpec, width: int
+) -> np.ndarray:
+    """A ``width * d``-column unit draw in model space, as ``width * n`` rows of d.
+
+    The rows are ordered so that a narrower draw of the same run is a view
+    of them.  An MC draw is reshaped, without a copy, into its d-column
+    chunks (row ``r * width + j`` is coordinate block j of point r), whose
+    leading rows are the narrower draw (see :mod:`sobolbench.sampling`).
+    Sobol' dimensions are prefix-stable instead, so a QMC draw is put in
+    block order (row ``j * n + r``), which also makes each base matrix
+    contiguous.  All rows are transformed in one call, column-major.
+    """
+    d = model.d
+    u = generate_uniform(sampler, n, width * d).values
+    if sampler.kind == "QMC":
+        u = u.reshape(n, width, d).swapaxes(0, 1)
+    # A copy only for a QMC draw of width > 1; rebinding u frees the draw.
+    u = u.reshape(width * n, d)
+    rows = UnitPointSet(n=width * n, dims=d, values=u)
     if model.covariance is not None:
-        return transform_correlated_normal(u, model.covariance)
-    return transform_independent(u, model.marginals)
+        return transform_correlated_normal(rows, model.covariance)
+    return transform_independent(rows, model.marginals)
 
 
 class EvaluationSet:
@@ -170,35 +191,42 @@ class EvaluationSet:
     (shape (d, n)), where block ``"xy"`` row i is the output at matrix y
     with column i taken from matrix x.  Every estimator whose plan is built
     on one set reduces the same arrays.
+
+    ``draw`` is a draw of the same run in model space, as made by
+    :func:`_model_draw` at this width or wider; sets of several widths can
+    view one.  Without it the set makes its own on first read.
     """
 
-    def __init__(self, model: InputModel, n: int, sampler: SamplerSpec, dims: int):
+    def __init__(
+        self,
+        model: InputModel,
+        n: int,
+        sampler: SamplerSpec,
+        dims: int,
+        draw: Optional[np.ndarray] = None,
+    ):
         if dims not in (model.d, 2 * model.d, 3 * model.d):
             raise ValueError(f"draw width {dims} is not d, 2d or 3d for d={model.d}")
         self.model = model
         self.n = n
         self.sampler = sampler
         self.dims = dims
-        self._x: dict[str, np.ndarray] = {}
+        self._draw = draw
         self._f: dict[str, np.ndarray] = {}
 
     def x(self, matrix: str) -> np.ndarray:
-        """Base matrix ``"a"``, ``"b"`` or ``"c"`` in model space."""
-        if not self._x:
-            # Every matrix of a draw is read by some estimator of the set, so
-            # all are transformed at once and the unit draw is not kept.
-            d = self.model.d
-            u = generate_uniform(self.sampler, self.n, self.dims).values
-            for j, name in enumerate("abc"[: self.dims // d]):
-                block = u[:, j * d : (j + 1) * d]
-                self._x[name] = _transform_block(
-                    self.model, UnitPointSet(n=self.n, dims=d, values=block)
-                )
-        if matrix not in self._x:
+        """Base matrix ``"a"``, ``"b"`` or ``"c"`` in model space (a view)."""
+        width = self.dims // self.model.d
+        if matrix not in ("a", "b", "c")[:width]:
             raise ValueError(
                 f"a {self.dims}-column draw has no matrix {matrix.upper()}"
             )
-        return self._x[matrix]
+        if self._draw is None:
+            self._draw = _model_draw(self.model, self.n, self.sampler, width)
+        j, n = "abc".index(matrix), self.n
+        if self.sampler.kind == "QMC":
+            return self._draw[j * n : (j + 1) * n]
+        return self._draw[j : width * n : width]
 
     def f(self, block: str) -> np.ndarray:
         """Outputs of one block (see the class docstring)."""
@@ -228,10 +256,13 @@ def evaluation_sets(
 ) -> Iterator[tuple[EvaluationSet, list[EstimatorKind]]]:
     """Evaluation sets that give ``kinds`` the bits of standalone plans.
 
-    Sobol' dimensions are prefix-stable, so under QMC one draw at the widest
-    width serves every estimator.  An MC draw depends on its width, so MC
-    shares only among estimators of equal width.  Sets are yielded one at a
-    time, unfilled, so a caller can drop each before the next is filled.
+    Every set views one unit draw at the widest width, transformed once
+    (see :func:`_model_draw`).  Sobol' dimensions are prefix-stable, so a
+    narrower QMC draw has the same A and B and one set serves every
+    estimator.  A narrower MC draw is the leading d-column chunks of the
+    widest, so its A, B, C are other points: each MC width keeps its own
+    set and outputs.  Sets are yielded one at a time, unfilled, so a caller
+    can drop each set's outputs before the next is filled.
     """
     analytic_f0 = model.analytic_f0 is not None
     groups: dict[int, list[EstimatorKind]] = {}
@@ -239,8 +270,9 @@ def evaluation_sets(
         groups.setdefault(draw_width(kind, model.d, analytic_f0), []).append(kind)
     if sampler.kind == "QMC":
         groups = {max(groups): list(kinds)}
+    draw = _model_draw(model, n, sampler, max(groups) // model.d)
     for dims, group in groups.items():
-        yield EvaluationSet(model, n, sampler, dims), group
+        yield EvaluationSet(model, n, sampler, dims, draw), group
 
 
 def build_plan(

@@ -177,8 +177,9 @@ def _run_cell(
             out[kind] = np.array(
                 [e.s_i_hat for e in estimate_main_index(kind, plan, model)]
             )
-            # The plan holds this set's arrays: drop it before the next set
-            # (an MC width group) is filled, so two never coexist.
+            # The plan holds this set's outputs: drop it before the next set
+            # (an MC width group) is filled, so two sets' outputs never
+            # coexist; only the draw every set views lives for the cell.
             del plan
     return out
 

@@ -17,6 +17,9 @@ Generator conventions
   disjoint parts of the sequence.
 * An MC run uses ``numpy.random.default_rng(seed)`` and draws the ``n x dims``
   matrix row by row; per-run seeds are derived with :func:`mix_seed`.
+* Chunks: with ``dims = W*d``, an MC draw reshaped to ``(W*n, d)`` is the
+  first ``W*n`` chunks of d consecutive values of the run's stream, so it
+  is a row prefix of every wider draw of the same run reshaped alike.
 """
 
 from __future__ import annotations
@@ -195,7 +198,9 @@ class Uniform:
             raise ValueError("Uniform requires b > a")
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
-        return self.a + (self.b - self.a) * u
+        x = (self.b - self.a) * u
+        x += self.a
+        return x
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,10 @@ class Normal:
             raise ValueError("Normal requires sigma > 0")
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
-        return self.mu + self.sigma * ndtri(u)
+        z = ndtri(u)
+        z *= self.sigma
+        z += self.mu
+        return z
 
 
 @dataclass(frozen=True)
@@ -247,8 +255,12 @@ class Lognormal:
         return mu, float(np.sqrt(sigma2))
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
+        # In place, in the operation order of exp(mu + sigma * ndtri(u)).
         mu, sigma = self.log_params()
-        return np.exp(mu + sigma * ndtri(u))
+        z = ndtri(u)
+        z *= sigma
+        z += mu
+        return np.exp(z, out=z)
 
     def moments(self) -> tuple[float, float]:
         """Exact (E[x], E[x^2]) from the underlying normal parameters."""

@@ -26,7 +26,14 @@ from sobolbench.estimators import (
 )
 from sobolbench.harness import cost
 from sobolbench.models import TEST_CASE_NAMES, InputModel, build
-from sobolbench.sampling import SamplerSpec, Uniform, generate_uniform
+from sobolbench.sampling import (
+    SamplerSpec,
+    Uniform,
+    UnitPointSet,
+    generate_uniform,
+    transform_correlated_normal,
+    transform_independent,
+)
 
 QMC = SamplerSpec(kind="QMC", run_index=0)
 MC = SamplerSpec(kind="MC", seed=12345, run_index=2)
@@ -314,6 +321,36 @@ def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
         assert np.array_equal(evaluations.f(block), np.array(want))
     for m in "abc":
         assert np.array_equal(evaluations.x(m), base[m])
+
+
+@pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
+@pytest.mark.parametrize("name", TEST_CASE_NAMES)
+def test_set_matrices_equal_fresh_transform_of_own_draw(name, sampler):
+    # the sets of a cell view one draw at the widest width; each set's A, B,
+    # C must still be the transformed coordinate blocks of a draw at its own
+    # width, and a narrower set has no matrices beyond its width
+    model = build(name)
+    kinds = (EstimatorKind.DLR,) if model.has_dependent_inputs else ALL_KINDS
+    n, d = 64, model.d
+    widths = []
+    for evaluations, _ in evaluation_sets(model, kinds, n, sampler):
+        u = generate_uniform(sampler, n, evaluations.dims).values
+        names = "abc"[: evaluations.dims // d]
+        for j, matrix in enumerate(names):
+            block = UnitPointSet(n=n, dims=d, values=u[:, j * d : (j + 1) * d])
+            if model.covariance is not None:
+                want = transform_correlated_normal(block, model.covariance)
+            else:
+                want = transform_independent(block, model.marginals)
+            assert np.array_equal(evaluations.x(matrix), want), matrix
+        for missing in "abc"[len(names) :]:
+            with pytest.raises(ValueError, match=f"no matrix {missing.upper()}"):
+                evaluations.x(missing)
+        widths.append(evaluations.dims)
+    if model.has_dependent_inputs:
+        assert widths == [d]
+    else:
+        assert widths == ([3 * d] if sampler.kind == "QMC" else [2 * d, 3 * d, d])
 
 
 def test_evaluation_set_rejects_mismatched_use():

@@ -196,13 +196,21 @@ def test_missing_analytic_reference_rejected(monkeypatch):
 
 @pytest.fixture()
 def counted(monkeypatch):
-    """Counts run_benchmark's model calls and records its unit-draw widths."""
-    work = {"f": 0, "draws": []}
+    """Counts run_benchmark's model calls and records its unit-draw widths
+    and the number of unit values each transform call maps."""
+    work = {"f": 0, "draws": [], "transformed": []}
     draw = estimators.generate_uniform
 
     def counted_draw(spec, n, dims):
         work["draws"].append(dims)
         return draw(spec, n, dims)
+
+    def counted_transform(transform):
+        def counted(u, *args):
+            work["transformed"].append(u.n * u.dims)
+            return transform(u, *args)
+
+        return counted
 
     build_model = harness.build
 
@@ -216,6 +224,10 @@ def counted(monkeypatch):
         return dataclasses.replace(model, f=f)
 
     monkeypatch.setattr(estimators, "generate_uniform", counted_draw)
+    for name in ("transform_independent", "transform_correlated_normal"):
+        monkeypatch.setattr(
+            estimators, name, counted_transform(getattr(estimators, name))
+        )
     monkeypatch.setattr(harness, "build", counted_build)
     return work
 
@@ -227,24 +239,30 @@ def _one_rung(test, kinds, sampler, p=6, k=2):
 
 
 def test_qmc_cell_evaluates_once_for_all_estimators(counted):
-    # GFunc10A, d = 10: one 3d draw and 2d + 2 = 22 model calls per cell
-    # serve all five estimators (58 calls if each ran alone)
+    # GFunc10A, d = 10: one 3d draw, one transform and 2d + 2 = 22 model
+    # calls per cell serve all five estimators (58 calls if each ran alone)
     run_benchmark(_one_rung("GFunc10A", tuple(EstimatorKind), "QMC"))
     assert counted["draws"] == [30, 30]
+    assert counted["transformed"] == [64 * 30] * 2
     assert counted["f"] == 2 * 22
 
 
 def test_qmc_dlr_only_draws_d_columns(counted):
     run_benchmark(_one_rung("DepQuad4", (EstimatorKind.DLR,), "QMC", p=8, k=3))
     assert counted["draws"] == [4, 4, 4]
+    assert counted["transformed"] == [256 * 4] * 3
     assert counted["f"] == 3
 
 
-def test_mc_cell_shares_only_equal_width_draws(counted):
-    # ParkAhn7, d = 7: sobol, sk and oracle share a 2d draw (d + 2 calls);
-    # owen keeps its 3d draw (2d + 2) and dlr its d draw (1): 3d + 5 = 26
+def test_mc_cell_draws_once_at_widest_width(counted):
+    # ParkAhn7, d = 7: one 3d draw, transformed once, per cell.  Its leading
+    # 2n and n chunks are the 2d and d draws, but other points than its own
+    # A, B, C, so the model calls are shared only within a width: sobol, sk
+    # and oracle at 2d (d + 2 calls), owen at 3d (2d + 2), dlr at d (1),
+    # 3d + 5 = 26 in all
     run_benchmark(_one_rung("ParkAhn7", tuple(EstimatorKind), "MC"))
-    assert counted["draws"] == [14, 21, 7] * 2
+    assert counted["draws"] == [21] * 2
+    assert counted["transformed"] == [64 * 21] * 2
     assert counted["f"] == 2 * 26
 
 

@@ -309,8 +309,22 @@ def test_model_output_does_not_depend_on_memory_order(name, kind):
     # the first d columns of a row-major 2d-wide matrix: neither C- nor
     # F-contiguous
     wide = np.ascontiguousarray(np.hstack([x, x]))
-    layouts = [np.ascontiguousarray(x), np.asfortranarray(x), wide[:, : m.d]]
-    assert not (layouts[2].flags.c_contiguous or layouts[2].flags.f_contiguous)
+    # the views an evaluation set takes of a cell's column-major draw: every
+    # third row (MC chunk order) and a block of rows (QMC block order)
+    n = len(x)
+    chunk_order = np.empty((3 * n, m.d), order="F")
+    block_order = np.empty((3 * n, m.d), order="F")
+    chunk_order[1::3] = x
+    block_order[n : 2 * n] = x
+    layouts = [
+        np.ascontiguousarray(x),
+        np.asfortranarray(x),
+        wide[:, : m.d],
+        chunk_order[1::3],
+        block_order[n : 2 * n],
+    ]
+    for view in layouts[2:]:
+        assert not (view.flags.c_contiguous or view.flags.f_contiguous)
     want = m.f(layouts[0])
     for arr in layouts:
         before = arr.copy()

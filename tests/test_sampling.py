@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import sobolbench
 from sobolbench.sampling import (
@@ -212,6 +213,20 @@ def test_mc_mean_near_half():
     assert np.all(pts >= 0.0) and np.all(pts < 1.0)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("seed,run_index", [(0, 0), (11, 3), (123456789, 9)])
+@pytest.mark.parametrize("d", [1, 7, 10])
+def test_mc_narrow_draw_is_leading_chunks_of_wider(width, seed, run_index, d):
+    # numpy fills a (n, dims) draw row by row from one stream, so a W*d-wide
+    # draw cut into d-column chunks is the first W*n chunks of the 3d-wide
+    # one; the MC evaluation sets of a ladder cell rely on it to view one
+    # draw at every width
+    n = 96
+    wide = mc(n, 3 * d, seed=seed, run_index=run_index).values.reshape(3 * n, d)
+    narrow = mc(n, width * d, seed=seed, run_index=run_index).values
+    assert np.array_equal(wide[: width * n], narrow.reshape(width * n, d))
+
+
 def test_mix_seed_frozen_values():
     assert mix_seed(0, 0) == 16294208416658607535
     assert mix_seed(123456789, 7) == 14226210461905535836
@@ -304,6 +319,30 @@ def test_lognormal_interpretations():
         Lognormal(-1.0, 1.0, "median")
     with pytest.raises(ValueError):
         Lognormal(1.0, 0.0, "underlying")
+
+
+def _closed_form(marginal, u):
+    if isinstance(marginal, Uniform):
+        return marginal.a + (marginal.b - marginal.a) * u
+    if isinstance(marginal, Normal):
+        return marginal.mu + marginal.sigma * ndtri(u)
+    mu, sigma = marginal.log_params()
+    return np.exp(mu + sigma * ndtri(u))
+
+
+@pytest.mark.parametrize(
+    "marginal",
+    [Uniform(-2.0, 4.0), Normal(10.0, 2.0)]
+    + [Lognormal(2.0, 0.5, how) for how in LOGNORMAL_INTERPRETATIONS],
+    ids=repr,
+)
+def test_from_unit_in_place_equals_closed_form(marginal):
+    # from_unit works in place on one temporary, in the closed form's
+    # operation order, so the bits are the closed form's and u is not written
+    u = mc(1 << 10, 3, seed=5).values[:, 1]
+    before = u.copy()
+    assert np.array_equal(marginal.from_unit(u), _closed_form(marginal, u))
+    assert np.array_equal(u, before)
 
 
 def test_lognormal_sample_median():
