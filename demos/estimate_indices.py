@@ -29,7 +29,7 @@ model = build("Ishigami")
 print(f"{model.name}: d={model.d}, analytic S = {np.round(model.analytic_main, 4)}")
 for kind in (EstimatorKind.SK, EstimatorKind.OWEN, EstimatorKind.DLR):
     plan = build_plan(model, kind, n, sampler)
-    estimates = estimate_main_index(kind, plan, model)
+    estimates = estimate_main_index(plan)
     s_hat = np.array([e.s_i_hat for e in estimates])
     err = np.abs(s_hat - model.analytic_main).max()
     print(
@@ -48,8 +48,7 @@ model = build("DepLinear3")
 print(f"\n{model.name}: correlated Gaussian inputs")
 print(f"  covariance =\n{model.covariance.matrix}")
 plan = build_plan(model, EstimatorKind.DLR, n, sampler)
-estimates = estimate_main_index(EstimatorKind.DLR, plan, model)
-for est in estimates:
+for est in estimate_main_index(plan):
     print(
         f"  input {est.input}: S_hat = {est.s_i_hat:.4f}"
         f"  (analytic {model.analytic_main[est.input - 1]:.4f})"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -27,17 +28,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .estimators import (
-    EstimatorKind,
-    IncompatibleModelError,
-    build_plan,
-    estimate_main_index,
-    evaluation_sets,
-)
+from .estimators import EstimatorKind, IncompatibleModelError, eval_count
 from .harness import (
     DEFAULT_MASTER_SEED,
     BenchmarkConfig,
     ConvergenceRecord,
+    estimate_cell,
     fit_rate,
     group_records,
     resolve_threads,
@@ -186,42 +182,29 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     print(f"test {model.name} (d={model.d}), sampler {args.sampler}, N={args.n}")
     # The estimators share their model evaluations; each table still reports
-    # what its estimator would cost alone.  Tables are printed in the order
-    # asked for once all are computed; each plan is dropped before the next
-    # evaluation set (an MC width group) is filled.
-    tables: dict[EstimatorKind, list[str]] = {}
+    # what its estimator would cost alone.
+    cell = estimate_cell(model, kinds, args.n, spec, args.bins)
+    analytic_f0 = model.analytic_f0 is not None
     any_negative = False
-    for evaluations, group in evaluation_sets(model, kinds, args.n, spec):
-        for kind in group:
-            plan = build_plan(
-                model, kind, args.n, spec, bin_count=args.bins, evaluations=evaluations
-            )
-            estimates = estimate_main_index(kind, plan, model)
-            lines = tables[kind] = [
-                f"\nestimator {kind.value}: {plan.eval_count} model evaluations"
-            ]
-            if kind is EstimatorKind.ORACLE:
-                lines.append(f"  (f0 source: {plan.f0_source})")
-            del plan
-            lines.append(
-                f"  {'input':>5}  {'S_hat':>12}  {'analytic':>12}  {'|error|':>12}"
-            )
-            for est in estimates:
-                if model.analytic_main is not None:
-                    ref = model.analytic_main[est.input - 1]
-                    ref_s = f"{ref:12.6f}"
-                    err_s = f"{abs(est.s_i_hat - ref):12.6f}"
-                else:
-                    ref_s, err_s = f"{'n/a':>12}", f"{'n/a':>12}"
-                mark = ""
-                if est.s_i_hat < 0.0:
-                    mark = "  *"
-                    any_negative = True
-                lines.append(
-                    f"  {est.input:>5}  {est.s_i_hat:12.6f}  {ref_s}  {err_s}{mark}"
-                )
     for kind in kinds:
-        print("\n".join(tables[kind]))
+        estimates = cell[kind]
+        evals = eval_count(kind, model.d, args.n, analytic_f0)
+        print(f"\nestimator {kind.value}: {evals} model evaluations")
+        if kind is EstimatorKind.ORACLE:
+            print(f"  (f0 source: {estimates[0].f0_source})")
+        print(f"  {'input':>5}  {'S_hat':>12}  {'analytic':>12}  {'|error|':>12}")
+        for est in estimates:
+            if model.analytic_main is not None:
+                ref = model.analytic_main[est.input - 1]
+                ref_s = f"{ref:12.6f}"
+                err_s = f"{abs(est.s_i_hat - ref):12.6f}"
+            else:
+                ref_s, err_s = f"{'n/a':>12}", f"{'n/a':>12}"
+            mark = ""
+            if est.s_i_hat < 0.0:
+                mark = "  *"
+                any_negative = True
+            print(f"  {est.input:>5}  {est.s_i_hat:12.6f}  {ref_s}  {err_s}{mark}")
     if any_negative:
         print("\n  * negative estimate: statistical fluctuation around a small index")
     return 0
@@ -292,17 +275,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config_bytes = config_path.read_bytes()
     cfg = parse_config(config_bytes.decode())
     if args.fit_window is not None:
-        cfg = BenchmarkConfig(
-            test=cfg.test,
-            estimators=cfg.estimators,
-            sampler=cfg.sampler,
-            p_min=cfg.p_min,
-            p_max=cfg.p_max,
-            k=cfg.k,
-            master_seed=cfg.master_seed,
-            bin_override=cfg.bin_override,
-            fit_window=args.fit_window,
-        )
+        cfg = dataclasses.replace(cfg, fit_window=args.fit_window)
     threads = resolve_threads()
 
     out_dir = Path(args.out)

@@ -14,9 +14,10 @@ Model outputs live in an evaluation set: one unit point set of dimension d,
 outputs at A, B, C, AB_i and CA_i, each evaluated the first time it is read.
 The sets of one (N, run) cell view one draw at the widest width, drawn and
 transformed once.
-A plan is one estimator's view of the blocks it reads, so several
+A plan is one estimator's view of the blocks it reads, with the facts its
+reduction needs (kind, bin schedule, the oracle's f0), so several
 estimators built on one set share its evaluations and each estimator is a
-pure reduction over them.
+pure reduction over its plan.
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ class EvaluationPlan:
     ``f_ab[i]`` holds outputs at B with column i replaced from A (the point
     that shares coordinate i with A); ``f_ca[i]`` holds outputs at A with
     column i replaced from C (Owen's third set).  ``eval_count`` equals the
-    total size of all populated output arrays.
+    total size of all populated output arrays.  ``f0`` is the oracle's mean,
+    the analytic value or else the mean of ``f_c`` (``f0_source`` says
+    which); it is None for the other estimators.
     """
 
     kind: EstimatorKind
@@ -123,6 +126,7 @@ class EvaluationPlan:
     bins: Optional[BinSchedule] = None
     f0_source: Optional[str] = None
     eval_count: int = 0
+    f0: Optional[float] = None
 
 
 # Output blocks each estimator reduces: "a", "b" and "c" are the outputs at
@@ -262,7 +266,8 @@ def evaluation_sets(
     estimator.  A narrower MC draw is the leading d-column chunks of the
     widest, so its A, B, C are other points: each MC width keeps its own
     set and outputs.  Sets are yielded one at a time, unfilled, so a caller
-    can drop each set's outputs before the next is filled.
+    (:func:`sobolbench.harness.estimate_cell`) can drop each set's outputs
+    before the next is filled.
     """
     analytic_f0 = model.analytic_f0 is not None
     groups: dict[int, list[EstimatorKind]] = {}
@@ -320,9 +325,12 @@ def build_plan(
         raise ValueError("evaluation set was drawn for another model, n or sampler")
     outputs = {b: evaluations.f(b) for b in _output_blocks(kind, analytic_f0)}
 
-    f0_source = None
+    f0 = f0_source = None
     if kind == EstimatorKind.ORACLE:
-        f0_source = "analytic" if analytic_f0 else "estimated"
+        if analytic_f0:
+            f0, f0_source = model.analytic_f0, "analytic"
+        else:
+            f0, f0_source = float(outputs["c"].mean()), "estimated"
     return EvaluationPlan(
         kind=kind,
         n=n,
@@ -336,6 +344,7 @@ def build_plan(
         bins=bins,
         f0_source=f0_source,
         eval_count=eval_count(kind, d, n, analytic_f0),
+        f0=f0,
     )
 
 
@@ -431,33 +440,16 @@ class IndexEstimate:
     f0_source: Optional[str] = None
 
 
-def estimate_main_index(
-    kind: EstimatorKind, plan: EvaluationPlan, model: InputModel
-) -> list[IndexEstimate]:
-    """All d main-effect estimates from one plan.
+def estimate_main_index(plan: EvaluationPlan) -> list[IndexEstimate]:
+    """All d main-effect estimates of the plan's estimator.
 
     Every input divides by the same pooled D_hat (from fA and fB when the
     plan has a B set, else fA alone) so indices are comparable across inputs.
     Negative D_i_hat values, possible at small N for near-zero indices, are
     reported as-is.
     """
-    if plan.kind != kind:
-        raise ValueError(f"plan was built for {plan.kind.value!r}, not {kind.value!r}")
+    kind = plan.kind
     _, d_hat = estimate_mean_and_variance(plan.f_a, plan.f_b)
-
-    f0 = None
-    f0_source = plan.f0_source
-    if kind == EstimatorKind.ORACLE:
-        if model.analytic_f0 is not None:
-            f0 = model.analytic_f0
-            f0_source = "analytic"
-        elif plan.f_c is not None:
-            f0 = float(plan.f_c.mean())
-            f0_source = "estimated"
-        else:
-            raise IncompatibleModelError(
-                "oracle estimator needs an f0 source (analytic or pre-estimated)"
-            )
 
     share = plan.eval_count / plan.d
     out = []
@@ -469,7 +461,7 @@ def estimate_main_index(
         elif kind == EstimatorKind.OWEN:
             d_i = estimate_owen(plan.f_a, plan.f_b, plan.f_ab[i], plan.f_ca[i])
         elif kind == EstimatorKind.ORACLE:
-            d_i = estimate_oracle(plan.f_a, plan.f_b, plan.f_ab[i], f0)
+            d_i = estimate_oracle(plan.f_a, plan.f_b, plan.f_ab[i], plan.f0)
         elif kind == EstimatorKind.DLR:
             d_i = estimate_dlr(plan.x_a[:, i], plan.f_a, plan.bins)
         else:  # pragma: no cover - enum is closed
@@ -483,7 +475,7 @@ def estimate_main_index(
                 s_i_hat=d_i / d_hat,
                 n=plan.n,
                 eval_count_share=share,
-                f0_source=f0_source,
+                f0_source=plan.f0_source,
             )
         )
     return out

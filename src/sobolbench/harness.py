@@ -23,6 +23,7 @@ import numpy as np
 
 from .estimators import (
     EstimatorKind,
+    IndexEstimate,
     build_plan,
     estimate_main_index,
     eval_count,
@@ -38,6 +39,7 @@ __all__ = [
     "ConvergenceRecord",
     "RateFit",
     "resolve_threads",
+    "estimate_cell",
     "run_benchmark",
     "rmse_against",
     "fit_rate",
@@ -150,7 +152,13 @@ def rmse_against(estimates: np.ndarray, analytic: np.ndarray) -> np.ndarray:
 def resolve_threads(threads: Optional[int] = None) -> int:
     """Explicit argument wins; else the environment variable; else 1."""
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
+        raw = os.environ.get(THREADS_ENV_VAR, "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
+            ) from None
     if threads < 1:
         raise ValueError("thread count must be at least 1")
     return threads
@@ -162,26 +170,43 @@ def _sampler_for(cfg: BenchmarkConfig, run_index: int) -> SamplerSpec:
     return SamplerSpec(kind="MC", seed=cfg.master_seed, run_index=run_index)
 
 
+def estimate_cell(
+    model: InputModel,
+    kinds: Sequence[EstimatorKind],
+    n: int,
+    sampler: SamplerSpec,
+    bin_count: Optional[int] = None,
+) -> dict[EstimatorKind, list[IndexEstimate]]:
+    """Every estimator's main-effect estimates from one (N, run) draw.
+
+    The estimators share their model evaluations (see
+    :func:`evaluation_sets`).  No plan is kept past its reduction, so the
+    outputs of two sets (MC width groups) never coexist; only the draw
+    every set views lives for the whole cell.
+    """
+    out = {}
+    for evaluations, group in evaluation_sets(model, kinds, n, sampler):
+        for kind in group:
+            out[kind] = estimate_main_index(
+                build_plan(model, kind, n, sampler, bin_count, evaluations)
+            )
+    return out
+
+
 def _run_cell(
     model: InputModel, cfg: BenchmarkConfig, n: int, k: int
 ) -> dict[EstimatorKind, np.ndarray]:
     """S_i estimates of every configured estimator at one (N, run index)."""
-    sampler = _sampler_for(cfg, k)
-    out = {}
-    for evaluations, kinds in evaluation_sets(model, cfg.estimators, n, sampler):
-        for kind in kinds:
-            plan = build_plan(
-                model, kind, n, sampler, bin_count=cfg.bin_override,
-                evaluations=evaluations,
-            )
-            out[kind] = np.array(
-                [e.s_i_hat for e in estimate_main_index(kind, plan, model)]
-            )
-            # The plan holds this set's outputs: drop it before the next set
-            # (an MC width group) is filled, so two sets' outputs never
-            # coexist; only the draw every set views lives for the cell.
-            del plan
-    return out
+    cell = estimate_cell(
+        model, cfg.estimators, n, _sampler_for(cfg, k), cfg.bin_override
+    )
+    # Keep only the S_i: the ladder's cells all stay alive until the
+    # records are built, and a list of IndexEstimate objects per cell
+    # outweighs one small array (about 1 MB more on a GFunc10A ladder).
+    return {
+        kind: np.array([e.s_i_hat for e in estimates])
+        for kind, estimates in cell.items()
+    }
 
 
 def run_benchmark(
@@ -190,7 +215,7 @@ def run_benchmark(
     """All ConvergenceRecords for the config, sorted by (estimator, input, N).
 
     Each (N, run index) cell evaluates the model once for all configured
-    estimators (see :func:`evaluation_sets`) and every estimator reduces
+    estimators (see :func:`estimate_cell`) and every estimator reduces
     those outputs.  Cells fan out over a thread pool when ``threads`` (or
     the SOBOLBENCH_THREADS variable) exceeds one; every cell is a pure
     function of its (N, run index) pair and results are merged in a fixed

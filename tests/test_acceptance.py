@@ -52,7 +52,7 @@ def _single_run(model, kinds, n):
     for kind in kinds:
         plan = build_plan(model, kind, n, QMC)
         out[kind] = np.array(
-            [e.s_i_hat for e in estimate_main_index(kind, plan, model)]
+            [e.s_i_hat for e in estimate_main_index(plan)]
         )
     return out
 
@@ -307,7 +307,7 @@ def test_c5_quadrature_equivalence():
     details = []
     for kind in ALL_KINDS:
         plan = build_plan(model, kind, 1 << 18, QMC)
-        s = np.array([e.s_i_hat for e in estimate_main_index(kind, plan, model)])
+        s = np.array([e.s_i_hat for e in estimate_main_index(plan)])
         err = float(np.max(np.abs(s - s_quad)))
         worst = max(worst, err)
         details.append(f"{kind.value}={err:.6f}")

@@ -199,6 +199,7 @@ def test_plan_shapes_and_eval_counts():
     m = build("Ishigami")
     n = 256
     plan = build_plan(m, EstimatorKind.SOBOL, n, QMC)
+    assert plan.kind is EstimatorKind.SOBOL and plan.f0 is None
     assert plan.f_b is None and plan.f_ca is None
     assert plan.f_ab.shape == (3, n)
     assert plan.eval_count == n * 4
@@ -209,7 +210,7 @@ def test_plan_shapes_and_eval_counts():
     assert plan.f_ca.shape == (3, n)
     assert plan.eval_count == n * 8
     plan = build_plan(m, EstimatorKind.ORACLE, n, QMC)
-    assert plan.f0_source == "analytic"
+    assert plan.f0_source == "analytic" and plan.f0 == m.analytic_f0
     assert plan.eval_count == n * 5
     plan = build_plan(m, EstimatorKind.DLR, n, QMC)
     assert plan.bins == BinSchedule(n=256, m=16, n_m=16)
@@ -242,9 +243,10 @@ def test_oracle_without_analytic_f0_estimates_it():
     plan = build_plan(stripped, EstimatorKind.ORACLE, 1 << 12, QMC)
     assert plan.f0_source == "estimated"
     assert plan.f_c.shape == (1 << 12,)
+    assert plan.f0 == float(plan.f_c.mean())
     # one extra block on top of the N(d+2) direct-formula evaluations
     assert plan.eval_count == (1 << 12) * (base.d + 3)
-    estimates = estimate_main_index(EstimatorKind.ORACLE, plan, stripped)
+    estimates = estimate_main_index(plan)
     assert np.allclose(
         [e.s_i_hat for e in estimates], base.analytic_main, atol=0.01
     )
@@ -276,9 +278,10 @@ def _assert_same_plan(shared, alone):
         a, b = getattr(shared, name), getattr(alone, name)
         assert (a is None) == (b is None), name
         assert a is None or np.array_equal(a, b), name
-    assert (shared.bins, shared.f0_source, shared.eval_count) == (
-        alone.bins, alone.f0_source, alone.eval_count
+    assert (shared.kind, shared.bins, shared.f0, shared.f0_source) == (
+        alone.kind, alone.bins, alone.f0, alone.f0_source
     )
+    assert shared.eval_count == alone.eval_count
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
@@ -373,13 +376,6 @@ def test_dependent_model_rejects_direct_formulas():
             build_plan(m, kind, 64, QMC)
     plan = build_plan(m, EstimatorKind.DLR, 64, QMC)
     assert plan.eval_count == 64
-
-
-def test_plan_kind_mismatch_rejected():
-    m = build("Linear4")
-    plan = build_plan(m, EstimatorKind.SK, 64, QMC)
-    with pytest.raises(ValueError, match="plan"):
-        estimate_main_index(EstimatorKind.OWEN, plan, m)
 
 
 # ---------------------------------------------------------------------------
@@ -485,21 +481,21 @@ def test_dlr_length_mismatch():
 def test_sk_ishigami_vanishing_input():
     m = build("Ishigami")
     plan = build_plan(m, EstimatorKind.SK, 1 << 14, QMC)
-    s3 = estimate_main_index(EstimatorKind.SK, plan, m)[2].s_i_hat
+    s3 = estimate_main_index(plan)[2].s_i_hat
     assert abs(s3) < 0.005
 
 
 def test_sk_linear4_small_index():
     m = build("Linear4")
     plan = build_plan(m, EstimatorKind.SK, 1 << 14, QMC)
-    s1 = estimate_main_index(EstimatorKind.SK, plan, m)[0].s_i_hat
+    s1 = estimate_main_index(plan)[0].s_i_hat
     assert s1 == pytest.approx(0.07407, abs=0.005)
 
 
 def test_sobol_linear4_large_index():
     m = build("Linear4")
     plan = build_plan(m, EstimatorKind.SOBOL, 1 << 14, QMC)
-    s4 = estimate_main_index(EstimatorKind.SOBOL, plan, m)[3].s_i_hat
+    s4 = estimate_main_index(plan)[3].s_i_hat
     assert s4 == pytest.approx(0.46296, abs=0.01)
 
 
@@ -507,7 +503,7 @@ def test_oracle_gfunc10a_uses_analytic_mean():
     m = build("GFunc10A")
     assert m.analytic_f0 == 1.0
     plan = build_plan(m, EstimatorKind.ORACLE, 1 << 14, QMC)
-    est = estimate_main_index(EstimatorKind.ORACLE, plan, m)
+    est = estimate_main_index(plan)
     assert est[0].f0_source == "analytic"
     assert est[0].s_i_hat == pytest.approx(0.3040, abs=0.01)
 
@@ -515,7 +511,7 @@ def test_oracle_gfunc10a_uses_analytic_mean():
 def test_dlr_ishigami_vanishing_input():
     m = build("Ishigami")
     plan = build_plan(m, EstimatorKind.DLR, 1 << 14, QMC)
-    s3 = estimate_main_index(EstimatorKind.DLR, plan, m)[2].s_i_hat
+    s3 = estimate_main_index(plan)[2].s_i_hat
     assert abs(s3) < 0.01
 
 
@@ -530,7 +526,7 @@ def test_dlr_single_input_model():
         analytic_D=1.0 / 12.0,
     )
     plan = build_plan(one, EstimatorKind.DLR, 1 << 16, QMC)
-    s1 = estimate_main_index(EstimatorKind.DLR, plan, one)[0].s_i_hat
+    s1 = estimate_main_index(plan)[0].s_i_hat
     assert s1 == pytest.approx(1.0, abs=0.01)
 
 
@@ -539,7 +535,7 @@ def test_negative_estimate_not_clamped():
     plan = build_plan(
         m, EstimatorKind.SOBOL, 64, SamplerSpec(kind="MC", seed=12345, run_index=1)
     )
-    s = [e.s_i_hat for e in estimate_main_index(EstimatorKind.SOBOL, plan, m)]
+    s = [e.s_i_hat for e in estimate_main_index(plan)]
     assert s == pytest.approx([0.3175, 0.4979, -0.1677], abs=5e-4)
     assert s[2] < 0.0
 
@@ -547,7 +543,7 @@ def test_negative_estimate_not_clamped():
 def test_estimates_carry_metadata():
     m = build("Linear4")
     plan = build_plan(m, EstimatorKind.OWEN, 256, QMC)
-    est = estimate_main_index(EstimatorKind.OWEN, plan, m)
+    est = estimate_main_index(plan)
     assert [e.input for e in est] == [1, 2, 3, 4]
     assert all(e.kind is EstimatorKind.OWEN and e.n == 256 for e in est)
     assert all(e.eval_count_share == pytest.approx(256 * 10 / 4) for e in est)
@@ -560,10 +556,10 @@ def test_smoke_minimum_sample_counts():
         m = build(name)
         for kind in DIRECT_KINDS:
             plan = build_plan(m, kind, 2, QMC)
-            est = estimate_main_index(kind, plan, m)
+            est = estimate_main_index(plan)
             assert all(np.isfinite(e.s_i_hat) for e in est)
         plan = build_plan(m, EstimatorKind.DLR, 4, QMC)
-        est = estimate_main_index(EstimatorKind.DLR, plan, m)
+        est = estimate_main_index(plan)
         assert all(np.isfinite(e.s_i_hat) for e in est)
 
 
@@ -573,7 +569,7 @@ def test_all_estimators_agree_at_large_n():
     for kind in ALL_KINDS:
         plan = build_plan(m, kind, 1 << 16, QMC)
         results[kind] = np.array(
-            [e.s_i_hat for e in estimate_main_index(kind, plan, m)]
+            [e.s_i_hat for e in estimate_main_index(plan)]
         )
     kinds = list(results)
     for a in range(len(kinds)):

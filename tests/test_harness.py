@@ -1,6 +1,7 @@
 """Benchmark protocol: replicate RMSE, rate fitting, cost accounting."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sobolbench.harness import (
     BenchmarkConfig,
     ConvergenceRecord,
     cost,
+    estimate_cell,
     fit_rate,
     group_records,
     resolve_threads,
@@ -101,6 +103,10 @@ def test_resolve_threads(monkeypatch):
     assert resolve_threads(2) == 2  # explicit argument wins
     with pytest.raises(ValueError):
         resolve_threads(0)
+    for bad in ("abc", ""):
+        monkeypatch.setenv("SOBOLBENCH_THREADS", bad)
+        with pytest.raises(ValueError, match=f"SOBOLBENCH_THREADS.*{bad!r}"):
+            resolve_threads()
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +272,52 @@ def test_mc_cell_draws_once_at_widest_width(counted):
     assert counted["f"] == 2 * 26
 
 
+def test_cell_fills_one_set_of_outputs_at_a_time(monkeypatch):
+    # an MC ParkAhn7 all-five cell fills three sets (2d, 3d and d columns);
+    # no plan outlives its reduction, so inside every model call at most one
+    # set's outputs are alive.  A plan holds a set's outputs but not the set,
+    # so liveness is judged by weak references to the outputs each set hands
+    # out, not by the set alone.
+    live = weakref.WeakSet()
+    handed_out = []
+
+    class TrackedSet(estimators.EvaluationSet):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.refs = []
+            handed_out.append(self.refs)
+            live.add(self)
+
+        def f(self, block):
+            out = super().f(block)
+            self.refs.append(weakref.ref(out))
+            return out
+
+    monkeypatch.setattr(estimators, "EvaluationSet", TrackedSet)
+    base = build("ParkAhn7")
+    sets_alive = []
+
+    def f(x):
+        sets_alive.append(
+            sum(any(r() is not None for r in refs) for refs in handed_out)
+        )
+        return base.f(x)
+
+    model = dataclasses.replace(base, f=f)
+    sampler = SamplerSpec(kind="MC", seed=7, run_index=1)
+    cell = estimate_cell(model, tuple(EstimatorKind), 64, sampler)
+    assert list(cell) == [
+        EstimatorKind.SOBOL,
+        EstimatorKind.SK,
+        EstimatorKind.ORACLE,
+        EstimatorKind.OWEN,
+        EstimatorKind.DLR,
+    ]
+    assert len(handed_out) == 3 and len(sets_alive) == 26
+    assert max(sets_alive) == 1
+    assert len(live) == 0  # the cell keeps no set either
+
+
 def test_shared_cells_match_standalone_plans():
     # every record equals the one computed from standalone plans, which
     # draw and evaluate per estimator
@@ -280,7 +332,7 @@ def test_shared_cells_match_standalone_plans():
         for k in range(cfg.k):
             spec = SamplerSpec(kind="MC", seed=cfg.master_seed, run_index=k)
             plan = build_plan(model, kind, n, spec)
-            block.append([e.s_i_hat for e in estimate_main_index(kind, plan, model)])
+            block.append([e.s_i_hat for e in estimate_main_index(plan)])
         return np.array(block)
 
     blocks = {(k, 1 << p): standalone(k, 1 << p) for k in EstimatorKind for p in (6, 7)}
