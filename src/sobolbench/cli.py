@@ -21,8 +21,9 @@ import os
 import platform
 import sys
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 import scipy
@@ -39,7 +40,7 @@ from .harness import (
     resolve_threads,
     run_benchmark,
 )
-from .models import TEST_CASE_NAMES, build
+from .models import TEST_CASE_NAMES, TestCaseId, build
 from .sampling import SamplerSpec
 
 RECORDS_HEADER = [
@@ -69,18 +70,12 @@ RATES_HEADER = [
     "window",
 ]
 
-_CONFIG_KEYS = (
-    "test",
-    "estimators",
-    "sampler",
-    "p_min",
-    "p_max",
-    "K",
-    "master_seed",
-    "bin_override",
-    "fit_window",
-)
-_REQUIRED_KEYS = ("test", "estimators", "sampler", "p_min", "p_max")
+# Config files and the manifest spell the replicate count K (k is accepted
+# too); every other key is its BenchmarkConfig field name.
+_CONFIG_FIELDS = {
+    "K" if f.name == "k" else f.name: f for f in dataclasses.fields(BenchmarkConfig)
+}
+_FIELD_TYPES = get_type_hints(BenchmarkConfig)
 
 
 def _parse_estimator_list(text: str) -> tuple[EstimatorKind, ...]:
@@ -90,21 +85,43 @@ def _parse_estimator_list(text: str) -> tuple[EstimatorKind, ...]:
         if not tok:
             continue
         try:
-            kinds.append(EstimatorKind(tok))
+            kind = EstimatorKind(tok)
         except ValueError:
             valid = ", ".join(k.value for k in EstimatorKind)
             raise ValueError(f"unknown estimator {tok!r} (valid: {valid})")
+        if kind in kinds:
+            raise ValueError(f"repeated estimator {tok!r}")
+        kinds.append(kind)
     if not kinds:
         raise ValueError("estimator list is empty")
     return tuple(kinds)
+
+
+def _config_value(key: str, value: str):
+    """One config value converted to the type of its BenchmarkConfig field."""
+    hint = _FIELD_TYPES[_CONFIG_FIELDS[key].name]
+    if hint is TestCaseId:
+        if value not in TEST_CASE_NAMES:
+            raise ValueError(f"unknown test {value!r} (valid: {', '.join(TEST_CASE_NAMES)})")
+        return value
+    if hint == tuple[EstimatorKind, ...]:
+        return _parse_estimator_list(value)
+    if int in (hint, *get_args(hint)):
+        if hint is not int and value.lower() == "none":
+            return None
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"{key} must be an integer, got {value!r}") from None
+    return value
 
 
 def parse_config(text: str) -> BenchmarkConfig:
     """Parse the flat key=value benchmark config format.
 
     One key per line, '#' starts a comment, values after the first '='.
-    Keys: test, estimators (comma-separated), sampler, p_min, p_max, K,
-    master_seed, bin_override, fit_window.  Errors carry line numbers.
+    The keys are BenchmarkConfig's fields, with k spelled K; estimators
+    are comma-separated.  Errors carry line numbers.
     """
     seen: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -117,9 +134,9 @@ def parse_config(text: str) -> BenchmarkConfig:
         key, value = key.strip(), value.strip()
         if key == "k":
             key = "K"
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ValueError(
-                f"config line {lineno}: unknown key {key!r} (valid: {', '.join(_CONFIG_KEYS)})"
+                f"config line {lineno}: unknown key {key!r} (valid: {', '.join(_CONFIG_FIELDS)})"
             )
         if key in seen:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
@@ -127,46 +144,28 @@ def parse_config(text: str) -> BenchmarkConfig:
             raise ValueError(f"config line {lineno}: empty value for {key!r}")
         seen[key] = (lineno, value)
 
-    for key in _REQUIRED_KEYS:
-        if key not in seen:
+    kwargs = {}
+    for key, field in _CONFIG_FIELDS.items():
+        if key in seen:
+            lineno, value = seen[key]
+            try:
+                kwargs[field.name] = _config_value(key, value)
+            except ValueError as exc:
+                raise ValueError(f"config line {lineno}: {exc}") from None
+        elif field.default is dataclasses.MISSING:
             raise ValueError(f"config: missing required key {key!r}")
-
-    def _int(key: str) -> int:
-        lineno, value = seen[key]
-        try:
-            return int(value)
-        except ValueError:
-            raise ValueError(f"config line {lineno}: {key} must be an integer, got {value!r}")
-
-    lineno, value = seen["test"]
-    if value not in TEST_CASE_NAMES:
-        raise ValueError(
-            f"config line {lineno}: unknown test {value!r} (valid: {', '.join(TEST_CASE_NAMES)})"
-        )
-    test = value
-
-    lineno, value = seen["estimators"]
-    try:
-        estimators = _parse_estimator_list(value)
-    except ValueError as exc:
-        raise ValueError(f"config line {lineno}: {exc}")
-
-    kwargs = {
-        "test": test,
-        "estimators": estimators,
-        "sampler": seen["sampler"][1],
-        "p_min": _int("p_min"),
-        "p_max": _int("p_max"),
-    }
-    if "K" in seen:
-        kwargs["k"] = _int("K")
-    if "master_seed" in seen:
-        kwargs["master_seed"] = _int("master_seed")
-    if "bin_override" in seen and seen["bin_override"][1].lower() != "none":
-        kwargs["bin_override"] = _int("bin_override")
-    if "fit_window" in seen:
-        kwargs["fit_window"] = seen["fit_window"][1]
     return BenchmarkConfig(**kwargs)
+
+
+def config_block(cfg: BenchmarkConfig) -> dict:
+    """The manifest's ``config``: every config key with its JSON value."""
+    block = {}
+    for key, field in _CONFIG_FIELDS.items():
+        value = getattr(cfg, field.name)
+        if isinstance(value, tuple):
+            value = [v.value for v in value]
+        block[key] = value.value if isinstance(value, Enum) else value
+    return block
 
 
 def _fmt(x: float) -> str:
@@ -290,17 +289,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "generated": datetime.now(timezone.utc).isoformat(),
         "config_path": str(config_path),
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
-        "config": {
-            "test": cfg.test.value,
-            "estimators": [k.value for k in cfg.estimators],
-            "sampler": cfg.sampler,
-            "p_min": cfg.p_min,
-            "p_max": cfg.p_max,
-            "K": cfg.k,
-            "master_seed": cfg.master_seed,
-            "bin_override": cfg.bin_override,
-            "fit_window": cfg.fit_window,
-        },
+        "config": config_block(cfg),
         "threads": threads,
         "python": platform.python_version(),
         "numpy": np.__version__,

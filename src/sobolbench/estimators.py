@@ -295,7 +295,8 @@ def build_plan(
     set drawn at the width this estimator needs alone: d (DLR), 2d
     (Sobol/S-K/Oracle) or 3d (Owen, and Oracle when f0 must be
     pre-estimated).  Direct estimators reject dependent-input models; DLR
-    rejects sample counts the bin schedule cannot partition.
+    rejects a bin count below 2 and sample counts the bin schedule cannot
+    partition.
     """
     d = model.d
     if kind != EstimatorKind.DLR and model.has_dependent_inputs:
@@ -307,6 +308,8 @@ def build_plan(
     bins = None
     if kind == EstimatorKind.DLR:
         if bin_count is not None:
+            if bin_count < 2:
+                raise ValueError(f"bin count {bin_count} must be at least 2")
             if n % bin_count != 0:
                 raise ValueError(
                     f"bin count {bin_count} does not divide sample count {n}"

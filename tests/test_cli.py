@@ -10,10 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, strategies as st
 
 from sobolbench import cli
 from sobolbench.cli import main, parse_config
 from sobolbench.estimators import EstimatorKind
+from sobolbench.harness import BenchmarkConfig
+from sobolbench.models import TEST_CASE_NAMES
 
 TINY_CONFIG = """\
 # smallest useful ladder
@@ -81,11 +84,44 @@ def test_parse_config_optional_keys():
         ("test=Linear4\nestimators=sk\nsampler=QMC\np_min=eight\np_max=9\n", "integer"),
         ("test=Linear4\ntest=Ishigami\nestimators=sk\nsampler=QMC\np_min=8\np_max=9\n", "duplicate"),
         ("test=Linear4\nestimators=\nsampler=QMC\np_min=8\np_max=9\n", "empty value"),
+        (
+            "test=Linear4\nestimators=sk,dlr,sk\nsampler=QMC\np_min=8\np_max=9\n",
+            "line 2: repeated estimator 'sk'",
+        ),
     ],
 )
 def test_parse_config_diagnostics(text, diag):
     with pytest.raises(ValueError, match=diag):
         parse_config(text)
+
+
+@st.composite
+def configs(draw):
+    p_min = draw(st.integers(min_value=1))
+    return BenchmarkConfig(
+        test=draw(st.sampled_from(TEST_CASE_NAMES)),
+        estimators=tuple(
+            draw(st.lists(st.sampled_from(EstimatorKind), min_size=1, unique=True))
+        ),
+        sampler=draw(st.sampled_from(["MC", "QMC"])),
+        p_min=p_min,
+        p_max=draw(st.integers(min_value=p_min)),
+        k=draw(st.integers(min_value=2)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        bin_override=draw(st.none() | st.integers()),
+        fit_window=draw(st.sampled_from(["upper", "full"])),
+    )
+
+
+@given(configs())
+def test_parse_config_round_trips_manifest_block(cfg):
+    # the manifest's config block, written back as a config file
+    lines = []
+    for key, value in cli.config_block(cfg).items():
+        if isinstance(value, list):
+            value = ", ".join(value)
+        lines.append(f"{key} = {'none' if value is None else value}")
+    assert parse_config("\n".join(lines)) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +206,13 @@ def test_estimate_unknown_names_are_usage_errors(capsys):
     assert main(["estimate", "--test", "Linear4", "--estimators", "sk",
                  "--sampler", "QMC", "--n", "1000"]) == 2  # not a power of two
     capsys.readouterr()
+    assert main(["estimate", "--test", "Linear4", "--estimators", "sk,sk",
+                 "--sampler", "QMC", "--n", "64"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "repeated estimator 'sk'" in err
+    assert main(["estimate", "--test", "Ishigami", "--estimators", "dlr",
+                 "--sampler", "QMC", "--n", "256", "--bins", "0"]) == 2
+    assert "bin count 0 must be at least 2" in capsys.readouterr().err
 
 
 def test_estimate_incompatible_model_exit_code(capsys):

@@ -409,6 +409,8 @@ def test_dlr_bin_override():
     assert plan.bins == BinSchedule(n=1024, m=64, n_m=16)
     with pytest.raises(ValueError, match="divide"):
         build_plan(m, EstimatorKind.DLR, 1 << 10, QMC, bin_count=100)
+    with pytest.raises(ValueError, match="bin count 0 must be at least 2"):
+        build_plan(m, EstimatorKind.DLR, 1 << 10, QMC, bin_count=0)
 
 
 def test_dlr_bins_are_exhaustive_partition():

@@ -1,10 +1,12 @@
-"""The public API examples: README's "Library use" block and the demo."""
+"""The public API examples: README's "Library use" and config blocks, and the demo."""
 
 import re
 import runpy
 from pathlib import Path
 
 import numpy as np
+
+from sobolbench.cli import config_block, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,6 +20,15 @@ def test_readme_library_example_runs(capsys):
     # Ishigami's analytic main effects: 0.3139, 0.4424, 0
     s_hat = [float(row[1]) for row in rows]
     assert np.allclose(s_hat, [0.3139, 0.4424, 0.0], atol=0.01)
+
+
+def test_readme_config_block_names_every_key():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+    cfg = parse_config(block)
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    keys = {line.split("=", 1)[0].strip() for line in lines if "=" in line}
+    assert keys == set(config_block(cfg))
 
 
 def test_estimate_indices_demo_runs(capsys):

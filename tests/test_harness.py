@@ -79,6 +79,11 @@ def test_config_validation():
         )
     with pytest.raises(ValueError, match="estimator"):
         BenchmarkConfig(test="Linear4", estimators=(), sampler="QMC", p_min=8, p_max=10)
+    with pytest.raises(ValueError, match="repeated estimator 'dlr'"):
+        BenchmarkConfig(
+            test="Linear4", estimators=("dlr", "sk", "dlr"), sampler="QMC",
+            p_min=8, p_max=10,
+        )
 
 
 def test_config_coerces_names():
