@@ -31,7 +31,6 @@ from .models import (
     InputModel,
     TEST_CASE_NAMES,
     TestCaseId,
-    analytic_indices,
     build,
     evaluate,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "InputModel",
     "TEST_CASE_NAMES",
     "TestCaseId",
-    "analytic_indices",
     "build",
     "evaluate",
     "CovarianceSpec",

@@ -34,6 +34,7 @@ from .harness import (
     DEFAULT_MASTER_SEED,
     BenchmarkConfig,
     ConvergenceRecord,
+    RateFit,
     estimate_cell,
     fit_rate,
     group_records,
@@ -43,32 +44,13 @@ from .harness import (
 from .models import TEST_CASE_NAMES, TestCaseId, build
 from .sampling import SamplerSpec
 
-RECORDS_HEADER = [
-    "test",
-    "estimator",
-    "sampler",
-    "input",
-    "N",
-    "n_cpu_actual",
-    "n_cpu_table1",
-    "rmse",
-    "mean_estimate",
-    "analytic",
-    "K",
-]
-
-RATES_HEADER = [
-    "test",
-    "estimator",
-    "sampler",
-    "input",
-    "axis",
-    "alpha",
-    "c",
-    "r2",
-    "n_points",
-    "window",
-]
+# CSV columns are the record and rate-fit fields in declaration order, with
+# n and k spelled N and K; a rates row starts with its curve's test,
+# estimator and sampler.
+_RECORD_FIELDS = [f.name for f in dataclasses.fields(ConvergenceRecord)]
+_RATE_FIELDS = [f.name for f in dataclasses.fields(RateFit)]
+RECORDS_HEADER = [{"n": "N", "k": "K"}.get(f, f) for f in _RECORD_FIELDS]
+RATES_HEADER = ["test", "estimator", "sampler", *_RATE_FIELDS]
 
 # Config files and the manifest spell the replicate count K (k is accepted
 # too); every other key is its BenchmarkConfig field name.
@@ -174,6 +156,19 @@ def _fmt(x: float) -> str:
     return str(float(x))
 
 
+def _row(obj, names: Sequence[str]) -> list:
+    """CSV cells of ``obj``'s fields: floats through _fmt, enums as values."""
+    cells = []
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, float):
+            value = _fmt(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        cells.append(value)
+    return cells
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     model = build(args.test)
     kinds = _parse_estimator_list(args.estimators)
@@ -214,21 +209,7 @@ def write_records_csv(path: Path, records: Sequence[ConvergenceRecord]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORDS_HEADER)
         for r in records:
-            writer.writerow(
-                [
-                    r.test,
-                    r.estimator.value,
-                    r.sampler,
-                    r.input,
-                    r.n,
-                    r.n_cpu_actual,
-                    r.n_cpu_table1,
-                    _fmt(r.rmse),
-                    _fmt(r.mean_estimate),
-                    _fmt(r.analytic),
-                    r.k,
-                ]
-            )
+            writer.writerow(_row(r, _RECORD_FIELDS))
 
 
 def write_rates_csv(
@@ -252,18 +233,7 @@ def write_rates_csv(
                 except ValueError:
                     continue
                 writer.writerow(
-                    [
-                        group[0].test,
-                        kind.value,
-                        group[0].sampler,
-                        input_index,
-                        axis,
-                        _fmt(fit.alpha),
-                        _fmt(fit.c),
-                        _fmt(fit.r2),
-                        fit.n_points,
-                        fit.window,
-                    ]
+                    [group[0].test, kind.value, group[0].sampler, *_row(fit, _RATE_FIELDS)]
                 )
                 rows += 1
     return rows
@@ -273,8 +243,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config_bytes = config_path.read_bytes()
     cfg = parse_config(config_bytes.decode())
-    if args.fit_window is not None:
-        cfg = dataclasses.replace(cfg, fit_window=args.fit_window)
     threads = resolve_threads()
 
     out_dir = Path(args.out)
@@ -422,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a benchmark config, write CSV outputs")
     p_bench.add_argument("--config", required=True, help="key=value config file")
     p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.add_argument("--fit-window", choices=["upper", "full"], default=None)
     p_bench.set_defaults(func=cmd_bench)
 
     p_plot = sub.add_parser("plotdata", help="records.csv -> plot-ready .dat files")

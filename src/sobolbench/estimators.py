@@ -46,6 +46,7 @@ __all__ = [
     "IncompatibleModelError",
     "DegenerateModelError",
     "default_bin_schedule",
+    "bin_schedule",
     "eval_count",
     "evaluation_sets",
     "build_plan",
@@ -100,6 +101,17 @@ def default_bin_schedule(n: int) -> BinSchedule:
     p = n.bit_length() - 1
     m = 1 << ((p + 1) // 2)
     return BinSchedule(n=n, m=m, n_m=n // m)
+
+
+def bin_schedule(n: int, bin_count: Optional[int] = None) -> BinSchedule:
+    """``bin_count`` bins of N samples, or the default schedule without one."""
+    if bin_count is None:
+        return default_bin_schedule(n)
+    if bin_count < 2:
+        raise ValueError(f"bin count {bin_count} must be at least 2")
+    if n % bin_count != 0:
+        raise ValueError(f"bin count {bin_count} does not divide sample count {n}")
+    return BinSchedule(n=n, m=bin_count, n_m=n // bin_count)
 
 
 @dataclass(frozen=True)
@@ -161,44 +173,53 @@ def draw_width(kind: EstimatorKind, d: int, analytic_f0: bool = True) -> int:
     return d * len(matrices)
 
 
-def _model_draw(
-    model: InputModel, n: int, sampler: SamplerSpec, width: int
-) -> np.ndarray:
-    """A ``width * d``-column unit draw in model space, as ``width * n`` rows of d.
+def _base_matrices(
+    model: InputModel, n: int, sampler: SamplerSpec, widths: Sequence[int]
+) -> list[tuple[np.ndarray, ...]]:
+    """Each width's base matrices A, B[, C] in model space, views of one draw.
 
-    The rows are ordered so that a narrower draw of the same run is a view
-    of them.  An MC draw is reshaped, without a copy, into its d-column
-    chunks (row ``r * width + j`` is coordinate block j of point r), whose
-    leading rows are the narrower draw (see :mod:`sobolbench.sampling`).
-    Sobol' dimensions are prefix-stable instead, so a QMC draw is put in
-    block order (row ``j * n + r``), which also makes each base matrix
-    contiguous.  All rows are transformed in one call, column-major.
+    A width W is a draw of ``W * d`` unit columns, whose coordinate blocks
+    are W matrices of n points.  The run is drawn once, at the widest width,
+    and all its rows are transformed in one call, column-major.  The rows
+    are ordered so that a narrower draw of the same run is a view of them:
+
+    * QMC: Sobol' dimensions are prefix-stable, so a narrower draw has the
+      same A and B.  The draw is put in block order (row ``j * n + r`` is
+      coordinate block j of point r; one copy for a width above 1), so
+      matrix j is the contiguous rows ``j * n`` to ``(j + 1) * n`` at every
+      width.
+    * MC: numpy fills a draw row by row from one stream, so a narrower draw
+      is the leading d-column chunks of the widest (see
+      :mod:`sobolbench.sampling`).  The draw is reshaped, without a copy,
+      into chunk order, and width W reads matrix j as rows ``j, j + W, ...``
+      below ``W * n``: other points than a wider width's matrices.
     """
-    d = model.d
-    u = generate_uniform(sampler, n, width * d).values
+    d, top = model.d, max(widths)
+    u = generate_uniform(sampler, n, top * d).values
     if sampler.kind == "QMC":
-        u = u.reshape(n, width, d).swapaxes(0, 1)
+        u = u.reshape(n, top, d).swapaxes(0, 1)
     # A copy only for a QMC draw of width > 1; rebinding u frees the draw.
-    u = u.reshape(width * n, d)
-    rows = UnitPointSet(n=width * n, dims=d, values=u)
+    u = u.reshape(top * n, d)
+    rows = UnitPointSet(n=top * n, dims=d, values=u)
     if model.covariance is not None:
-        return transform_correlated_normal(rows, model.covariance)
-    return transform_independent(rows, model.marginals)
+        x = transform_correlated_normal(rows, model.covariance)
+    else:
+        x = transform_independent(rows, model.marginals)
+    if sampler.kind == "QMC":
+        return [tuple(x[j * n : (j + 1) * n] for j in range(w)) for w in widths]
+    return [tuple(x[j : w * n : w] for j in range(w)) for w in widths]
 
 
 class EvaluationSet:
-    """Model outputs on one unit draw, each computed the first time it is read.
+    """Model outputs on base matrices, each computed the first time it is read.
 
-    The draw has ``dims`` = d, 2d or 3d columns; its coordinate blocks become
-    the base matrices A, B, C in model space.  Outputs are keyed by block
-    name: ``"a"``, ``"b"``, ``"c"`` (shape (n,)), and ``"ab"``, ``"ca"``
-    (shape (d, n)), where block ``"xy"`` row i is the output at matrix y
-    with column i taken from matrix x.  Every estimator whose plan is built
-    on one set reduces the same arrays.
-
-    ``draw`` is a draw of the same run in model space, as made by
-    :func:`_model_draw` at this width or wider; sets of several widths can
-    view one.  Without it the set makes its own on first read.
+    ``matrices`` are A, B[, C] in model space, each (n, d), made by
+    :func:`_base_matrices`, so the set's unit draw has ``dims`` = d, 2d or
+    3d columns.  Outputs are keyed by block name: ``"a"``, ``"b"``, ``"c"``
+    (shape (n,)), and ``"ab"``, ``"ca"`` (shape (d, n)), where block
+    ``"xy"`` row i is the output at matrix y with column i taken from matrix
+    x.  Every estimator whose plan is built on one set reduces the same
+    arrays.
     """
 
     def __init__(
@@ -206,31 +227,22 @@ class EvaluationSet:
         model: InputModel,
         n: int,
         sampler: SamplerSpec,
-        dims: int,
-        draw: Optional[np.ndarray] = None,
+        matrices: Sequence[np.ndarray],
     ):
-        if dims not in (model.d, 2 * model.d, 3 * model.d):
-            raise ValueError(f"draw width {dims} is not d, 2d or 3d for d={model.d}")
         self.model = model
         self.n = n
         self.sampler = sampler
-        self.dims = dims
-        self._draw = draw
+        self.dims = len(matrices) * model.d
+        self._x = dict(zip("abc", matrices))
         self._f: dict[str, np.ndarray] = {}
 
     def x(self, matrix: str) -> np.ndarray:
         """Base matrix ``"a"``, ``"b"`` or ``"c"`` in model space (a view)."""
-        width = self.dims // self.model.d
-        if matrix not in ("a", "b", "c")[:width]:
+        if matrix not in self._x:
             raise ValueError(
                 f"a {self.dims}-column draw has no matrix {matrix.upper()}"
             )
-        if self._draw is None:
-            self._draw = _model_draw(self.model, self.n, self.sampler, width)
-        j, n = "abc".index(matrix), self.n
-        if self.sampler.kind == "QMC":
-            return self._draw[j * n : (j + 1) * n]
-        return self._draw[j : width * n : width]
+        return self._x[matrix]
 
     def f(self, block: str) -> np.ndarray:
         """Outputs of one block (see the class docstring)."""
@@ -261,23 +273,23 @@ def evaluation_sets(
     """Evaluation sets that give ``kinds`` the bits of standalone plans.
 
     Every set views one unit draw at the widest width, transformed once
-    (see :func:`_model_draw`).  Sobol' dimensions are prefix-stable, so a
-    narrower QMC draw has the same A and B and one set serves every
-    estimator.  A narrower MC draw is the leading d-column chunks of the
-    widest, so its A, B, C are other points: each MC width keeps its own
-    set and outputs.  Sets are yielded one at a time, unfilled, so a caller
+    (see :func:`_base_matrices`).  A narrower QMC width has the same A and B,
+    so one set serves every estimator; a narrower MC width has other
+    points, so each MC width keeps its own set and outputs.  Sets are
+    yielded one at a time, unfilled, so a caller
     (:func:`sobolbench.harness.estimate_cell`) can drop each set's outputs
     before the next is filled.
     """
     analytic_f0 = model.analytic_f0 is not None
     groups: dict[int, list[EstimatorKind]] = {}
     for kind in kinds:
-        groups.setdefault(draw_width(kind, model.d, analytic_f0), []).append(kind)
+        width = draw_width(kind, model.d, analytic_f0) // model.d
+        groups.setdefault(width, []).append(kind)
     if sampler.kind == "QMC":
         groups = {max(groups): list(kinds)}
-    draw = _model_draw(model, n, sampler, max(groups) // model.d)
-    for dims, group in groups.items():
-        yield EvaluationSet(model, n, sampler, dims, draw), group
+    bases = _base_matrices(model, n, sampler, list(groups))
+    for matrices, group in zip(bases, groups.values()):
+        yield EvaluationSet(model, n, sampler, matrices), group
 
 
 def build_plan(
@@ -295,8 +307,7 @@ def build_plan(
     set drawn at the width this estimator needs alone: d (DLR), 2d
     (Sobol/S-K/Oracle) or 3d (Owen, and Oracle when f0 must be
     pre-estimated).  Direct estimators reject dependent-input models; DLR
-    rejects a bin count below 2 and sample counts the bin schedule cannot
-    partition.
+    rejects bin counts :func:`bin_schedule` refuses.
     """
     d = model.d
     if kind != EstimatorKind.DLR and model.has_dependent_inputs:
@@ -304,23 +315,11 @@ def build_plan(
             f"estimator {kind.value!r} on {model.name}: "
             "direct formulas assume independent inputs"
         )
-
-    bins = None
-    if kind == EstimatorKind.DLR:
-        if bin_count is not None:
-            if bin_count < 2:
-                raise ValueError(f"bin count {bin_count} must be at least 2")
-            if n % bin_count != 0:
-                raise ValueError(
-                    f"bin count {bin_count} does not divide sample count {n}"
-                )
-            bins = BinSchedule(n=n, m=bin_count, n_m=n // bin_count)
-        else:
-            bins = default_bin_schedule(n)
+    bins = bin_schedule(n, bin_count) if kind == EstimatorKind.DLR else None
 
     analytic_f0 = model.analytic_f0 is not None
     if evaluations is None:
-        evaluations = EvaluationSet(model, n, sampler, draw_width(kind, d, analytic_f0))
+        (evaluations, _), = evaluation_sets(model, (kind,), n, sampler)
     elif (
         evaluations.model is not model
         or (evaluations.n, evaluations.sampler) != (n, sampler)

@@ -24,6 +24,7 @@ import numpy as np
 from .estimators import (
     EstimatorKind,
     IndexEstimate,
+    bin_schedule,
     build_plan,
     estimate_main_index,
     eval_count,
@@ -87,8 +88,7 @@ class BenchmarkConfig:
         for i, kind in enumerate(self.estimators):
             if kind in self.estimators[:i]:
                 raise ValueError(f"repeated estimator {kind.value!r}")
-        if self.sampler not in ("MC", "QMC"):
-            raise ValueError(f"unknown sampler {self.sampler!r} (use MC or QMC)")
+        SamplerSpec(self.sampler, self.master_seed)  # checks kind and seed range
         if self.p_min > self.p_max:
             raise ValueError("p_min must not exceed p_max")
         if self.p_min < 1:
@@ -97,6 +97,12 @@ class BenchmarkConfig:
             raise ValueError("K must be at least 2")
         if self.fit_window not in ("upper", "full"):
             raise ValueError(f"unknown fit window {self.fit_window!r}")
+        if self.bin_override is not None:
+            if EstimatorKind.DLR not in self.estimators:
+                raise ValueError("bin_override applies only to the dlr estimator")
+            # Every ladder N is a power of two, so a count that partitions
+            # the smallest N partitions them all.
+            bin_schedule(1 << self.p_min, self.bin_override)
 
 
 @dataclass(frozen=True)
@@ -121,10 +127,10 @@ class RateFit:
     """Fitted rmse ~ c * axis^(-alpha) for one (estimator, input) curve."""
 
     input: int
+    axis: str
     alpha: float
     c: float
     r2: float
-    axis: str
     n_points: int
     window: str
 
@@ -332,10 +338,10 @@ def fit_rate(
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     return RateFit(
         input=input_index,
+        axis=axis,
         alpha=float(-slope),
         c=float(10.0**intercept),
         r2=r2,
-        axis=axis,
         n_points=len(pts),
         window=window,
     )

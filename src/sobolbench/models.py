@@ -24,7 +24,6 @@ __all__ = [
     "TEST_CASE_NAMES",
     "build",
     "evaluate",
-    "analytic_indices",
 ]
 
 
@@ -420,11 +419,3 @@ def build(test: TestCaseId | str) -> InputModel:
                 f"unknown test case {test!r}; expected one of {TEST_CASE_NAMES}"
             ) from None
     return _BUILDERS[test]()
-
-
-def analytic_indices(
-    test: TestCaseId | str,
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[float], Optional[float]]:
-    """(main, total, f0, D) reference values for the named test case."""
-    model = build(test)
-    return model.analytic_main, model.analytic_total, model.analytic_f0, model.analytic_D

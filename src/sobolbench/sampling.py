@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from ._directions import MAX_DIM, MAXBIT, direction_vectors
 
@@ -42,8 +42,6 @@ __all__ = [
     "CovarianceSpec",
     "generate_uniform",
     "mix_seed",
-    "inverse_normal_cdf",
-    "normal_cdf",
     "cholesky_lower",
     "transform_independent",
     "transform_correlated_normal",
@@ -84,6 +82,8 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in ("MC", "QMC"):
             raise ValueError(f"unknown sampler kind {self.kind!r} (use MC or QMC)")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed {self.seed} is outside [0, 2^64)")
         if self.run_index < 0:
             raise ValueError("run_index must be nonnegative")
 
@@ -160,22 +160,6 @@ def generate_uniform(spec: SamplerSpec, n: int, dims: int) -> UnitPointSet:
         rng = np.random.default_rng(mix_seed(spec.seed, spec.run_index))
         values = rng.random((n, dims))
     return UnitPointSet(n=n, dims=dims, values=values)
-
-
-def inverse_normal_cdf(u):
-    """Standard normal quantile z with Phi(z) = u, for u strictly inside (0,1)."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("inverse_normal_cdf requires 0 < u < 1")
-    z = ndtri(arr)
-    if np.isscalar(u) or arr.ndim == 0:
-        return float(z)
-    return z
-
-
-def normal_cdf(z):
-    """Standard normal CDF (round-trip companion of inverse_normal_cdf)."""
-    return ndtr(np.asarray(z, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,11 @@ def test_parse_config_optional_keys():
             "test=Linear4\nestimators=sk,dlr,sk\nsampler=QMC\np_min=8\np_max=9\n",
             "line 2: repeated estimator 'sk'",
         ),
+        (
+            "test=Linear4\nestimators=sk\nsampler=MC\np_min=8\np_max=9\n"
+            "master_seed=18446744073709551616\n",
+            "outside",
+        ),
     ],
 )
 def test_parse_config_diagnostics(text, diag):
@@ -97,18 +102,25 @@ def test_parse_config_diagnostics(text, diag):
 
 @st.composite
 def configs(draw):
-    p_min = draw(st.integers(min_value=1))
+    estimators = tuple(
+        draw(st.lists(st.sampled_from(EstimatorKind), min_size=1, unique=True))
+    )
+    # A bin_override needs dlr and must split N = 2^p_min into bins of at
+    # least 2 points; ladders drawn with one start below 2^64 points.
+    if EstimatorKind.DLR in estimators and draw(st.booleans()):
+        p_min = draw(st.integers(2, 64))
+        bin_override = 2 ** draw(st.integers(1, p_min - 1))
+    else:
+        p_min, bin_override = draw(st.integers(min_value=1)), None
     return BenchmarkConfig(
         test=draw(st.sampled_from(TEST_CASE_NAMES)),
-        estimators=tuple(
-            draw(st.lists(st.sampled_from(EstimatorKind), min_size=1, unique=True))
-        ),
+        estimators=estimators,
         sampler=draw(st.sampled_from(["MC", "QMC"])),
         p_min=p_min,
         p_max=draw(st.integers(min_value=p_min)),
         k=draw(st.integers(min_value=2)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        bin_override=draw(st.none() | st.integers()),
+        bin_override=bin_override,
         fit_window=draw(st.sampled_from(["upper", "full"])),
     )
 
@@ -213,6 +225,10 @@ def test_estimate_unknown_names_are_usage_errors(capsys):
     assert main(["estimate", "--test", "Ishigami", "--estimators", "dlr",
                  "--sampler", "QMC", "--n", "256", "--bins", "0"]) == 2
     assert "bin count 0 must be at least 2" in capsys.readouterr().err
+    assert main(["estimate", "--test", "Linear4", "--estimators", "sk",
+                 "--sampler", "MC", "--n", "64", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "seed -1 is outside [0, 2^64)" in err
 
 
 def test_estimate_incompatible_model_exit_code(capsys):
@@ -361,11 +377,10 @@ def test_bench_incompatible_pairing_exit_3(tmp_path, capsys):
 
 
 def test_bench_fit_window_flag(tmp_path, capsys):
-    cfg_path = write_config(tmp_path)
+    # the fit window is set by the config key alone
+    cfg_path = write_config(tmp_path, text=TINY_CONFIG + "fit_window = full\n")
     out_dir = tmp_path / "full"
-    code = main(
-        ["bench", "--config", str(cfg_path), "--out", str(out_dir), "--fit-window", "full"]
-    )
+    code = main(["bench", "--config", str(cfg_path), "--out", str(out_dir)])
     assert code == 0
     capsys.readouterr()
     rates = read_csv(out_dir / "rates.csv")

@@ -9,7 +9,6 @@ from sobolbench.estimators import (
     BinSchedule,
     DegenerateModelError,
     EstimatorKind,
-    EvaluationSet,
     IncompatibleModelError,
     build_plan,
     default_bin_schedule,
@@ -312,7 +311,7 @@ def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
     # matrix built from a fresh row-major copy, and the base matrices must
     # be left as they were
     model = build(name)
-    evaluations = EvaluationSet(model, 64, sampler, 3 * model.d)
+    (evaluations, _), = evaluation_sets(model, (EstimatorKind.OWEN,), 64, sampler)
     base = {m: evaluations.x(m).copy() for m in "abc"}
     for block in ("ab", "ca"):
         donor, into = base[block[0]], base[block[1]]
@@ -358,15 +357,13 @@ def test_set_matrices_equal_fresh_transform_of_own_draw(name, sampler):
 
 def test_evaluation_set_rejects_mismatched_use():
     m = build("Ishigami")
-    evaluations = EvaluationSet(m, 64, QMC, 6)
+    (evaluations, _), = evaluation_sets(m, (EstimatorKind.SK,), 64, QMC)
     with pytest.raises(ValueError, match="no matrix C"):
         build_plan(m, EstimatorKind.OWEN, 64, QMC, evaluations=evaluations)
     with pytest.raises(ValueError, match="another model"):
         build_plan(m, EstimatorKind.SK, 128, QMC, evaluations=evaluations)
     with pytest.raises(ValueError, match="another model"):
         build_plan(build("Linear4"), EstimatorKind.SK, 64, QMC, evaluations=evaluations)
-    with pytest.raises(ValueError, match="draw width"):
-        EvaluationSet(m, 64, QMC, 4)
 
 
 def test_dependent_model_rejects_direct_formulas():

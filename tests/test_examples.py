@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sobolbench.cli import config_block, parse_config
+from sobolbench.cli import RATES_HEADER, RECORDS_HEADER, config_block, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +29,12 @@ def test_readme_config_block_names_every_key():
     lines = [line.split("#", 1)[0] for line in block.splitlines()]
     keys = {line.split("=", 1)[0].strip() for line in lines if "=" in line}
     assert keys == set(config_block(cfg))
+
+
+def test_readme_csv_headers_match_writers():
+    text = (ROOT / "README.md").read_text()
+    headers = re.findall(r"`(test,estimator,[^`]*)`", text)
+    assert headers == [",".join(RECORDS_HEADER), ",".join(RATES_HEADER)]
 
 
 def test_estimate_indices_demo_runs(capsys):

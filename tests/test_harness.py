@@ -84,6 +84,23 @@ def test_config_validation():
             test="Linear4", estimators=("dlr", "sk", "dlr"), sampler="QMC",
             p_min=8, p_max=10,
         )
+    # a bin_override needs dlr and must split N = 2^p_min into bins of >= 2
+    for estimators, bins, match in [
+        (("sk",), 4, "only to the dlr"),
+        (("sk", "dlr"), 1, "at least 2"),
+        (("dlr",), 3, "does not divide"),
+        (("dlr",), 512, "does not divide"),
+        (("dlr",), 256, "N_m >= 2"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            BenchmarkConfig(
+                test="Linear4", estimators=estimators, sampler="QMC",
+                p_min=8, p_max=10, bin_override=bins,
+            )
+    assert BenchmarkConfig(
+        test="Linear4", estimators=("dlr",), sampler="QMC", p_min=8, p_max=10,
+        bin_override=128,
+    ).bin_override == 128
 
 
 def test_config_coerces_names():

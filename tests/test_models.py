@@ -7,7 +7,6 @@ from sobolbench.models import (
     InputModel,
     TEST_CASE_NAMES,
     TestCaseId as CaseId,
-    analytic_indices,
     build,
     build_park_ahn7,
     evaluate,
@@ -36,12 +35,6 @@ def test_registry_builds_every_case():
 def test_unknown_test_rejected():
     with pytest.raises(ValueError, match="Linear4"):
         build("NoSuchModel")
-
-
-def test_analytic_indices_helper():
-    main, total, f0, var = analytic_indices("Linear4")
-    assert main.shape == (4,) and total.shape == (4,)
-    assert f0 == 16.0 and var == 13.5
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ from sobolbench.sampling import (
     _sobol_raw,
     cholesky_lower,
     generate_uniform,
-    inverse_normal_cdf,
     mix_seed,
-    normal_cdf,
     transform_correlated_normal,
     transform_independent,
 )
@@ -243,6 +241,10 @@ def test_sampler_spec_validation():
         SamplerSpec(kind="LHS")
     with pytest.raises(ValueError):
         SamplerSpec(kind="MC", run_index=-1)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="outside"):
+            SamplerSpec(kind="MC", seed=seed)
+    assert SamplerSpec(kind="MC", seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
 
 def test_unit_point_set_validation():
@@ -250,33 +252,6 @@ def test_unit_point_set_validation():
         UnitPointSet(n=2, dims=2, values=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         UnitPointSet(n=0, dims=1, values=np.zeros((0, 1)))
-
-
-# ---------------------------------------------------------------------------
-# normal CDF pair
-
-
-def test_inverse_normal_cdf_values():
-    assert inverse_normal_cdf(0.5) == 0.0
-    assert abs(inverse_normal_cdf(0.975) - 1.959963984540054) < 1e-12
-    assert abs(inverse_normal_cdf(0.8413447460685429) - 1.0) < 1e-12
-
-
-def test_inverse_normal_cdf_antisymmetric():
-    u = np.linspace(0.01, 0.99, 49)
-    z = inverse_normal_cdf(u)
-    assert np.allclose(z, -inverse_normal_cdf(1.0 - u), atol=1e-12)
-
-
-def test_normal_cdf_round_trip():
-    u = np.linspace(1e-6, 1.0 - 1e-6, 101)
-    assert np.max(np.abs(normal_cdf(inverse_normal_cdf(u)) - u)) < 1e-8
-
-
-def test_inverse_normal_cdf_domain():
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            inverse_normal_cdf(bad)
 
 
 # ---------------------------------------------------------------------------
