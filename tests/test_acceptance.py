@@ -22,6 +22,7 @@ from sobolbench.estimators import (
     estimate_sobol_original,
 )
 from sobolbench.harness import (
+    DEFAULT_MASTER_SEED,
     BenchmarkConfig,
     cost,
     fit_rate,
@@ -40,6 +41,10 @@ DIRECT_KINDS = (
     EstimatorKind.ORACLE,
 )
 IMPROVED_DIRECT = (EstimatorKind.SK, EstimatorKind.OWEN, EstimatorKind.ORACLE)
+# Replicates of the seeded rate checks (criteria 2 and 4), fitted over the
+# whole ladder: with K = 10 and the upper-half fit they passed on only about
+# two thirds of master seeds.  tests/seed_sweep.py counts the passes.
+MC_RATE_K = 40
 
 
 def _check(label, ok, detail=""):
@@ -165,17 +170,26 @@ def test_c1_deplinear3():
 # criterion 2: convergence rates on the additive Gaussian model
 
 
+def c2_mc_alphas(master_seed=DEFAULT_MASTER_SEED):
+    """Criterion 2's MC rates: SobolOriginal on Linear4, one alpha per input."""
+    cfg = BenchmarkConfig(
+        test="Linear4", estimators=(EstimatorKind.SOBOL,), sampler="MC",
+        p_min=8, p_max=16, k=MC_RATE_K, master_seed=master_seed,
+    )
+    groups = group_records(run_benchmark(cfg, threads=4))
+    return [
+        fit_rate(groups[(EstimatorKind.SOBOL, i)], axis="N", window="full").alpha
+        for i in range(1, 5)
+    ]
+
+
+def c2_mc_passes(alphas):
+    return all(0.35 <= a <= 0.65 for a in alphas)
+
+
 def test_c2_rates():
     t0 = time.perf_counter()
-    mc_groups = group_records(
-        run_benchmark(
-            BenchmarkConfig(
-                test="Linear4", estimators=(EstimatorKind.SOBOL,), sampler="MC",
-                p_min=8, p_max=16,
-            ),
-            threads=4,
-        )
-    )
+    mc_alphas = c2_mc_alphas()
     qmc_groups = group_records(
         run_benchmark(
             BenchmarkConfig(
@@ -186,20 +200,17 @@ def test_c2_rates():
             threads=4,
         )
     )
-    mc_alphas = [
-        fit_rate(mc_groups[(EstimatorKind.SOBOL, i)], axis="N").alpha
-        for i in range(1, 5)
-    ]
     qmc_alphas = [
         fit_rate(qmc_groups[(kind, i)], axis="N").alpha
         for kind in (EstimatorKind.SK, EstimatorKind.ORACLE)
         for i in range(1, 5)
     ]
     elapsed = time.perf_counter() - t0
-    ok_mc = all(0.35 <= a <= 0.65 for a in mc_alphas)
+    ok_mc = c2_mc_passes(mc_alphas)
     ok_qmc = all(0.75 <= a <= 1.25 for a in qmc_alphas)
     _check(
-        "criterion 2 rates (Linear4, p=8..16, K=10)",
+        f"criterion 2 rates (Linear4, p=8..16; MC K={MC_RATE_K} full fit, "
+        "QMC K=10 upper-half fit)",
         ok_mc and ok_qmc and elapsed < 120.0,
         f"SobolOriginal MC alpha = {[round(a, 2) for a in mc_alphas]} (range [0.35, 0.65]); "
         f"SK/Oracle QMC alpha = {[round(a, 2) for a in qmc_alphas]} (range [0.75, 1.25]); "
@@ -241,12 +252,13 @@ def test_c3_orderings():
 # criterion 4: strong-interaction behavior of the original formula
 
 
-def test_c4_type_c_rates():
+def c4_alphas(master_seed=DEFAULT_MASTER_SEED):
+    """Criterion 4's pooled SobolOriginal rate on GFunc10B, per sampler."""
     alphas = {}
     for sampler in ("QMC", "MC"):
         cfg = BenchmarkConfig(
             test="GFunc10B", estimators=(EstimatorKind.SOBOL,), sampler=sampler,
-            p_min=8, p_max=16,
+            p_min=8, p_max=16, k=MC_RATE_K, master_seed=master_seed,
         )
         records = run_benchmark(cfg, threads=4)
         # all ten inputs are exchangeable: pool their RMSE per ladder point
@@ -259,11 +271,21 @@ def test_c4_type_c_rates():
         group = [
             dataclasses.replace(r, rmse=pooled[r.n]) for r in records if r.input == 1
         ]
-        alphas[sampler] = fit_rate(group, axis="N").alpha
+        alphas[sampler] = fit_rate(group, axis="N", window="full").alpha
+    return alphas
+
+
+def c4_passes(alphas):
+    return abs(alphas["QMC"] - alphas["MC"]) <= 0.2
+
+
+def test_c4_type_c_rates():
+    alphas = c4_alphas()
     diff = abs(alphas["QMC"] - alphas["MC"])
     _check(
-        "criterion 4 type-C rates (GFunc10B, SobolOriginal)",
-        diff <= 0.2,
+        f"criterion 4 type-C rates (GFunc10B, SobolOriginal, K={MC_RATE_K} "
+        "full fit)",
+        c4_passes(alphas),
         f"alpha_QMC = {alphas['QMC']:.3f}, alpha_MC = {alphas['MC']:.3f}, "
         f"|diff| = {diff:.3f} (tol 0.2)",
     )

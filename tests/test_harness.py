@@ -470,14 +470,23 @@ def test_group_records_partitions():
 # documented rate behavior on the additive Gaussian model
 
 
-def test_sobol_mc_rate_near_half():
+def sobol_mc_alphas(master_seed=harness.DEFAULT_MASTER_SEED):
+    # K = 40 replicates fitted over all nine ladder points: at K = 10 with
+    # the upper-half fit this check failed on about a third of master seeds
+    # (tests/seed_sweep.py)
     cfg = BenchmarkConfig(
         test="Linear4", estimators=(EstimatorKind.SOBOL,), sampler="MC",
-        p_min=8, p_max=16,
+        p_min=8, p_max=16, k=40, master_seed=master_seed,
     )
     groups = group_records(run_benchmark(cfg, threads=4))
-    for i in range(1, 5):
-        alpha = fit_rate(groups[(EstimatorKind.SOBOL, i)], axis="N").alpha
+    return [
+        fit_rate(groups[(EstimatorKind.SOBOL, i)], axis="N", window="full").alpha
+        for i in range(1, 5)
+    ]
+
+
+def test_sobol_mc_rate_near_half():
+    for i, alpha in enumerate(sobol_mc_alphas(), start=1):
         assert alpha == pytest.approx(0.5, abs=0.15), f"input {i}: {alpha}"
 
 
