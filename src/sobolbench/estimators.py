@@ -12,8 +12,8 @@ shared estimate of the total variance D to give S_i = D_i / D:
 Model outputs live in an evaluation set: one unit point set of dimension d,
 2d, or 3d, whose coordinate blocks form the base matrices A, B, C, and the
 outputs at A, B, C, AB_i and CA_i, each evaluated the first time it is read.
-The sets of one (N, run) cell view one draw at the widest width, drawn and
-transformed once.
+One set per (N, run) cell, drawn at the widest width its estimators need
+and transformed once, serves all of them under either sampler.
 A plan is one estimator's view of the blocks it reads, with the facts its
 reduction needs (kind, bin schedule, the oracle's f0), so several
 estimators built on one set share its evaluations and each estimator is a
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ __all__ = [
     "default_bin_schedule",
     "bin_schedule",
     "eval_count",
-    "evaluation_sets",
+    "evaluation_set",
     "build_plan",
     "estimate_mean_and_variance",
     "estimate_sobol_original",
@@ -174,52 +174,45 @@ def draw_width(kind: EstimatorKind, d: int, analytic_f0: bool = True) -> int:
 
 
 def _base_matrices(
-    model: InputModel, n: int, sampler: SamplerSpec, widths: Sequence[int]
-) -> list[tuple[np.ndarray, ...]]:
-    """Each width's base matrices A, B[, C] in model space, views of one draw.
+    model: InputModel, n: int, sampler: SamplerSpec, width: int
+) -> tuple[np.ndarray, ...]:
+    """The base matrices A, B[, C] of one run in model space, views of one draw.
 
-    A width W is a draw of ``W * d`` unit columns, whose coordinate blocks
-    are W matrices of n points.  The run is drawn once, at the widest width,
-    and all its rows are transformed in one call, column-major.  The rows
-    are ordered so that a narrower draw of the same run is a view of them:
+    A width W is one n-point draw of ``W * d`` unit columns, laid out in
+    block order: matrix j is the rows ``j * n`` to ``(j + 1) * n`` of one
+    (W * n, d) array, transformed in one call, column-major.  A narrower
+    draw of the same run is a row prefix of it, with the same A and B:
 
-    * QMC: Sobol' dimensions are prefix-stable, so a narrower draw has the
-      same A and B.  The draw is put in block order (row ``j * n + r`` is
-      coordinate block j of point r; one copy for a width above 1), so
-      matrix j is the contiguous rows ``j * n`` to ``(j + 1) * n`` at every
-      width.
-    * MC: numpy fills a draw row by row from one stream, so a narrower draw
-      is the leading d-column chunks of the widest (see
-      :mod:`sobolbench.sampling`).  The draw is reshaped, without a copy,
-      into chunk order, and width W reads matrix j as rows ``j, j + W, ...``
-      below ``W * n``: other points than a wider width's matrices.
+    * QMC: Sobol' dimensions are prefix-stable.  Matrix j is coordinate
+      block j of the draw, put in block order by one copy (width above 1).
+    * MC: the draw is the leading values of the run's stream in row order
+      (see :mod:`sobolbench.sampling`), so, reshaped without a copy,
+      matrix j is the values ``j * n * d`` onward.
     """
-    d, top = model.d, max(widths)
-    u = generate_uniform(sampler, n, top * d).values
+    d = model.d
+    u = generate_uniform(sampler, n, width * d).values
     if sampler.kind == "QMC":
-        u = u.reshape(n, top, d).swapaxes(0, 1)
+        u = u.reshape(n, width, d).swapaxes(0, 1)
     # A copy only for a QMC draw of width > 1; rebinding u frees the draw.
-    u = u.reshape(top * n, d)
-    rows = UnitPointSet(n=top * n, dims=d, values=u)
+    u = u.reshape(width * n, d)
+    rows = UnitPointSet(n=width * n, dims=d, values=u)
     if model.covariance is not None:
         x = transform_correlated_normal(rows, model.covariance)
     else:
         x = transform_independent(rows, model.marginals)
-    if sampler.kind == "QMC":
-        return [tuple(x[j * n : (j + 1) * n] for j in range(w)) for w in widths]
-    return [tuple(x[j : w * n : w] for j in range(w)) for w in widths]
+    return tuple(x[j * n : (j + 1) * n] for j in range(width))
 
 
 class EvaluationSet:
     """Model outputs on base matrices, each computed the first time it is read.
 
-    ``matrices`` are A, B[, C] in model space, each (n, d), made by
-    :func:`_base_matrices`, so the set's unit draw has ``dims`` = d, 2d or
-    3d columns.  Outputs are keyed by block name: ``"a"``, ``"b"``, ``"c"``
-    (shape (n,)), and ``"ab"``, ``"ca"`` (shape (d, n)), where block
-    ``"xy"`` row i is the output at matrix y with column i taken from matrix
-    x.  Every estimator whose plan is built on one set reduces the same
-    arrays.
+    ``matrices`` are A, B[, C] in model space, each (n, d), the blocks of
+    one draw of ``dims`` = d, 2d or 3d unit columns (see
+    :func:`_base_matrices`).  Outputs are keyed by block name: ``"a"``,
+    ``"b"``, ``"c"`` (shape (n,)), and ``"ab"``, ``"ca"`` (shape (d, n)),
+    where block ``"xy"`` row i is the output at matrix y with column i taken
+    from matrix x.  Every estimator of a cell builds its plan on the cell's
+    one set, so all of them reduce the same arrays.
     """
 
     def __init__(
@@ -264,32 +257,22 @@ class EvaluationSet:
         return self._f[block]
 
 
-def evaluation_sets(
+def evaluation_set(
     model: InputModel,
     kinds: Sequence[EstimatorKind],
     n: int,
     sampler: SamplerSpec,
-) -> Iterator[tuple[EvaluationSet, list[EstimatorKind]]]:
-    """Evaluation sets that give ``kinds`` the bits of standalone plans.
+) -> EvaluationSet:
+    """One unfilled set that gives ``kinds`` the bits of standalone plans.
 
-    Every set views one unit draw at the widest width, transformed once
-    (see :func:`_base_matrices`).  A narrower QMC width has the same A and B,
-    so one set serves every estimator; a narrower MC width has other
-    points, so each MC width keeps its own set and outputs.  Sets are
-    yielded one at a time, unfilled, so a caller
-    (:func:`sobolbench.harness.estimate_cell`) can drop each set's outputs
-    before the next is filled.
+    The set views one draw at the widest width any of ``kinds`` needs (see
+    :func:`_base_matrices`).  A narrower draw of the run is a prefix of it,
+    with the same A and B, so one set serves every estimator of a cell
+    under either sampler.
     """
     analytic_f0 = model.analytic_f0 is not None
-    groups: dict[int, list[EstimatorKind]] = {}
-    for kind in kinds:
-        width = draw_width(kind, model.d, analytic_f0) // model.d
-        groups.setdefault(width, []).append(kind)
-    if sampler.kind == "QMC":
-        groups = {max(groups): list(kinds)}
-    bases = _base_matrices(model, n, sampler, list(groups))
-    for matrices, group in zip(bases, groups.values()):
-        yield EvaluationSet(model, n, sampler, matrices), group
+    width = max(draw_width(kind, model.d, analytic_f0) for kind in kinds) // model.d
+    return EvaluationSet(model, n, sampler, _base_matrices(model, n, sampler, width))
 
 
 def build_plan(
@@ -319,7 +302,7 @@ def build_plan(
 
     analytic_f0 = model.analytic_f0 is not None
     if evaluations is None:
-        (evaluations, _), = evaluation_sets(model, (kind,), n, sampler)
+        evaluations = evaluation_set(model, (kind,), n, sampler)
     elif (
         evaluations.model is not model
         or (evaluations.n, evaluations.sampler) != (n, sampler)

@@ -28,7 +28,7 @@ from .estimators import (
     build_plan,
     estimate_main_index,
     eval_count,
-    evaluation_sets,
+    evaluation_set,
 )
 from .models import InputModel, TestCaseId, build
 from .sampling import SamplerSpec
@@ -188,18 +188,17 @@ def estimate_cell(
 ) -> dict[EstimatorKind, list[IndexEstimate]]:
     """Every estimator's main-effect estimates from one (N, run) draw.
 
-    The estimators share their model evaluations (see
-    :func:`evaluation_sets`).  No plan is kept past its reduction, so the
-    outputs of two sets (MC width groups) never coexist; only the draw
-    every set views lives for the whole cell.
+    The estimators reduce one evaluation set (see :func:`evaluation_set`),
+    so each model output is computed once for all of them.  No plan is kept
+    past its reduction, and the set does not outlive the cell.
     """
-    out = {}
-    for evaluations, group in evaluation_sets(model, kinds, n, sampler):
-        for kind in group:
-            out[kind] = estimate_main_index(
-                build_plan(model, kind, n, sampler, bin_count, evaluations)
-            )
-    return out
+    evaluations = evaluation_set(model, kinds, n, sampler)
+    return {
+        kind: estimate_main_index(
+            build_plan(model, kind, n, sampler, bin_count, evaluations)
+        )
+        for kind in kinds
+    }
 
 
 def _run_cell(

@@ -16,10 +16,9 @@ Generator conventions
   elements with raw indices ``[1 + k*n, 1 + (k+1)*n)``; distinct runs use
   disjoint parts of the sequence.
 * An MC run uses ``numpy.random.default_rng(seed)`` and draws the ``n x dims``
-  matrix row by row; per-run seeds are derived with :func:`mix_seed`.
-* Chunks: with ``dims = W*d``, an MC draw reshaped to ``(W*n, d)`` is the
-  first ``W*n`` chunks of d consecutive values of the run's stream, so it
-  is a row prefix of every wider draw of the same run reshaped alike.
+  matrix row by row; per-run seeds are derived with :func:`mix_seed`.  So
+  the draw is the first ``n * dims`` values of the run's stream, in row
+  order, whatever its shape.
 """
 
 from __future__ import annotations

@@ -182,8 +182,8 @@ def test_estimate_shared_run_prints_standalone_tables(sampler, capsys, monkeypat
 
     monkeypatch.setattr(cli, "build", lambda t: dataclasses.replace(model, f=counted_f))
     assert run(",".join(kinds)) == alone
-    # d = 3: 2d + 2 = 8 calls under QMC; MC adds owen's 3d and dlr's d draws
-    assert len(calls) == (8 if sampler == "QMC" else 5 + 8 + 1)
+    # d = 3: 2d + 2 = 8 calls under either sampler
+    assert len(calls) == 8
     assert "estimator sobol: 1024 model evaluations" in alone  # N(d+1)
 
 
@@ -225,6 +225,14 @@ def test_estimate_unknown_names_are_usage_errors(capsys):
     assert main(["estimate", "--test", "Ishigami", "--estimators", "dlr",
                  "--sampler", "QMC", "--n", "256", "--bins", "0"]) == 2
     assert "bin count 0 must be at least 2" in capsys.readouterr().err
+    assert main(["estimate", "--test", "Linear4", "--estimators", "sk",
+                 "--sampler", "QMC", "--n", "64", "--bins", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--bins applies only to the dlr estimator" in err
+    assert main(["estimate", "--test", "Linear4", "--estimators", "sk,dlr",
+                 "--sampler", "QMC", "--n", "64", "--bins", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bin count 3 does not divide sample count 64" in err
     assert main(["estimate", "--test", "Linear4", "--estimators", "sk",
                  "--sampler", "MC", "--n", "64", "--seed", "-1"]) == 2
     out, err = capsys.readouterr()

@@ -21,7 +21,7 @@ from sobolbench.estimators import (
     estimate_sk,
     estimate_sobol_original,
     eval_count,
-    evaluation_sets,
+    evaluation_set,
 )
 from sobolbench.harness import cost
 from sobolbench.models import TEST_CASE_NAMES, InputModel, build
@@ -30,6 +30,7 @@ from sobolbench.sampling import (
     Uniform,
     UnitPointSet,
     generate_uniform,
+    mix_seed,
     transform_correlated_normal,
     transform_independent,
 )
@@ -294,13 +295,10 @@ def test_shared_plans_equal_standalone_plans(name, sampler):
         if k == EstimatorKind.DLR or not model.has_dependent_inputs
     ]
     n = 64
-    seen = []
-    for evaluations, group in evaluation_sets(model, kinds, n, sampler):
-        for kind in group:
-            shared = build_plan(model, kind, n, sampler, evaluations=evaluations)
-            _assert_same_plan(shared, build_plan(model, kind, n, sampler))
-            seen.append(kind)
-    assert sorted(seen, key=kinds.index) == kinds
+    evaluations = evaluation_set(model, kinds, n, sampler)
+    for kind in kinds:
+        shared = build_plan(model, kind, n, sampler, evaluations=evaluations)
+        _assert_same_plan(shared, build_plan(model, kind, n, sampler))
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
@@ -311,7 +309,7 @@ def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
     # matrix built from a fresh row-major copy, and the base matrices must
     # be left as they were
     model = build(name)
-    (evaluations, _), = evaluation_sets(model, (EstimatorKind.OWEN,), 64, sampler)
+    evaluations = evaluation_set(model, (EstimatorKind.OWEN,), 64, sampler)
     base = {m: evaluations.x(m).copy() for m in "abc"}
     for block in ("ab", "ca"):
         donor, into = base[block[0]], base[block[1]]
@@ -328,36 +326,56 @@ def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
 @pytest.mark.parametrize("name", TEST_CASE_NAMES)
 def test_set_matrices_equal_fresh_transform_of_own_draw(name, sampler):
-    # the sets of a cell view one draw at the widest width; each set's A, B,
-    # C must still be the transformed coordinate blocks of a draw at its own
-    # width, and a narrower set has no matrices beyond its width
+    # a cell's set holds A, B[, C] in block order: matrix j is the transform
+    # of coordinate block j of an n-point Sobol' draw under QMC, and of the
+    # run's stream values j*n*d onward, n rows of d, under MC.  A set has no
+    # matrices beyond its width.
     model = build(name)
     kinds = (EstimatorKind.DLR,) if model.has_dependent_inputs else ALL_KINDS
     n, d = 64, model.d
-    widths = []
-    for evaluations, _ in evaluation_sets(model, kinds, n, sampler):
-        u = generate_uniform(sampler, n, evaluations.dims).values
-        names = "abc"[: evaluations.dims // d]
-        for j, matrix in enumerate(names):
-            block = UnitPointSet(n=n, dims=d, values=u[:, j * d : (j + 1) * d])
-            if model.covariance is not None:
-                want = transform_correlated_normal(block, model.covariance)
-            else:
-                want = transform_independent(block, model.marginals)
-            assert np.array_equal(evaluations.x(matrix), want), matrix
-        for missing in "abc"[len(names) :]:
-            with pytest.raises(ValueError, match=f"no matrix {missing.upper()}"):
-                evaluations.x(missing)
-        widths.append(evaluations.dims)
-    if model.has_dependent_inputs:
-        assert widths == [d]
+    evaluations = evaluation_set(model, kinds, n, sampler)
+    width = evaluations.dims // d
+    assert width == (1 if model.has_dependent_inputs else 3)
+    if sampler.kind == "QMC":
+        u = generate_uniform(sampler, n, width * d).values
+        blocks = [u[:, j * d : (j + 1) * d] for j in range(width)]
     else:
-        assert widths == ([3 * d] if sampler.kind == "QMC" else [2 * d, 3 * d, d])
+        rng = np.random.default_rng(mix_seed(sampler.seed, sampler.run_index))
+        stream = rng.random(width * n * d)
+        blocks = [stream[j * n * d : (j + 1) * n * d].reshape(n, d) for j in range(width)]
+    for matrix, block in zip("abc", blocks):
+        unit = UnitPointSet(n=n, dims=d, values=block)
+        if model.covariance is not None:
+            want = transform_correlated_normal(unit, model.covariance)
+        else:
+            want = transform_independent(unit, model.marginals)
+        assert np.array_equal(evaluations.x(matrix), want), matrix
+    for missing in "abc"[width:]:
+        with pytest.raises(ValueError, match=f"no matrix {missing.upper()}"):
+            evaluations.x(missing)
+
+
+@pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
+@pytest.mark.parametrize("name", TEST_CASE_NAMES)
+def test_narrower_set_is_leading_matrices_of_widest(name, sampler):
+    # a narrower draw of a run is a prefix of a wider one, so the one set a
+    # cell draws at its widest width holds the matrices every estimator
+    # would draw alone
+    model = build(name)
+    n, d = 64, model.d
+    widths = (EstimatorKind.DLR, EstimatorKind.SK, EstimatorKind.OWEN)  # d, 2d, 3d
+    if model.has_dependent_inputs:
+        widths = widths[:1]
+    widest = evaluation_set(model, widths, n, sampler)
+    for kind in widths:
+        narrow = evaluation_set(model, (kind,), n, sampler)
+        for matrix in "abc"[: narrow.dims // d]:
+            assert np.array_equal(narrow.x(matrix), widest.x(matrix)), (kind, matrix)
 
 
 def test_evaluation_set_rejects_mismatched_use():
     m = build("Ishigami")
-    (evaluations, _), = evaluation_sets(m, (EstimatorKind.SK,), 64, QMC)
+    evaluations = evaluation_set(m, (EstimatorKind.SK,), 64, QMC)
     with pytest.raises(ValueError, match="no matrix C"):
         build_plan(m, EstimatorKind.OWEN, 64, QMC, evaluations=evaluations)
     with pytest.raises(ValueError, match="another model"):
@@ -535,7 +553,7 @@ def test_negative_estimate_not_clamped():
         m, EstimatorKind.SOBOL, 64, SamplerSpec(kind="MC", seed=12345, run_index=1)
     )
     s = [e.s_i_hat for e in estimate_main_index(plan)]
-    assert s == pytest.approx([0.3175, 0.4979, -0.1677], abs=5e-4)
+    assert s == pytest.approx([0.2739, 0.3647, -0.1002], abs=5e-4)
     assert s[2] < 0.0
 
 

@@ -266,13 +266,16 @@ def _one_rung(test, kinds, sampler, p=6, k=2):
     )
 
 
-def test_qmc_cell_evaluates_once_for_all_estimators(counted):
-    # GFunc10A, d = 10: one 3d draw, one transform and 2d + 2 = 22 model
-    # calls per cell serve all five estimators (58 calls if each ran alone)
-    run_benchmark(_one_rung("GFunc10A", tuple(EstimatorKind), "QMC"))
-    assert counted["draws"] == [30, 30]
-    assert counted["transformed"] == [64 * 30] * 2
-    assert counted["f"] == 2 * 22
+@pytest.mark.parametrize("test,sampler", [("GFunc10A", "QMC"), ("ParkAhn7", "MC")])
+def test_cell_evaluates_once_for_all_estimators(counted, test, sampler):
+    # one 3d draw, one transform and 2d + 2 model calls per cell serve all
+    # five estimators under either sampler: 22 calls on GFunc10A (d = 10;
+    # 58 if each ran alone), 16 on ParkAhn7 (d = 7)
+    d = build(test).d
+    run_benchmark(_one_rung(test, tuple(EstimatorKind), sampler))
+    assert counted["draws"] == [3 * d] * 2
+    assert counted["transformed"] == [64 * 3 * d] * 2
+    assert counted["f"] == 2 * (2 * d + 2)
 
 
 def test_qmc_dlr_only_draws_d_columns(counted):
@@ -282,24 +285,12 @@ def test_qmc_dlr_only_draws_d_columns(counted):
     assert counted["f"] == 3
 
 
-def test_mc_cell_draws_once_at_widest_width(counted):
-    # ParkAhn7, d = 7: one 3d draw, transformed once, per cell.  Its leading
-    # 2n and n chunks are the 2d and d draws, but other points than its own
-    # A, B, C, so the model calls are shared only within a width: sobol, sk
-    # and oracle at 2d (d + 2 calls), owen at 3d (2d + 2), dlr at d (1),
-    # 3d + 5 = 26 in all
-    run_benchmark(_one_rung("ParkAhn7", tuple(EstimatorKind), "MC"))
-    assert counted["draws"] == [21] * 2
-    assert counted["transformed"] == [64 * 21] * 2
-    assert counted["f"] == 2 * 26
-
-
 def test_cell_fills_one_set_of_outputs_at_a_time(monkeypatch):
-    # an MC ParkAhn7 all-five cell fills three sets (2d, 3d and d columns);
-    # no plan outlives its reduction, so inside every model call at most one
-    # set's outputs are alive.  A plan holds a set's outputs but not the set,
-    # so liveness is judged by weak references to the outputs each set hands
-    # out, not by the set alone.
+    # an MC ParkAhn7 all-five cell fills one set (3d columns) in 2d + 2 = 16
+    # model calls, and neither the set nor its outputs outlive the cell.  A
+    # plan holds a set's outputs but not the set, so liveness is judged by
+    # weak references to the outputs each set hands out, not by the set
+    # alone.
     live = weakref.WeakSet()
     handed_out = []
 
@@ -328,16 +319,11 @@ def test_cell_fills_one_set_of_outputs_at_a_time(monkeypatch):
     model = dataclasses.replace(base, f=f)
     sampler = SamplerSpec(kind="MC", seed=7, run_index=1)
     cell = estimate_cell(model, tuple(EstimatorKind), 64, sampler)
-    assert list(cell) == [
-        EstimatorKind.SOBOL,
-        EstimatorKind.SK,
-        EstimatorKind.ORACLE,
-        EstimatorKind.OWEN,
-        EstimatorKind.DLR,
-    ]
-    assert len(handed_out) == 3 and len(sets_alive) == 26
+    assert list(cell) == list(EstimatorKind)
+    assert len(handed_out) == 1 and len(sets_alive) == 16
     assert max(sets_alive) == 1
-    assert len(live) == 0  # the cell keeps no set either
+    assert len(live) == 0  # the cell keeps no set
+    assert all(r() is None for r in handed_out[0])  # nor any of its outputs
 
 
 def test_shared_cells_match_standalone_plans():

@@ -217,8 +217,8 @@ def test_mc_mean_near_half():
 def test_mc_narrow_draw_is_leading_chunks_of_wider(width, seed, run_index, d):
     # numpy fills a (n, dims) draw row by row from one stream, so a W*d-wide
     # draw cut into d-column chunks is the first W*n chunks of the 3d-wide
-    # one; the MC evaluation sets of a ladder cell rely on it to view one
-    # draw at every width
+    # one; an MC ladder cell relies on it to give every estimator, at any
+    # width, the leading matrices of one block-ordered draw
     n = 96
     wide = mc(n, 3 * d, seed=seed, run_index=run_index).values.reshape(3 * n, d)
     narrow = mc(n, width * d, seed=seed, run_index=run_index).values
