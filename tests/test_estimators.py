@@ -342,7 +342,9 @@ def test_set_matrices_equal_fresh_transform_of_own_draw(name, sampler):
     else:
         rng = np.random.default_rng(mix_seed(sampler.seed, sampler.run_index))
         stream = rng.random(width * n * d)
-        blocks = [stream[j * n * d : (j + 1) * n * d].reshape(n, d) for j in range(width)]
+        blocks = [
+            stream[j * n * d : (j + 1) * n * d].reshape(n, d) for j in range(width)
+        ]
     for matrix, block in zip("abc", blocks):
         unit = UnitPointSet(n=n, dims=d, values=block)
         if model.covariance is not None:
@@ -363,11 +365,11 @@ def test_narrower_set_is_leading_matrices_of_widest(name, sampler):
     # would draw alone
     model = build(name)
     n, d = 64, model.d
-    widths = (EstimatorKind.DLR, EstimatorKind.SK, EstimatorKind.OWEN)  # d, 2d, 3d
+    by_width = (EstimatorKind.DLR, EstimatorKind.SK, EstimatorKind.OWEN)  # d, 2d, 3d
     if model.has_dependent_inputs:
-        widths = widths[:1]
-    widest = evaluation_set(model, widths, n, sampler)
-    for kind in widths:
+        by_width = by_width[:1]
+    widest = evaluation_set(model, by_width, n, sampler)
+    for kind in by_width:
         narrow = evaluation_set(model, (kind,), n, sampler)
         for matrix in "abc"[: narrow.dims // d]:
             assert np.array_equal(narrow.x(matrix), widest.x(matrix)), (kind, matrix)
