@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .estimators import EstimatorKind, IncompatibleModelError, bin_schedule, eval_count
+from .estimators import EstimatorKind, IncompatibleModelError, eval_count
 from .harness import (
     DEFAULT_MASTER_SEED,
     BenchmarkConfig,
@@ -173,15 +173,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     model = build(args.test)
     kinds = _parse_estimator_list(args.estimators)
     spec = SamplerSpec(kind=args.sampler, seed=args.seed, run_index=args.run_index)
-    if EstimatorKind.DLR in kinds:
-        bin_schedule(args.n, args.bins)
-    elif args.bins is not None:
+    if EstimatorKind.DLR not in kinds and args.bins is not None:
         raise ValueError("--bins applies only to the dlr estimator")
+    # The estimators share their model evaluations; each table still reports
+    # what its estimator would cost alone.  The cell runs every check on n,
+    # bins and the model before anything is printed.
+    cell = estimate_cell(model, kinds, args.n, spec, args.bins)
 
     print(f"test {model.name} (d={model.d}), sampler {args.sampler}, N={args.n}")
-    # The estimators share their model evaluations; each table still reports
-    # what its estimator would cost alone.
-    cell = estimate_cell(model, kinds, args.n, spec, args.bins)
     analytic_f0 = model.analytic_f0 is not None
     any_negative = False
     for kind in kinds:

@@ -13,7 +13,8 @@ Model outputs live in an evaluation set: one unit point set of dimension d,
 2d, or 3d, whose coordinate blocks form the base matrices A, B, C, and the
 outputs at A, B, C, AB_i and CA_i, each evaluated the first time it is read.
 One set per (N, run) cell, drawn at the widest width its estimators need
-and transformed once, serves all of them under either sampler.
+and transformed once, serves all of them under either sampler; under QMC
+a row slice of a longer run's set serves a shorter run inside it.
 A plan is one estimator's view of the blocks it reads, with the facts its
 reduction needs (kind, bin schedule, the oracle's f0), so several
 estimators built on one set share its evaluations and each estimator is a
@@ -188,6 +189,13 @@ def _base_matrices(
     * MC: the draw is the leading values of the run's stream in row order
       (see :mod:`sobolbench.sampling`), so, reshaped without a copy,
       matrix j is the values ``j * n * d`` onward.
+
+    Under QMC, run k of n points is the Sobol' block ``[1 + k*n, 1 +
+    (k+1)*n)``.  For a power of two M >= n, that block is the rows
+    ``k*n mod M`` onward of run ``k*n // M`` of M points, in every matrix
+    and so in every output (see :meth:`EvaluationSet.rows`).  MC has no
+    such nesting across n: matrix B at n is the stream values ``n * d`` to
+    ``2 * n * d``, which is not a row slice of B at 2n.
     """
     d = model.d
     u = generate_uniform(sampler, n, width * d).values
@@ -228,6 +236,23 @@ class EvaluationSet:
         self.dims = len(matrices) * model.d
         self._x = dict(zip("abc", matrices))
         self._f: dict[str, np.ndarray] = {}
+        self._source: Optional[tuple[EvaluationSet, slice]] = None
+
+    def rows(self, start: int, n: int, sampler: SamplerSpec) -> EvaluationSet:
+        """Rows ``start`` to ``start + n`` of this set, as the set of ``(n, sampler)``.
+
+        The caller vouches that those rows are that run's draw (under QMC a
+        run of n points lies inside a run of any longer power-of-two length,
+        see :func:`_base_matrices`).  The matrices are views, and each output
+        block is the row slice ``[..., start:start + n]`` of this set's
+        block, so either set fills a block for both.
+        """
+        if start < 0 or n <= 0 or start + n > self.n:
+            raise ValueError(f"rows {start}..{start + n} lie outside a set of {self.n}")
+        rows = slice(start, start + n)
+        part = type(self)(self.model, n, sampler, [x[rows] for x in self._x.values()])
+        part._source = (self, rows)
+        return part
 
     def x(self, matrix: str) -> np.ndarray:
         """Base matrix ``"a"``, ``"b"`` or ``"c"`` in model space (a view)."""
@@ -240,7 +265,10 @@ class EvaluationSet:
     def f(self, block: str) -> np.ndarray:
         """Outputs of one block (see the class docstring)."""
         if block not in self._f:
-            if len(block) == 1:
+            if self._source is not None:
+                source, rows = self._source
+                self._f[block] = source.f(block)[..., rows]
+            elif len(block) == 1:
                 self._f[block] = self.model.f(self.x(block))
             else:
                 donor, base = self.x(block[0]), self.x(block[1])

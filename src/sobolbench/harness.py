@@ -3,7 +3,11 @@
 For each sample count N = 2^p on a ladder, K replicate runs are performed
 (disjoint Sobol' blocks for QMC, independently seeded streams for MC).  Each
 run evaluates the model once and every estimator reduces the shared
-outputs; the root-mean-square error of each estimator's S_i against the
+outputs.  Under QMC a run at N is a row block of a run at the top rung
+N_top, so a QMC ladder evaluates only its top rung and every lower run
+reduces a row slice of those outputs.  MC runs share nothing across rungs:
+matrix B at N is the stream values [N d, 2 N d), not a row slice of B at
+2N.  The root-mean-square error of each estimator's S_i against the
 model's analytic value is recorded:
 
     eps_i(N) = sqrt( (1/K) * sum_k (S_i_hat[k] - S_i_analytic)^2 )
@@ -23,6 +27,7 @@ import numpy as np
 
 from .estimators import (
     EstimatorKind,
+    EvaluationSet,
     IndexEstimate,
     bin_schedule,
     build_plan,
@@ -185,14 +190,18 @@ def estimate_cell(
     n: int,
     sampler: SamplerSpec,
     bin_count: Optional[int] = None,
+    evaluations: Optional[EvaluationSet] = None,
 ) -> dict[EstimatorKind, list[IndexEstimate]]:
     """Every estimator's main-effect estimates from one (N, run) draw.
 
-    The estimators reduce one evaluation set (see :func:`evaluation_set`),
-    so each model output is computed once for all of them.  No plan is kept
-    past its reduction, and the set does not outlive the cell.
+    The estimators reduce one evaluation set: ``evaluations`` when given
+    (say, rows of a longer run's set), else one drawn for the cell (see
+    :func:`evaluation_set`), so each model output is computed once for all
+    of them.  No plan is kept past its reduction, and a set drawn here does
+    not outlive the cell.
     """
-    evaluations = evaluation_set(model, kinds, n, sampler)
+    if evaluations is None:
+        evaluations = evaluation_set(model, kinds, n, sampler)
     return {
         kind: estimate_main_index(
             build_plan(model, kind, n, sampler, bin_count, evaluations)
@@ -201,20 +210,55 @@ def estimate_cell(
     }
 
 
-def _run_cell(
-    model: InputModel, cfg: BenchmarkConfig, n: int, k: int
-) -> dict[EstimatorKind, np.ndarray]:
-    """S_i estimates of every configured estimator at one (N, run index)."""
-    cell = estimate_cell(
-        model, cfg.estimators, n, _sampler_for(cfg, k), cfg.bin_override
+def _draw_groups(cfg: BenchmarkConfig) -> list[list[tuple[int, int, int]]]:
+    """The ladder's (N, run index) cells, grouped by the cell whose draw holds them.
+
+    A group lists its cells as (n, k, start), its own cell first: cell
+    (n, k) is rows ``start`` to ``start + n`` of the first cell's draw (see
+    :func:`sobolbench.estimators._base_matrices`).  Under QMC that is top
+    run ``k * n // N_top`` at row ``k * n % N_top``; under MC every cell is
+    a group of its own.
+    """
+    n_top = 1 << cfg.p_max
+    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for p in range(cfg.p_min, cfg.p_max + 1):
+        n = 1 << p
+        for k in range(cfg.k):
+            if cfg.sampler == "QMC":
+                own, start = (n_top, k * n // n_top), k * n % n_top
+            else:
+                own, start = (n, k), 0
+            groups.setdefault(own, []).append((n, k, start))
+    return [sorted(cells, key=lambda c: -c[0]) for cells in groups.values()]
+
+
+def _run_group(
+    model: InputModel, cfg: BenchmarkConfig, cells: Sequence[tuple[int, int, int]]
+) -> dict[tuple[int, int], dict[EstimatorKind, np.ndarray]]:
+    """S_i estimates of every configured estimator at each cell of one group.
+
+    The group's own cell, reduced first, fills the set's output blocks; the
+    other cells reduce row slices of them.  The set is dropped on return.
+    """
+    own_n, own_k, _ = cells[0]
+    evaluations = evaluation_set(
+        model, cfg.estimators, own_n, _sampler_for(cfg, own_k)
     )
-    # Keep only the S_i: the ladder's cells all stay alive until the
-    # records are built, and a list of IndexEstimate objects per cell
-    # outweighs one small array (about 1 MB more on a GFunc10A ladder).
-    return {
-        kind: np.array([e.s_i_hat for e in estimates])
-        for kind, estimates in cell.items()
-    }
+    results = {}
+    for n, k, start in cells:
+        sampler = _sampler_for(cfg, k)
+        cell = estimate_cell(
+            model, cfg.estimators, n, sampler, cfg.bin_override,
+            evaluations.rows(start, n, sampler),
+        )
+        # Keep only the S_i: the ladder's cells all stay alive until the
+        # records are built, and a list of IndexEstimate objects per cell
+        # outweighs one small array (about 1 MB more on a GFunc10A ladder).
+        results[(n, k)] = {
+            kind: np.array([e.s_i_hat for e in estimates])
+            for kind, estimates in cell.items()
+        }
+    return results
 
 
 def run_benchmark(
@@ -222,34 +266,32 @@ def run_benchmark(
 ) -> list[ConvergenceRecord]:
     """All ConvergenceRecords for the config, sorted by (estimator, input, N).
 
-    Each (N, run index) cell evaluates the model once for all configured
-    estimators (see :func:`estimate_cell`) and every estimator reduces
-    those outputs.  Cells fan out over a thread pool when ``threads`` (or
-    the SOBOLBENCH_THREADS variable) exceeds one; every cell is a pure
-    function of its (N, run index) pair and results are merged in a fixed
-    order, so the output is identical regardless of parallelism.
+    Each (N, run index) cell's outputs are evaluated once for all
+    configured estimators (see :func:`estimate_cell`), and under QMC once
+    for the whole ladder: every cell belongs to the group of the cell
+    whose draw holds it (see :func:`_draw_groups`).  Groups fan out over a
+    thread pool when ``threads`` (or the SOBOLBENCH_THREADS variable)
+    exceeds one; every cell is a pure function of its (N, run index) pair
+    and results are merged in a fixed order, so the output is identical
+    regardless of parallelism.
     """
     model = build(cfg.test)
     if model.analytic_main is None:
         raise ValueError(f"{model.name}: RMSE requires analytic reference indices")
     n_threads = resolve_threads(threads)
 
-    cells = [
-        (1 << p, k) for p in range(cfg.p_min, cfg.p_max + 1) for k in range(cfg.k)
-    ]
+    groups = _draw_groups(cfg)
     results: dict[tuple[int, int], dict[EstimatorKind, np.ndarray]] = {}
-    # One thread runs the cells inline: a one-worker pool gives the same
+    # One thread runs the groups inline: a one-worker pool gives the same
     # records but raised peak RSS by about 2 MB on a GFunc10A ladder.
     if n_threads == 1:
-        for n, k in cells:
-            results[(n, k)] = _run_cell(model, cfg, n, k)
+        for cells in groups:
+            results.update(_run_group(model, cfg, cells))
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = {
-                (n, k): pool.submit(_run_cell, model, cfg, n, k) for n, k in cells
-            }
-        for key, fut in futures.items():
-            results[key] = fut.result()
+            futures = [pool.submit(_run_group, model, cfg, cells) for cells in groups]
+        for fut in futures:
+            results.update(fut.result())
 
     records = []
     for kind in cfg.estimators:

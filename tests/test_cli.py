@@ -215,9 +215,11 @@ def test_estimate_unknown_names_are_usage_errors(capsys):
                  "--sampler", "QMC", "--n", "64"]) == 2
     assert main(["estimate", "--test", "Linear4", "--estimators", "magic",
                  "--sampler", "QMC", "--n", "64"]) == 2
-    assert main(["estimate", "--test", "Linear4", "--estimators", "sk",
-                 "--sampler", "QMC", "--n", "1000"]) == 2  # not a power of two
     capsys.readouterr()
+    assert main(["estimate", "--test", "Linear4", "--estimators", "sk",
+                 "--sampler", "QMC", "--n", "1000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be a power of two, got n=1000" in err
     assert main(["estimate", "--test", "Linear4", "--estimators", "sk,sk",
                  "--sampler", "QMC", "--n", "64"]) == 2
     out, err = capsys.readouterr()
@@ -240,14 +242,17 @@ def test_estimate_unknown_names_are_usage_errors(capsys):
 
 
 def test_estimate_incompatible_model_exit_code(capsys):
-    code = main(
-        [
-            "estimate", "--test", "DepQuad4", "--estimators", "sobol",
-            "--sampler", "QMC", "--n", "1024",
-        ]
-    )
-    assert code == 3
-    assert "independent inputs" in capsys.readouterr().err
+    # a direct estimator listed after dlr still fails before any output
+    for estimators, n in [("sobol", "1024"), ("dlr,sobol", "64")]:
+        code = main(
+            [
+                "estimate", "--test", "DepQuad4", "--estimators", estimators,
+                "--sampler", "QMC", "--n", n,
+            ]
+        )
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "independent inputs" in err
 
 
 def test_estimate_dlr_linear4(capsys):

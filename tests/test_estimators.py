@@ -375,6 +375,34 @@ def test_narrower_set_is_leading_matrices_of_widest(name, sampler):
             assert np.array_equal(narrow.x(matrix), widest.x(matrix)), (kind, matrix)
 
 
+@pytest.mark.parametrize("name", TEST_CASE_NAMES)
+def test_qmc_row_slice_is_shorter_run(name):
+    # QMC run 3 of 64 points is the Sobol' block [193, 257), rows 64..127 of
+    # run 1 of 128 points: the slice of the longer run's set has the same
+    # matrices and outputs, bit for bit, and its outputs fill the longer set
+    base = build(name)
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return base.f(x)
+
+    model = dataclasses.replace(base, f=f)
+    kinds = (EstimatorKind.DLR,) if model.has_dependent_inputs else ALL_KINDS
+    blocks = ("a",) if model.has_dependent_inputs else ("a", "b", "c", "ab", "ca")
+    run3 = SamplerSpec(kind="QMC", run_index=3)
+    alone = evaluation_set(model, kinds, 64, run3)
+    longer = evaluation_set(model, kinds, 128, SamplerSpec(kind="QMC", run_index=1))
+    part = longer.rows(64, 64, run3)
+    assert (part.n, part.sampler, part.dims) == (64, run3, alone.dims)
+    for matrix in "abc"[: alone.dims // model.d]:
+        assert np.array_equal(part.x(matrix), alone.x(matrix)), matrix
+    for block in blocks:
+        assert np.array_equal(part.f(block), alone.f(block)), block
+        assert np.shares_memory(part.f(block), longer.f(block)), block
+    assert calls.count(128) == calls.count(64)  # the part evaluated nothing itself
+
+
 def test_evaluation_set_rejects_mismatched_use():
     m = build("Ishigami")
     evaluations = evaluation_set(m, (EstimatorKind.SK,), 64, QMC)
@@ -384,6 +412,8 @@ def test_evaluation_set_rejects_mismatched_use():
         build_plan(m, EstimatorKind.SK, 128, QMC, evaluations=evaluations)
     with pytest.raises(ValueError, match="another model"):
         build_plan(build("Linear4"), EstimatorKind.SK, 64, QMC, evaluations=evaluations)
+    with pytest.raises(ValueError, match="rows 32..96 lie outside a set of 64"):
+        evaluations.rows(32, 64, QMC)
 
 
 def test_dependent_model_rejects_direct_formulas():
