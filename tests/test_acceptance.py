@@ -5,6 +5,7 @@ PASS/FAIL line per criterion.
 """
 
 import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -170,17 +171,21 @@ def test_c1_deplinear3():
 # criterion 2: convergence rates on the additive Gaussian model
 
 
+@functools.lru_cache(maxsize=None)
 def c2_mc_alphas(master_seed=DEFAULT_MASTER_SEED):
-    """Criterion 2's MC rates: SobolOriginal on Linear4, one alpha per input."""
+    """Criterion 2's MC rates: SobolOriginal on Linear4, one alpha per input.
+
+    Cached, so ``test_harness.py::test_sobol_mc_rate_near_half`` reads the
+    same ladder instead of running it again."""
     cfg = BenchmarkConfig(
         test="Linear4", estimators=(EstimatorKind.SOBOL,), sampler="MC",
         p_min=8, p_max=16, k=MC_RATE_K, master_seed=master_seed,
     )
     groups = group_records(run_benchmark(cfg, threads=4))
-    return [
+    return tuple(
         fit_rate(groups[(EstimatorKind.SOBOL, i)], axis="N", window="full").alpha
         for i in range(1, 5)
-    ]
+    )
 
 
 def c2_mc_passes(alphas):

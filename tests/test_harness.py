@@ -23,6 +23,8 @@ from sobolbench.harness import (
 from sobolbench.models import InputModel, TestCaseId as CaseId, build
 from sobolbench.sampling import SamplerSpec
 
+import test_acceptance
+
 IMPROVED = (
     EstimatorKind.SK,
     EstimatorKind.OWEN,
@@ -357,12 +359,9 @@ def test_cell_fills_one_set_of_outputs_at_a_time(monkeypatch):
     assert all(r() is None for r in handed_out[0])  # nor any of its outputs
 
 
-@pytest.mark.parametrize("sampler", ["MC", "QMC"])
-def test_shared_cells_match_standalone_plans(sampler):
+def _assert_cells_match_standalone_plans(sampler):
     # every record equals the one computed from standalone plans, which
-    # draw and evaluate per estimator and cell.  Under QMC the lower cells
-    # reduce rows of the top runs (N_top = 256): cell (64, k = 2) is rows
-    # 128..191 of top run 0 and cell (128, k = 2) is top run 1.
+    # draw and evaluate per estimator and cell
     cfg = BenchmarkConfig(
         test="Ishigami", estimators=tuple(EstimatorKind), sampler=sampler,
         p_min=6, p_max=8, k=3,
@@ -384,6 +383,17 @@ def test_shared_cells_match_standalone_plans(sampler):
         block = blocks[(r.estimator, r.n)]
         assert r.rmse == float(rmse_against(block, model.analytic_main)[r.input - 1])
         assert r.mean_estimate == float(block.mean(axis=0)[r.input - 1])
+
+
+def test_shared_cells_match_standalone_plans():
+    _assert_cells_match_standalone_plans("MC")
+
+
+def test_qmc_row_slice_cells_match_standalone_plans():
+    # the lower cells reduce rows of the top runs (N_top = 256): cell
+    # (64, k = 2) is rows 128..191 of top run 0 and cell (128, k = 2) is
+    # top run 1
+    _assert_cells_match_standalone_plans("QMC")
 
 
 def test_rmse_against_identical_estimates():
@@ -490,6 +500,13 @@ def test_group_records_partitions():
 
 # ---------------------------------------------------------------------------
 # documented rate behavior on the additive Gaussian model
+
+
+def test_sobol_mc_rate_near_half():
+    # criterion 2's MC ladder (Linear4, p = 8..16, K = 40, full fit), asserted
+    # per input; c2_mc_alphas is cached, so the ladder runs once per session
+    for i, alpha in enumerate(test_acceptance.c2_mc_alphas(), start=1):
+        assert alpha == pytest.approx(0.5, abs=0.15), f"input {i}: {alpha}"
 
 
 def test_improved_qmc_rate_near_one():
