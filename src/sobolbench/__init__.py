@@ -9,12 +9,8 @@ from .estimators import (
     BinSchedule,
     DegenerateModelError,
     EstimatorKind,
-    EvaluationPlan,
     IncompatibleModelError,
-    IndexEstimate,
-    build_plan,
     default_bin_schedule,
-    estimate_main_index,
 )
 from .harness import (
     DEFAULT_MASTER_SEED,
@@ -22,6 +18,7 @@ from .harness import (
     ConvergenceRecord,
     RateFit,
     cost,
+    estimate_cell,
     fit_rate,
     group_records,
     rmse_against,
@@ -52,17 +49,14 @@ __all__ = [
     "BinSchedule",
     "DegenerateModelError",
     "EstimatorKind",
-    "EvaluationPlan",
     "IncompatibleModelError",
-    "IndexEstimate",
-    "build_plan",
     "default_bin_schedule",
-    "estimate_main_index",
     "DEFAULT_MASTER_SEED",
     "BenchmarkConfig",
     "ConvergenceRecord",
     "RateFit",
     "cost",
+    "estimate_cell",
     "fit_rate",
     "group_records",
     "rmse_against",

@@ -184,24 +184,23 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     analytic_f0 = model.analytic_f0 is not None
     any_negative = False
     for kind in kinds:
-        estimates = cell[kind]
         evals = eval_count(kind, model.d, args.n, analytic_f0)
         print(f"\nestimator {kind.value}: {evals} model evaluations")
         if kind is EstimatorKind.ORACLE:
-            print(f"  (f0 source: {estimates[0].f0_source})")
+            print(f"  (f0 source: {'analytic' if analytic_f0 else 'estimated'})")
         print(f"  {'input':>5}  {'S_hat':>12}  {'analytic':>12}  {'|error|':>12}")
-        for est in estimates:
+        for i, s_hat in enumerate(cell[kind]):
             if model.analytic_main is not None:
-                ref = model.analytic_main[est.input - 1]
+                ref = model.analytic_main[i]
                 ref_s = f"{ref:12.6f}"
-                err_s = f"{abs(est.s_i_hat - ref):12.6f}"
+                err_s = f"{abs(s_hat - ref):12.6f}"
             else:
                 ref_s, err_s = f"{'n/a':>12}", f"{'n/a':>12}"
             mark = ""
-            if est.s_i_hat < 0.0:
+            if s_hat < 0.0:
                 mark = "  *"
                 any_negative = True
-            print(f"  {est.input:>5}  {est.s_i_hat:12.6f}  {ref_s}  {err_s}{mark}")
+            print(f"  {i + 1:>5}  {s_hat:12.6f}  {ref_s}  {err_s}{mark}")
     if any_negative:
         print("\n  * negative estimate: statistical fluctuation around a small index")
     return 0

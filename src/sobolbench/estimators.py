@@ -1,4 +1,4 @@
-"""Main-effect index estimators and their evaluation plans.
+"""Main-effect index estimators and the evaluation sets they reduce.
 
 Five estimators of the partial variance D_i are provided, all dividing by a
 shared estimate of the total variance D to give S_i = D_i / D:
@@ -14,11 +14,9 @@ Model outputs live in an evaluation set: one unit point set of dimension d,
 outputs at A, B, C, AB_i and CA_i, each evaluated the first time it is read.
 One set per (N, run) cell, drawn at the widest width its estimators need
 and transformed once, serves all of them under either sampler; under QMC
-a row slice of a longer run's set serves a shorter run inside it.
-A plan is one estimator's view of the blocks it reads, with the facts its
-reduction needs (kind, bin schedule, the oracle's f0), so several
-estimators built on one set share its evaluations and each estimator is a
-pure reduction over its plan.
+a row slice of a longer run's set serves a shorter run inside it.  Each
+estimator is a pure reduction over the blocks of the set it reads
+(:func:`sobolbench.harness.estimate_cell` runs all of a cell's estimators).
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ __all__ = [
     "BinSchedule",
     "EvaluationPlan",
     "EvaluationSet",
-    "IndexEstimate",
     "IncompatibleModelError",
     "DegenerateModelError",
     "default_bin_schedule",
@@ -117,19 +114,17 @@ def bin_schedule(n: int, bin_count: Optional[int] = None) -> BinSchedule:
 
 @dataclass(frozen=True)
 class EvaluationPlan:
-    """Model outputs required by one estimator for all d inputs.
+    """The blocks of an evaluation set that one estimator reduces.
 
     ``f_ab[i]`` holds outputs at B with column i replaced from A (the point
     that shares coordinate i with A); ``f_ca[i]`` holds outputs at A with
-    column i replaced from C (Owen's third set).  ``eval_count`` equals the
-    total size of all populated output arrays.  ``f0`` is the oracle's mean,
-    the analytic value or else the mean of ``f_c`` (``f0_source`` says
-    which); it is None for the other estimators.
+    column i replaced from C (Owen's third set).  Blocks the estimator does
+    not read are None.  ``bins`` is the cell's DLR bin schedule, read by
+    DLR alone; ``f0`` is the oracle's mean, the analytic value or else the
+    mean of ``f_c``, and None for the other estimators.
     """
 
     kind: EstimatorKind
-    n: int
-    d: int
     x_a: np.ndarray
     f_a: np.ndarray
     f_b: Optional[np.ndarray] = None
@@ -137,8 +132,6 @@ class EvaluationPlan:
     f_ca: Optional[np.ndarray] = None
     f_c: Optional[np.ndarray] = None
     bins: Optional[BinSchedule] = None
-    f0_source: Optional[str] = None
-    eval_count: int = 0
     f0: Optional[float] = None
 
 
@@ -219,8 +212,8 @@ class EvaluationSet:
     :func:`_base_matrices`).  Outputs are keyed by block name: ``"a"``,
     ``"b"``, ``"c"`` (shape (n,)), and ``"ab"``, ``"ca"`` (shape (d, n)),
     where block ``"xy"`` row i is the output at matrix y with column i taken
-    from matrix x.  Every estimator of a cell builds its plan on the cell's
-    one set, so all of them reduce the same arrays.
+    from matrix x.  Every estimator of a cell reduces the cell's one set,
+    so all of them read the same arrays.
     """
 
     def __init__(
@@ -291,7 +284,7 @@ def evaluation_set(
     n: int,
     sampler: SamplerSpec,
 ) -> EvaluationSet:
-    """One unfilled set that gives ``kinds`` the bits of standalone plans.
+    """One unfilled set that gives each of ``kinds`` the bits it would draw alone.
 
     The set views one draw at the widest width any of ``kinds`` needs (see
     :func:`_base_matrices`).  A narrower draw of the run is a prefix of it,
@@ -304,50 +297,24 @@ def evaluation_set(
 
 
 def build_plan(
-    model: InputModel,
     kind: EstimatorKind,
-    n: int,
-    sampler: SamplerSpec,
-    bin_count: Optional[int] = None,
-    evaluations: Optional[EvaluationSet] = None,
+    evaluations: EvaluationSet,
+    bins: Optional[BinSchedule] = None,
 ) -> EvaluationPlan:
-    """The model outputs one estimator run reads, for all d inputs.
+    """The blocks of ``evaluations`` that ``kind`` reads, for all d inputs.
 
-    The outputs come from ``evaluations`` when given (a set for the same
-    model, n and sampler, shared with other estimators), else from a private
-    set drawn at the width this estimator needs alone: d (DLR), 2d
-    (Sobol/S-K/Oracle) or 3d (Owen, and Oracle when f0 must be
-    pre-estimated).  Direct estimators reject dependent-input models; DLR
-    rejects bin counts :func:`bin_schedule` refuses.
+    Reading a block evaluates it if no earlier plan on the set has.  The
+    caller checks that ``kind`` applies to the set's model and passes
+    DLR's bin schedule (see :func:`sobolbench.harness.estimate_cell`).
     """
-    d = model.d
-    if kind != EstimatorKind.DLR and model.has_dependent_inputs:
-        raise IncompatibleModelError(
-            f"estimator {kind.value!r} on {model.name}: "
-            "direct formulas assume independent inputs"
-        )
-    bins = bin_schedule(n, bin_count) if kind == EstimatorKind.DLR else None
-
+    model = evaluations.model
     analytic_f0 = model.analytic_f0 is not None
-    if evaluations is None:
-        evaluations = evaluation_set(model, (kind,), n, sampler)
-    elif (
-        evaluations.model is not model
-        or (evaluations.n, evaluations.sampler) != (n, sampler)
-    ):
-        raise ValueError("evaluation set was drawn for another model, n or sampler")
     outputs = {b: evaluations.f(b) for b in _output_blocks(kind, analytic_f0)}
-
-    f0 = f0_source = None
+    f0 = None
     if kind == EstimatorKind.ORACLE:
-        if analytic_f0:
-            f0, f0_source = model.analytic_f0, "analytic"
-        else:
-            f0, f0_source = float(outputs["c"].mean()), "estimated"
+        f0 = model.analytic_f0 if analytic_f0 else float(outputs["c"].mean())
     return EvaluationPlan(
         kind=kind,
-        n=n,
-        d=d,
         x_a=evaluations.x("a"),
         f_a=outputs["a"],
         f_b=outputs.get("b"),
@@ -355,8 +322,6 @@ def build_plan(
         f_ca=outputs.get("ca"),
         f_c=outputs.get("c"),
         bins=bins,
-        f0_source=f0_source,
-        eval_count=eval_count(kind, d, n, analytic_f0),
         f0=f0,
     )
 
@@ -439,22 +404,8 @@ def estimate_dlr(
     return float((bin_means**2).mean() - f_a.mean() ** 2)
 
 
-@dataclass(frozen=True)
-class IndexEstimate:
-    """One estimated main-effect index (input indices are 1-based)."""
-
-    kind: EstimatorKind
-    input: int
-    d_i_hat: float
-    d_hat: float
-    s_i_hat: float
-    n: int
-    eval_count_share: float
-    f0_source: Optional[str] = None
-
-
-def estimate_main_index(plan: EvaluationPlan) -> list[IndexEstimate]:
-    """All d main-effect estimates of the plan's estimator.
+def estimate_main_index(plan: EvaluationPlan) -> np.ndarray:
+    """The d main-effect estimates S_i of the plan's estimator, in input order.
 
     Every input divides by the same pooled D_hat (from fA and fB when the
     plan has a B set, else fA alone) so indices are comparable across inputs.
@@ -464,9 +415,8 @@ def estimate_main_index(plan: EvaluationPlan) -> list[IndexEstimate]:
     kind = plan.kind
     _, d_hat = estimate_mean_and_variance(plan.f_a, plan.f_b)
 
-    share = plan.eval_count / plan.d
-    out = []
-    for i in range(plan.d):
+    s = np.empty(plan.x_a.shape[1])
+    for i in range(len(s)):
         if kind == EstimatorKind.SOBOL:
             d_i = estimate_sobol_original(plan.f_a, plan.f_ab[i])
         elif kind == EstimatorKind.SK:
@@ -479,16 +429,5 @@ def estimate_main_index(plan: EvaluationPlan) -> list[IndexEstimate]:
             d_i = estimate_dlr(plan.x_a[:, i], plan.f_a, plan.bins)
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown estimator kind {kind!r}")
-        out.append(
-            IndexEstimate(
-                kind=kind,
-                input=i + 1,
-                d_i_hat=d_i,
-                d_hat=d_hat,
-                s_i_hat=d_i / d_hat,
-                n=plan.n,
-                eval_count_share=share,
-                f0_source=plan.f0_source,
-            )
-        )
-    return out
+        s[i] = d_i / d_hat
+    return s

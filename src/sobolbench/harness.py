@@ -28,7 +28,7 @@ import numpy as np
 from .estimators import (
     EstimatorKind,
     EvaluationSet,
-    IndexEstimate,
+    IncompatibleModelError,
     bin_schedule,
     build_plan,
     estimate_main_index,
@@ -143,8 +143,8 @@ class RateFit:
 def cost(kind: EstimatorKind, d: int, n: int) -> tuple[int, int]:
     """(actual, table1) evaluation counts for a full set of d indices.
 
-    ``actual`` is what one plan of ``kind`` evaluates alone on a model with
-    an analytic mean (main effects only; see :func:`eval_count`), whether or
+    ``actual`` is what one ``kind`` run evaluates alone on a model with an
+    analytic mean (main effects only; see :func:`eval_count`), whether or
     not the harness shares those evaluations with other estimators.
     ``table1`` is the published convention, which for the original Sobol'
     formula budgets the joint {S_i, S_i_tot} set: N(2d+1) instead of N(d+1).
@@ -191,21 +191,30 @@ def estimate_cell(
     sampler: SamplerSpec,
     bin_count: Optional[int] = None,
     evaluations: Optional[EvaluationSet] = None,
-) -> dict[EstimatorKind, list[IndexEstimate]]:
-    """Every estimator's main-effect estimates from one (N, run) draw.
+) -> dict[EstimatorKind, np.ndarray]:
+    """Every estimator's d main-effect estimates S_i from one (N, run) draw.
 
-    The estimators reduce one evaluation set: ``evaluations`` when given
-    (say, rows of a longer run's set), else one drawn for the cell (see
-    :func:`evaluation_set`), so each model output is computed once for all
-    of them.  No plan is kept past its reduction, and a set drawn here does
+    Every kind is checked before anything is drawn or evaluated: direct
+    formulas refuse dependent-input models, and DLR's bin schedule (see
+    :func:`bin_schedule`) is resolved once.  The estimators then reduce one
+    evaluation set: ``evaluations`` when given (say, rows of a longer run's
+    set), else one drawn for the cell (see :func:`evaluation_set`), so each
+    model output is computed once for all of them.  A set drawn here does
     not outlive the cell.
     """
+    bins = None
+    for kind in kinds:
+        if kind == EstimatorKind.DLR:
+            bins = bin_schedule(n, bin_count)
+        elif model.has_dependent_inputs:
+            raise IncompatibleModelError(
+                f"estimator {kind.value!r} on {model.name}: "
+                "direct formulas assume independent inputs"
+            )
     if evaluations is None:
         evaluations = evaluation_set(model, kinds, n, sampler)
     return {
-        kind: estimate_main_index(
-            build_plan(model, kind, n, sampler, bin_count, evaluations)
-        )
+        kind: estimate_main_index(build_plan(kind, evaluations, bins))
         for kind in kinds
     }
 
@@ -247,17 +256,10 @@ def _run_group(
     results = {}
     for n, k, start in cells:
         sampler = _sampler_for(cfg, k)
-        cell = estimate_cell(
+        results[(n, k)] = estimate_cell(
             model, cfg.estimators, n, sampler, cfg.bin_override,
             evaluations.rows(start, n, sampler),
         )
-        # Keep only the S_i: the ladder's cells all stay alive until the
-        # records are built, and a list of IndexEstimate objects per cell
-        # outweighs one small array (about 1 MB more on a GFunc10A ladder).
-        results[(n, k)] = {
-            kind: np.array([e.s_i_hat for e in estimates])
-            for kind, estimates in cell.items()
-        }
     return results
 
 

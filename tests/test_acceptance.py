@@ -16,16 +16,17 @@ from sobolbench.estimators import (
     build_plan,
     default_bin_schedule,
     estimate_dlr,
-    estimate_main_index,
     estimate_oracle,
     estimate_owen,
     estimate_sk,
     estimate_sobol_original,
+    evaluation_set,
 )
 from sobolbench.harness import (
     DEFAULT_MASTER_SEED,
     BenchmarkConfig,
     cost,
+    estimate_cell,
     fit_rate,
     group_records,
     run_benchmark,
@@ -51,16 +52,6 @@ MC_RATE_K = 40
 def _check(label, ok, detail=""):
     print(f"[acceptance] {label}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
     assert ok, f"{label}: {detail}"
-
-
-def _single_run(model, kinds, n):
-    out = {}
-    for kind in kinds:
-        plan = build_plan(model, kind, n, QMC)
-        out[kind] = np.array(
-            [e.s_i_hat for e in estimate_main_index(plan)]
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +80,8 @@ def test_c1_ishigami():
     t0 = time.perf_counter()
     model = build("Ishigami")
     want = np.array([0.314, 0.442, 0.000])
-    results = _single_run(model, IMPROVED_DIRECT + (EstimatorKind.DLR,), 1 << 14)
+    kinds = IMPROVED_DIRECT + (EstimatorKind.DLR,)
+    results = estimate_cell(model, kinds, 1 << 14, QMC)
     worst = max(float(np.max(np.abs(s - want))) for s in results.values())
     elapsed = time.perf_counter() - t0
     _check(
@@ -101,7 +93,7 @@ def test_c1_ishigami():
 
 def test_c1_gfunc10a():
     t0 = time.perf_counter()
-    results = _single_run(build("GFunc10A"), ALL_KINDS, 1 << 16)
+    results = estimate_cell(build("GFunc10A"), ALL_KINDS, 1 << 16, QMC)
     err12 = max(
         float(np.max(np.abs(s[:2] - 0.304))) for s in results.values()
     )
@@ -117,7 +109,7 @@ def test_c1_gfunc10a():
 
 def test_c1_gfunc10b():
     t0 = time.perf_counter()
-    results = _single_run(build("GFunc10B"), ALL_KINDS, 1 << 16)
+    results = estimate_cell(build("GFunc10B"), ALL_KINDS, 1 << 16, QMC)
     worst = max(float(np.max(np.abs(s - 0.0199))) for s in results.values())
     elapsed = time.perf_counter() - t0
     _check(
@@ -131,7 +123,7 @@ def test_c1_parkahn7():
     t0 = time.perf_counter()
     model = build("ParkAhn7")  # the default lognormal reading (median)
     want = np.array([0.0350, 0.330, 0.0157, 0.0857, 0.174, 0.221, 0.0477])
-    results = _single_run(model, ALL_KINDS, 1 << 16)
+    results = estimate_cell(model, ALL_KINDS, 1 << 16, QMC)
     worst = max(float(np.max(np.abs(s - want))) for s in results.values())
     elapsed = time.perf_counter() - t0
     _check(
@@ -144,7 +136,7 @@ def test_c1_parkahn7():
 def test_c1_depquad4():
     t0 = time.perf_counter()
     model = build("DepQuad4")
-    s = _single_run(model, (EstimatorKind.DLR,), 1 << 14)[EstimatorKind.DLR]
+    s = estimate_cell(model, (EstimatorKind.DLR,), 1 << 14, QMC)[EstimatorKind.DLR]
     worst = float(np.max(np.abs(s - np.array([0.507, 0.399, 0.0, 0.0]))))
     elapsed = time.perf_counter() - t0
     _check(
@@ -157,7 +149,7 @@ def test_c1_depquad4():
 def test_c1_deplinear3():
     t0 = time.perf_counter()
     model = build("DepLinear3")
-    s = _single_run(model, (EstimatorKind.DLR,), 1 << 14)[EstimatorKind.DLR]
+    s = estimate_cell(model, (EstimatorKind.DLR,), 1 << 14, QMC)[EstimatorKind.DLR]
     worst = float(np.max(np.abs(s - np.array([0.3571, 0.1286, 0.5143]))))
     elapsed = time.perf_counter() - t0
     _check(
@@ -332,9 +324,7 @@ def test_c5_quadrature_equivalence():
 
     worst = 0.0
     details = []
-    for kind in ALL_KINDS:
-        plan = build_plan(model, kind, 1 << 18, QMC)
-        s = np.array([e.s_i_hat for e in estimate_main_index(plan)])
+    for kind, s in estimate_cell(model, ALL_KINDS, 1 << 18, QMC).items():
         err = float(np.max(np.abs(s - s_quad)))
         worst = max(worst, err)
         details.append(f"{kind.value}={err:.6f}")
@@ -426,8 +416,10 @@ def test_c7_cost_accounting():
     )
     plans_ok = True
     for kind in ALL_KINDS:
-        plan = build_plan(build("Ishigami"), kind, 256, QMC)
-        plans_ok = plans_ok and plan.eval_count == cost(kind, 3, 256)[0]
+        plan = build_plan(kind, evaluation_set(build("Ishigami"), (kind,), 256, QMC))
+        outputs = (plan.f_a, plan.f_b, plan.f_ab, plan.f_ca, plan.f_c)
+        populated = sum(f.size for f in outputs if f is not None)
+        plans_ok = plans_ok and populated == cost(kind, 3, 256)[0]
     _check(
         "criterion 7 cost accounting",
         examples_ok and rows_ok and plans_ok,

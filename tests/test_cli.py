@@ -199,15 +199,19 @@ def test_estimate_negative_marker(capsys):
     assert "*" in out and "negative estimate" in out
 
 
-def test_estimate_oracle_reports_f0_source(capsys):
-    code = main(
-        [
-            "estimate", "--test", "GFunc10A", "--estimators", "oracle",
-            "--sampler", "QMC", "--n", "1024",
-        ]
-    )
-    assert code == 0
+def test_estimate_oracle_reports_f0_source(capsys, monkeypatch):
+    args = [
+        "estimate", "--test", "GFunc10A", "--estimators", "oracle",
+        "--sampler", "QMC", "--n", "1024",
+    ]
+    assert main(args) == 0
     assert "f0 source: analytic" in capsys.readouterr().out
+    # without an exact mean the oracle estimates f0 from an extra C block
+    model = dataclasses.replace(cli.build("GFunc10A"), analytic_f0=None)
+    monkeypatch.setattr(cli, "build", lambda t: model)
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "f0 source: estimated" in out and "13312 model evaluations" in out
 
 
 def test_estimate_unknown_names_are_usage_errors(capsys):
@@ -253,6 +257,28 @@ def test_estimate_incompatible_model_exit_code(capsys):
         assert code == 3
         out, err = capsys.readouterr()
         assert out == "" and "independent inputs" in err
+
+
+def test_estimate_incompatible_model_makes_no_model_call(capsys, monkeypatch):
+    # every estimator is checked before the cell draws or evaluates anything
+    calls = []
+    model = cli.build("DepQuad4")
+
+    def counted_f(x):
+        calls.append(len(x))
+        return model.f(x)
+
+    monkeypatch.setattr(cli, "build", lambda t: dataclasses.replace(model, f=counted_f))
+    for extra, exit_code in (([], 3), (["--bins", "3"], 2)):
+        code = main(
+            [
+                "estimate", "--test", "DepQuad4", "--estimators", "dlr,sobol",
+                "--sampler", "QMC", "--n", "64", *extra,
+            ]
+        )
+        assert code == exit_code
+        assert capsys.readouterr().out == ""
+    assert calls == []
 
 
 def test_estimate_dlr_linear4(capsys):

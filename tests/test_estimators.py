@@ -10,6 +10,7 @@ from sobolbench.estimators import (
     DegenerateModelError,
     EstimatorKind,
     IncompatibleModelError,
+    bin_schedule,
     build_plan,
     default_bin_schedule,
     draw_width,
@@ -23,7 +24,7 @@ from sobolbench.estimators import (
     eval_count,
     evaluation_set,
 )
-from sobolbench.harness import cost
+from sobolbench.harness import cost, estimate_cell
 from sobolbench.models import TEST_CASE_NAMES, InputModel, build
 from sobolbench.sampling import (
     SamplerSpec,
@@ -48,6 +49,22 @@ DIRECT_KINDS = (
     EstimatorKind.OWEN,
     EstimatorKind.ORACLE,
 )
+
+
+def _plan(model, kind, n, sampler=QMC, bins=None):
+    """The plan of one estimator on a set drawn for it alone."""
+    return build_plan(kind, evaluation_set(model, (kind,), n, sampler), bins)
+
+
+def _populated(plan):
+    """Model outputs the plan reads: the sizes of its output arrays."""
+    outputs = (getattr(plan, a) for a in PLAN_ARRAYS[1:])
+    return sum(f.size for f in outputs if f is not None)
+
+
+def _estimate(model, kind, n, sampler=QMC):
+    """S_i of one estimator on a cell of its own."""
+    return estimate_cell(model, (kind,), n, sampler)[kind]
 
 
 @pytest.fixture()
@@ -177,6 +194,30 @@ def test_mean_and_variance_pools_both_arrays():
     assert f0 == 3.0 and d == 5.0
 
 
+@pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
+@pytest.mark.parametrize("name", INDEPENDENT_CASES)
+def test_oracle_at_pooled_mean_matches_scipy_sobol_indices(name, sampler):
+    # an independent implementation: scipy's Saltelli-2010 first order
+    # centres all outputs by the pooled mean of its f_A and f_B and divides
+    # by their pooled np.var.  Its AB_i is its A with column i from its B,
+    # so this package's B is passed as its A.  The result is the oracle
+    # formula with f0 the pooled mean.
+    from scipy.stats import sobol_indices
+
+    n = 1 << 12
+    evaluations = evaluation_set(build(name), (EstimatorKind.SK,), n, sampler)
+    f_a, f_b, f_ab = (evaluations.f(block) for block in ("a", "b", "ab"))
+    pooled = np.concatenate([f_a, f_b])
+    want = [
+        estimate_oracle(f_a, f_b, f_ab_i, pooled.mean()) / np.var(pooled)
+        for f_ab_i in f_ab
+    ]
+    got = sobol_indices(
+        func={"f_A": f_b, "f_B": f_a, "f_AB": f_ab[:, None, :]}, n=n
+    ).first_order
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
 def test_constant_model_degenerate():
     with pytest.raises(DegenerateModelError, match="zero variance"):
         estimate_mean_and_variance(np.full(16, 5.0))
@@ -186,7 +227,7 @@ def test_constant_model_degenerate():
 
 def test_ishigami_variance_estimate():
     m = build("Ishigami")
-    plan = build_plan(m, EstimatorKind.SK, 1 << 16, QMC)
+    plan = _plan(m, EstimatorKind.SK, 1 << 16)
     _, d_hat = estimate_mean_and_variance(plan.f_a, plan.f_b)
     assert d_hat == pytest.approx(13.845, abs=0.01)
 
@@ -198,36 +239,36 @@ def test_ishigami_variance_estimate():
 def test_plan_shapes_and_eval_counts():
     m = build("Ishigami")
     n = 256
-    plan = build_plan(m, EstimatorKind.SOBOL, n, QMC)
+    plan = _plan(m, EstimatorKind.SOBOL, n)
     assert plan.kind is EstimatorKind.SOBOL and plan.f0 is None
     assert plan.f_b is None and plan.f_ca is None
     assert plan.f_ab.shape == (3, n)
-    assert plan.eval_count == n * 4
-    plan = build_plan(m, EstimatorKind.SK, n, QMC)
+    assert _populated(plan) == n * 4
+    plan = _plan(m, EstimatorKind.SK, n)
     assert plan.f_b.shape == (n,)
-    assert plan.eval_count == n * 5
-    plan = build_plan(m, EstimatorKind.OWEN, n, QMC)
+    assert _populated(plan) == n * 5
+    plan = _plan(m, EstimatorKind.OWEN, n)
     assert plan.f_ca.shape == (3, n)
-    assert plan.eval_count == n * 8
-    plan = build_plan(m, EstimatorKind.ORACLE, n, QMC)
-    assert plan.f0_source == "analytic" and plan.f0 == m.analytic_f0
-    assert plan.eval_count == n * 5
-    plan = build_plan(m, EstimatorKind.DLR, n, QMC)
-    assert plan.bins == BinSchedule(n=256, m=16, n_m=16)
-    assert plan.eval_count == n
+    assert _populated(plan) == n * 8
+    plan = _plan(m, EstimatorKind.ORACLE, n)
+    assert plan.f0 == m.analytic_f0 and plan.f_c is None
+    assert _populated(plan) == n * 5
+    plan = _plan(m, EstimatorKind.DLR, n)
+    assert bin_schedule(n) == BinSchedule(n=256, m=16, n_m=16)
+    assert _populated(plan) == n
     assert plan.x_a.shape == (n, 3)
 
 
 def test_plan_sk_linear4_example():
-    plan = build_plan(build("Linear4"), EstimatorKind.SK, 1 << 10, QMC)
-    assert plan.eval_count == 1024 * 6 == 6144
+    plan = _plan(build("Linear4"), EstimatorKind.SK, 1 << 10)
+    assert _populated(plan) == 1024 * 6 == 6144
 
 
 def test_plan_blocks_share_one_point_set():
     # A and B are distinct coordinate blocks of one QMC point set, so the
     # matrices must differ yet each first row maps the u = 0.5 center point
     m = build("Linear4")
-    plan = build_plan(m, EstimatorKind.SK, 64, QMC)
+    plan = _plan(m, EstimatorKind.SK, 64)
     mu = [1.0, 3.0, 5.0, 7.0]
     assert np.allclose(plan.x_a[0], mu, atol=1e-12)
     assert not np.array_equal(plan.f_a, plan.f_b)
@@ -240,17 +281,15 @@ def _without_f0(base: InputModel) -> InputModel:
 def test_oracle_without_analytic_f0_estimates_it():
     base = build("Linear4")
     stripped = _without_f0(base)
-    plan = build_plan(stripped, EstimatorKind.ORACLE, 1 << 12, QMC)
-    assert plan.f0_source == "estimated"
+    plan = _plan(stripped, EstimatorKind.ORACLE, 1 << 12)
+    assert plan.f0 != base.analytic_f0
     assert plan.f_c.shape == (1 << 12,)
     assert plan.f0 == float(plan.f_c.mean())
     # one extra block on top of the N(d+2) direct-formula evaluations
-    assert plan.eval_count == (1 << 12) * (base.d + 3)
+    assert _populated(plan) == (1 << 12) * (base.d + 3)
     estimates = estimate_main_index(plan)
-    assert np.allclose(
-        [e.s_i_hat for e in estimates], base.analytic_main, atol=0.01
-    )
-    assert all(e.f0_source == "estimated" for e in estimates)
+    assert np.allclose(estimates, base.analytic_main, atol=0.01)
+    assert np.array_equal(estimates, _estimate(stripped, EstimatorKind.ORACLE, 1 << 12))
 
 
 def test_eval_count_table_matches_plans_and_cost():
@@ -260,14 +299,10 @@ def test_eval_count_table_matches_plans_and_cost():
     for model in (build("Ishigami"), _without_f0(build("Ishigami"))):
         has_f0 = model.analytic_f0 is not None
         for kind in ALL_KINDS:
-            plan = build_plan(model, kind, n, QMC)
-            populated = sum(
-                getattr(plan, a).size for a in PLAN_ARRAYS[1:]
-                if getattr(plan, a) is not None
-            )
-            assert plan.eval_count == populated == eval_count(kind, 3, n, has_f0)
+            populated = _populated(_plan(model, kind, n))
+            assert populated == eval_count(kind, 3, n, has_f0)
             if has_f0:
-                assert plan.eval_count == cost(kind, 3, n)[0]
+                assert populated == cost(kind, 3, n)[0]
     assert eval_count(EstimatorKind.ORACLE, 3, n, analytic_f0=False) == n * 6
     assert [draw_width(k, 3) for k in ALL_KINDS] == [6, 6, 9, 6, 3]
     assert draw_width(EstimatorKind.ORACLE, 3, analytic_f0=False) == 9
@@ -278,10 +313,7 @@ def _assert_same_plan(shared, alone):
         a, b = getattr(shared, name), getattr(alone, name)
         assert (a is None) == (b is None), name
         assert a is None or np.array_equal(a, b), name
-    assert (shared.kind, shared.bins, shared.f0, shared.f0_source) == (
-        alone.kind, alone.bins, alone.f0, alone.f0_source
-    )
-    assert shared.eval_count == alone.eval_count
+    assert (shared.kind, shared.bins, shared.f0) == (alone.kind, alone.bins, alone.f0)
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
@@ -297,8 +329,8 @@ def test_shared_plans_equal_standalone_plans(name, sampler):
     n = 64
     evaluations = evaluation_set(model, kinds, n, sampler)
     for kind in kinds:
-        shared = build_plan(model, kind, n, sampler, evaluations=evaluations)
-        _assert_same_plan(shared, build_plan(model, kind, n, sampler))
+        alone = build_plan(kind, evaluation_set(model, (kind,), n, sampler))
+        _assert_same_plan(build_plan(kind, evaluations), alone)
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
@@ -407,11 +439,7 @@ def test_evaluation_set_rejects_mismatched_use():
     m = build("Ishigami")
     evaluations = evaluation_set(m, (EstimatorKind.SK,), 64, QMC)
     with pytest.raises(ValueError, match="no matrix C"):
-        build_plan(m, EstimatorKind.OWEN, 64, QMC, evaluations=evaluations)
-    with pytest.raises(ValueError, match="another model"):
-        build_plan(m, EstimatorKind.SK, 128, QMC, evaluations=evaluations)
-    with pytest.raises(ValueError, match="another model"):
-        build_plan(build("Linear4"), EstimatorKind.SK, 64, QMC, evaluations=evaluations)
+        build_plan(EstimatorKind.OWEN, evaluations)
     with pytest.raises(ValueError, match="rows 32..96 lie outside a set of 64"):
         evaluations.rows(32, 64, QMC)
 
@@ -420,9 +448,9 @@ def test_dependent_model_rejects_direct_formulas():
     m = build("DepQuad4")
     for kind in DIRECT_KINDS:
         with pytest.raises(IncompatibleModelError, match="independent inputs"):
-            build_plan(m, kind, 64, QMC)
-    plan = build_plan(m, EstimatorKind.DLR, 64, QMC)
-    assert plan.eval_count == 64
+            estimate_cell(m, (kind,), 64, QMC)
+    assert _estimate(m, EstimatorKind.DLR, 64).shape == (4,)
+    assert _populated(_plan(m, EstimatorKind.DLR, 64)) == 64
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +480,14 @@ def test_bin_schedule_validation():
 
 def test_dlr_bin_override():
     m = build("Linear4")
-    plan = build_plan(m, EstimatorKind.DLR, 1 << 10, QMC, bin_count=64)
-    assert plan.bins == BinSchedule(n=1024, m=64, n_m=16)
+    dlr = (EstimatorKind.DLR,)
+    cell = estimate_cell(m, dlr, 1 << 10, QMC, bin_count=64)
+    plan = _plan(m, EstimatorKind.DLR, 1 << 10, bins=BinSchedule(n=1024, m=64, n_m=16))
+    assert np.array_equal(cell[EstimatorKind.DLR], estimate_main_index(plan))
     with pytest.raises(ValueError, match="divide"):
-        build_plan(m, EstimatorKind.DLR, 1 << 10, QMC, bin_count=100)
+        estimate_cell(m, dlr, 1 << 10, QMC, bin_count=100)
     with pytest.raises(ValueError, match="bin count 0 must be at least 2"):
-        build_plan(m, EstimatorKind.DLR, 1 << 10, QMC, bin_count=0)
+        estimate_cell(m, dlr, 1 << 10, QMC, bin_count=0)
 
 
 def test_dlr_bins_are_exhaustive_partition():
@@ -529,38 +559,33 @@ def test_dlr_length_mismatch():
 
 def test_sk_ishigami_vanishing_input():
     m = build("Ishigami")
-    plan = build_plan(m, EstimatorKind.SK, 1 << 14, QMC)
-    s3 = estimate_main_index(plan)[2].s_i_hat
+    s3 = _estimate(m, EstimatorKind.SK, 1 << 14)[2]
     assert abs(s3) < 0.005
 
 
 def test_sk_linear4_small_index():
     m = build("Linear4")
-    plan = build_plan(m, EstimatorKind.SK, 1 << 14, QMC)
-    s1 = estimate_main_index(plan)[0].s_i_hat
+    s1 = _estimate(m, EstimatorKind.SK, 1 << 14)[0]
     assert s1 == pytest.approx(0.07407, abs=0.005)
 
 
 def test_sobol_linear4_large_index():
     m = build("Linear4")
-    plan = build_plan(m, EstimatorKind.SOBOL, 1 << 14, QMC)
-    s4 = estimate_main_index(plan)[3].s_i_hat
+    s4 = _estimate(m, EstimatorKind.SOBOL, 1 << 14)[3]
     assert s4 == pytest.approx(0.46296, abs=0.01)
 
 
 def test_oracle_gfunc10a_uses_analytic_mean():
     m = build("GFunc10A")
     assert m.analytic_f0 == 1.0
-    plan = build_plan(m, EstimatorKind.ORACLE, 1 << 14, QMC)
-    est = estimate_main_index(plan)
-    assert est[0].f0_source == "analytic"
-    assert est[0].s_i_hat == pytest.approx(0.3040, abs=0.01)
+    plan = _plan(m, EstimatorKind.ORACLE, 1 << 14)
+    assert plan.f0 == m.analytic_f0 and plan.f_c is None
+    assert estimate_main_index(plan)[0] == pytest.approx(0.3040, abs=0.01)
 
 
 def test_dlr_ishigami_vanishing_input():
     m = build("Ishigami")
-    plan = build_plan(m, EstimatorKind.DLR, 1 << 14, QMC)
-    s3 = estimate_main_index(plan)[2].s_i_hat
+    s3 = _estimate(m, EstimatorKind.DLR, 1 << 14)[2]
     assert abs(s3) < 0.01
 
 
@@ -574,29 +599,30 @@ def test_dlr_single_input_model():
         analytic_f0=0.5,
         analytic_D=1.0 / 12.0,
     )
-    plan = build_plan(one, EstimatorKind.DLR, 1 << 16, QMC)
-    s1 = estimate_main_index(plan)[0].s_i_hat
+    s1 = _estimate(one, EstimatorKind.DLR, 1 << 16)[0]
     assert s1 == pytest.approx(1.0, abs=0.01)
 
 
 def test_negative_estimate_not_clamped():
     m = build("Ishigami")
-    plan = build_plan(
-        m, EstimatorKind.SOBOL, 64, SamplerSpec(kind="MC", seed=12345, run_index=1)
-    )
-    s = [e.s_i_hat for e in estimate_main_index(plan)]
+    mc = SamplerSpec(kind="MC", seed=12345, run_index=1)
+    s = list(_estimate(m, EstimatorKind.SOBOL, 64, mc))
     assert s == pytest.approx([0.2739, 0.3647, -0.1002], abs=5e-4)
     assert s[2] < 0.0
 
 
 def test_estimates_carry_metadata():
     m = build("Linear4")
-    plan = build_plan(m, EstimatorKind.OWEN, 256, QMC)
-    est = estimate_main_index(plan)
-    assert [e.input for e in est] == [1, 2, 3, 4]
-    assert all(e.kind is EstimatorKind.OWEN and e.n == 256 for e in est)
-    assert all(e.eval_count_share == pytest.approx(256 * 10 / 4) for e in est)
-    assert all(e.d_hat > 0 and e.s_i_hat == e.d_i_hat / e.d_hat for e in est)
+    cell = estimate_cell(m, (EstimatorKind.OWEN,), 256, QMC)
+    assert list(cell) == [EstimatorKind.OWEN] and cell[EstimatorKind.OWEN].shape == (4,)
+    # S_i is input i's D_i over the one pooled D, in input order
+    plan = _plan(m, EstimatorKind.OWEN, 256)
+    _, d_hat = estimate_mean_and_variance(plan.f_a, plan.f_b)
+    d_i = [
+        estimate_owen(plan.f_a, plan.f_b, f_ab_i, f_ca_i)
+        for f_ab_i, f_ca_i in zip(plan.f_ab, plan.f_ca)
+    ]
+    assert d_hat > 0 and list(cell[EstimatorKind.OWEN]) == [x / d_hat for x in d_i]
 
 
 def test_smoke_minimum_sample_counts():
@@ -604,22 +630,13 @@ def test_smoke_minimum_sample_counts():
     for name in ("Linear4", "Ishigami", "GFunc10B"):
         m = build(name)
         for kind in DIRECT_KINDS:
-            plan = build_plan(m, kind, 2, QMC)
-            est = estimate_main_index(plan)
-            assert all(np.isfinite(e.s_i_hat) for e in est)
-        plan = build_plan(m, EstimatorKind.DLR, 4, QMC)
-        est = estimate_main_index(plan)
-        assert all(np.isfinite(e.s_i_hat) for e in est)
+            assert np.all(np.isfinite(_estimate(m, kind, 2)))
+        assert np.all(np.isfinite(_estimate(m, EstimatorKind.DLR, 4)))
 
 
 def test_all_estimators_agree_at_large_n():
     m = build("Linear4")
-    results = {}
-    for kind in ALL_KINDS:
-        plan = build_plan(m, kind, 1 << 16, QMC)
-        results[kind] = np.array(
-            [e.s_i_hat for e in estimate_main_index(plan)]
-        )
+    results = estimate_cell(m, ALL_KINDS, 1 << 16, QMC)
     kinds = list(results)
     for a in range(len(kinds)):
         for b in range(a + 1, len(kinds)):

@@ -2,6 +2,7 @@
 
 import re
 import runpy
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -47,4 +48,17 @@ def test_estimate_indices_demo_runs(capsys):
     assert "DepLinear3: correlated Gaussian inputs" in out
     assert [line.split()[1] for line in out.splitlines() if "  input " in line] == [
         "1:", "2:", "3:"
+    ]
+
+
+def test_convergence_study_demo_runs(tmp_path, capsys):
+    # the demo writes its .dat files next to itself, so run a copy
+    demo = shutil.copy(ROOT / "demos" / "convergence_study.py", tmp_path)
+    runpy.run_path(str(demo))
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    fits = [row[:2] for row in rows if len(row) == 4 and row[1].isdigit()]
+    kinds = ("dlr", "sk", "sobol")
+    assert fits == [[kind, str(i)] for kind in kinds for i in range(1, 5)]
+    assert sorted(p.name for p in tmp_path.glob("*.dat")) == [
+        f"linear4_i{i}.dat" for i in range(1, 5)
     ]

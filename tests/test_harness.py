@@ -8,7 +8,7 @@ import pytest
 
 import sobolbench.estimators as estimators
 import sobolbench.harness as harness
-from sobolbench.estimators import EstimatorKind, build_plan, estimate_main_index
+from sobolbench.estimators import EstimatorKind
 from sobolbench.harness import (
     BenchmarkConfig,
     ConvergenceRecord,
@@ -360,7 +360,7 @@ def test_cell_fills_one_set_of_outputs_at_a_time(monkeypatch):
 
 
 def _assert_cells_match_standalone_plans(sampler):
-    # every record equals the one computed from standalone plans, which
+    # every record equals the one computed from standalone cells, which
     # draw and evaluate per estimator and cell
     cfg = BenchmarkConfig(
         test="Ishigami", estimators=tuple(EstimatorKind), sampler=sampler,
@@ -372,8 +372,7 @@ def _assert_cells_match_standalone_plans(sampler):
         block = []
         for k in range(cfg.k):
             spec = SamplerSpec(kind=sampler, seed=cfg.master_seed, run_index=k)
-            plan = build_plan(model, kind, n, spec)
-            block.append([e.s_i_hat for e in estimate_main_index(plan)])
+            block.append(estimate_cell(model, (kind,), n, spec)[kind])
         return np.array(block)
 
     blocks = {
