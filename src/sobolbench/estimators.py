@@ -13,8 +13,9 @@ Model outputs live in an evaluation set: one unit point set of dimension d,
 2d, or 3d, whose coordinate blocks form the base matrices A, B, C, and the
 outputs at A, B, C, AB_i and CA_i, each evaluated the first time it is read.
 One set per (N, run) cell, drawn at the widest width its estimators need
-and transformed once, serves all of them under either sampler; under QMC
-a row slice of a longer run's set serves a shorter run inside it.  Each
+and transformed once, serves all of them under either sampler.  A shorter
+run inside a longer one is a row slice of its set under QMC and a row
+prefix of its draw under MC (see :func:`inner_set`).  Each
 estimator is a pure reduction over the blocks of the set it reads
 (:func:`sobolbench.harness.estimate_cell` runs all of a cell's estimators).
 """
@@ -47,6 +48,7 @@ __all__ = [
     "bin_schedule",
     "eval_count",
     "evaluation_set",
+    "inner_set",
     "build_plan",
     "estimate_mean_and_variance",
     "estimate_sobol_original",
@@ -167,15 +169,13 @@ def draw_width(kind: EstimatorKind, d: int, analytic_f0: bool = True) -> int:
     return d * len(matrices)
 
 
-def _base_matrices(
-    model: InputModel, n: int, sampler: SamplerSpec, width: int
-) -> tuple[np.ndarray, ...]:
-    """The base matrices A, B[, C] of one run in model space, views of one draw.
+def _base_matrices(draw: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The base matrices A, B[, C] of a run of n points, views of its draw.
 
     A width W is one n-point draw of ``W * d`` unit columns, laid out in
     block order: matrix j is the rows ``j * n`` to ``(j + 1) * n`` of one
-    (W * n, d) array, transformed in one call, column-major.  A narrower
-    draw of the same run is a row prefix of it, with the same A and B:
+    (W * n, d) array, transformed in one call.  A narrower draw of the same
+    run is a row prefix of it, with the same A and B:
 
     * QMC: Sobol' dimensions are prefix-stable.  Matrix j is coordinate
       block j of the draw, put in block order by one copy (width above 1).
@@ -183,37 +183,42 @@ def _base_matrices(
       (see :mod:`sobolbench.sampling`), so, reshaped without a copy,
       matrix j is the values ``j * n * d`` onward.
 
-    Under QMC, run k of n points is the Sobol' block ``[1 + k*n, 1 +
-    (k+1)*n)``.  For a power of two M >= n, that block is the rows
-    ``k*n mod M`` onward of run ``k*n // M`` of M points, in every matrix
-    and so in every output (see :meth:`EvaluationSet.rows`).  MC has no
-    such nesting across n: matrix B at n is the stream values ``n * d`` to
-    ``2 * n * d``, which is not a row slice of B at 2n.
+    Runs nest across n too (see :func:`inner_set`).  Under QMC, run k of n
+    points is the Sobol' block ``[1 + k*n, 1 + (k+1)*n)``: for a power of
+    two M >= n, the rows ``k*n mod M`` onward of run ``k*n // M`` of M
+    points, in every matrix and so in every output.  Under MC, run k's draw
+    at n is the leading ``W * n`` rows of its draw at M, re-blocked: for
+    n < M, B at n is rows of A at M: the draws nest, the outputs do not.
     """
-    d = model.d
-    u = generate_uniform(sampler, n, width * d).values
+    return tuple(draw[j : j + n] for j in range(0, len(draw), n))
+
+
+def inner_set(
+    outer: EvaluationSet, start: int, n: int, sampler: SamplerSpec
+) -> EvaluationSet:
+    """The set of run ``(n, sampler)``, from row ``start`` of ``outer``'s longer run.
+
+    The caller vouches that the run nests there (see :func:`_base_matrices`).
+    Under QMC it is a row slice of ``outer`` that shares its outputs (see
+    :meth:`EvaluationSet.rows`); under MC, an unfilled set on a re-blocked
+    row prefix of ``outer``'s draw (``start`` is 0) that shares no outputs.
+    """
     if sampler.kind == "QMC":
-        u = u.reshape(n, width, d).swapaxes(0, 1)
-    # A copy only for a QMC draw of width > 1; rebinding u frees the draw.
-    u = u.reshape(width * n, d)
-    rows = UnitPointSet(n=width * n, dims=d, values=u)
-    if model.covariance is not None:
-        x = transform_correlated_normal(rows, model.covariance)
-    else:
-        x = transform_independent(rows, model.marginals)
-    return tuple(x[j * n : (j + 1) * n] for j in range(width))
+        return outer.rows(start, n, sampler)
+    prefix = outer.draw[: outer.dims // outer.model.d * n]
+    return EvaluationSet(outer.model, n, sampler, _base_matrices(prefix, n), prefix)
 
 
 class EvaluationSet:
     """Model outputs on base matrices, each computed the first time it is read.
 
     ``matrices`` are A, B[, C] in model space, each (n, d), the blocks of
-    one draw of ``dims`` = d, 2d or 3d unit columns (see
-    :func:`_base_matrices`).  Outputs are keyed by block name: ``"a"``,
-    ``"b"``, ``"c"`` (shape (n,)), and ``"ab"``, ``"ca"`` (shape (d, n)),
-    where block ``"xy"`` row i is the output at matrix y with column i taken
-    from matrix x.  Every estimator of a cell reduces the cell's one set,
-    so all of them read the same arrays.
+    ``draw``, one draw of ``dims`` = d, 2d or 3d unit columns (see
+    :func:`_base_matrices`; a row slice has no draw).  Outputs are keyed by
+    block name: ``"a"``, ``"b"``, ``"c"`` (shape (n,)), and ``"ab"``,
+    ``"ca"`` (shape (d, n)), where block ``"xy"`` row i is the output at
+    matrix y with column i taken from matrix x.  Every estimator of a cell
+    reduces the cell's one set, so all of them read the same arrays.
     """
 
     def __init__(
@@ -222,10 +227,12 @@ class EvaluationSet:
         n: int,
         sampler: SamplerSpec,
         matrices: Sequence[np.ndarray],
+        draw: Optional[np.ndarray] = None,
     ):
         self.model = model
         self.n = n
         self.sampler = sampler
+        self.draw = draw
         self.dims = len(matrices) * model.d
         self._x = dict(zip("abc", matrices))
         self._f: dict[str, np.ndarray] = {}
@@ -234,11 +241,10 @@ class EvaluationSet:
     def rows(self, start: int, n: int, sampler: SamplerSpec) -> EvaluationSet:
         """Rows ``start`` to ``start + n`` of this set, as the set of ``(n, sampler)``.
 
-        The caller vouches that those rows are that run's draw (under QMC a
-        run of n points lies inside a run of any longer power-of-two length,
-        see :func:`_base_matrices`).  The matrices are views, and each output
-        block is the row slice ``[..., start:start + n]`` of this set's
-        block, so either set fills a block for both.
+        The caller vouches that those rows are that run's draw (see
+        :func:`inner_set`).  The matrices are views, and each output block
+        is the row slice ``[..., start:start + n]`` of this set's block, so
+        either set fills a block for both.
         """
         if start < 0 or n <= 0 or start + n > self.n:
             raise ValueError(f"rows {start}..{start + n} lie outside a set of {self.n}")
@@ -286,14 +292,24 @@ def evaluation_set(
 ) -> EvaluationSet:
     """One unfilled set that gives each of ``kinds`` the bits it would draw alone.
 
-    The set views one draw at the widest width any of ``kinds`` needs (see
-    :func:`_base_matrices`).  A narrower draw of the run is a prefix of it,
-    with the same A and B, so one set serves every estimator of a cell
-    under either sampler.
+    The set views one draw at the widest width any of ``kinds`` needs.  A
+    narrower draw of the run is a prefix of it (see :func:`_base_matrices`),
+    so one set serves every estimator of a cell under either sampler.
     """
+    d = model.d
     analytic_f0 = model.analytic_f0 is not None
-    width = max(draw_width(kind, model.d, analytic_f0) for kind in kinds) // model.d
-    return EvaluationSet(model, n, sampler, _base_matrices(model, n, sampler, width))
+    width = max(draw_width(kind, d, analytic_f0) for kind in kinds) // d
+    u = generate_uniform(sampler, n, width * d).values
+    if sampler.kind == "QMC":
+        u = u.reshape(n, width, d).swapaxes(0, 1)
+    # A copy only for a QMC draw of width > 1; rebinding u frees the draw.
+    u = u.reshape(width * n, d)
+    rows = UnitPointSet(n=width * n, dims=d, values=u)
+    if model.covariance is not None:
+        x = transform_correlated_normal(rows, model.covariance)
+    else:
+        x = transform_independent(rows, model.marginals)
+    return EvaluationSet(model, n, sampler, _base_matrices(x, n), x)
 
 
 def build_plan(

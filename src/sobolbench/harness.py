@@ -3,12 +3,12 @@
 For each sample count N = 2^p on a ladder, K replicate runs are performed
 (disjoint Sobol' blocks for QMC, independently seeded streams for MC).  Each
 run evaluates the model once and every estimator reduces the shared
-outputs.  Under QMC a run at N is a row block of a run at the top rung
-N_top, so a QMC ladder evaluates only its top rung and every lower run
-reduces a row slice of those outputs.  MC runs share nothing across rungs:
-matrix B at N is the stream values [N d, 2 N d), not a row slice of B at
-2N.  The root-mean-square error of each estimator's S_i against the
-model's analytic value is recorded:
+outputs.  Each run at N lies inside a top-rung run, drawn once per ladder:
+under QMC as a row block, so a QMC ladder evaluates only its top rung; under
+MC as a re-blocked row prefix of the draw (matrix B at N is the stream values
+[N d, 2 N d), not a row slice of B at N_top), so each MC run evaluates its
+own outputs.  The root-mean-square error of each estimator's S_i against
+the model's analytic value is recorded:
 
     eps_i(N) = sqrt( (1/K) * sum_k (S_i_hat[k] - S_i_analytic)^2 )
 
@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimators import (
+    BinSchedule,
     EstimatorKind,
     EvaluationSet,
     IncompatibleModelError,
@@ -34,6 +35,7 @@ from .estimators import (
     estimate_main_index,
     eval_count,
     evaluation_set,
+    inner_set,
 )
 from .models import InputModel, TestCaseId, build
 from .sampling import SamplerSpec
@@ -184,6 +186,22 @@ def _sampler_for(cfg: BenchmarkConfig, run_index: int) -> SamplerSpec:
     return SamplerSpec(kind="MC", seed=cfg.master_seed, run_index=run_index)
 
 
+def _cell_bins(
+    model: InputModel, kinds: Sequence[EstimatorKind], n: int, bin_count: Optional[int]
+) -> Optional[BinSchedule]:
+    """DLR's bin schedule at n, or None, once ``kinds`` are checked in order."""
+    bins = None
+    for kind in kinds:
+        if kind == EstimatorKind.DLR:
+            bins = bin_schedule(n, bin_count)
+        elif model.has_dependent_inputs:
+            raise IncompatibleModelError(
+                f"estimator {kind.value!r} on {model.name}: "
+                "direct formulas assume independent inputs"
+            )
+    return bins
+
+
 def estimate_cell(
     model: InputModel,
     kinds: Sequence[EstimatorKind],
@@ -194,23 +212,12 @@ def estimate_cell(
 ) -> dict[EstimatorKind, np.ndarray]:
     """Every estimator's d main-effect estimates S_i from one (N, run) draw.
 
-    Every kind is checked before anything is drawn or evaluated: direct
-    formulas refuse dependent-input models, and DLR's bin schedule (see
-    :func:`bin_schedule`) is resolved once.  The estimators then reduce one
-    evaluation set: ``evaluations`` when given (say, rows of a longer run's
-    set), else one drawn for the cell (see :func:`evaluation_set`), so each
-    model output is computed once for all of them.  A set drawn here does
-    not outlive the cell.
+    Every kind is checked before anything is drawn (see :func:`_cell_bins`).
+    The estimators then reduce one evaluation set, so each output is
+    computed once for all: ``evaluations`` when given (say, part of a
+    longer run's set), else one drawn for the cell, which dies with it.
     """
-    bins = None
-    for kind in kinds:
-        if kind == EstimatorKind.DLR:
-            bins = bin_schedule(n, bin_count)
-        elif model.has_dependent_inputs:
-            raise IncompatibleModelError(
-                f"estimator {kind.value!r} on {model.name}: "
-                "direct formulas assume independent inputs"
-            )
+    bins = _cell_bins(model, kinds, n, bin_count)
     if evaluations is None:
         evaluations = evaluation_set(model, kinds, n, sampler)
     return {
@@ -220,25 +227,21 @@ def estimate_cell(
 
 
 def _draw_groups(cfg: BenchmarkConfig) -> list[list[tuple[int, int, int]]]:
-    """The ladder's (N, run index) cells, grouped by the cell whose draw holds them.
+    """The ladder's (N, run index) cells, one group per top-rung run.
 
-    A group lists its cells as (n, k, start), its own cell first: cell
-    (n, k) is rows ``start`` to ``start + n`` of the first cell's draw (see
-    :func:`sobolbench.estimators._base_matrices`).  Under QMC that is top
-    run ``k * n // N_top`` at row ``k * n % N_top``; under MC every cell is
-    a group of its own.
+    A group lists its cells as (n, k, start), its top-rung cell first: cell
+    (n, k) starts at row ``start`` of that cell's draw (see
+    :func:`sobolbench.estimators.inner_set`).  Under QMC that is top run
+    ``k * n // N_top`` at row ``k * n % N_top``; under MC, top run k at row 0.
     """
     n_top = 1 << cfg.p_max
-    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for p in range(cfg.p_min, cfg.p_max + 1):
+    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(cfg.k)]
+    for p in range(cfg.p_max, cfg.p_min - 1, -1):
         n = 1 << p
         for k in range(cfg.k):
-            if cfg.sampler == "QMC":
-                own, start = (n_top, k * n // n_top), k * n % n_top
-            else:
-                own, start = (n, k), 0
-            groups.setdefault(own, []).append((n, k, start))
-    return [sorted(cells, key=lambda c: -c[0]) for cells in groups.values()]
+            top, start = divmod(k * n, n_top) if cfg.sampler == "QMC" else (k, 0)
+            groups[top].append((n, k, start))
+    return groups
 
 
 def _run_group(
@@ -246,19 +249,19 @@ def _run_group(
 ) -> dict[tuple[int, int], dict[EstimatorKind, np.ndarray]]:
     """S_i estimates of every configured estimator at each cell of one group.
 
-    The group's own cell, reduced first, fills the set's output blocks; the
-    other cells reduce row slices of them.  The set is dropped on return.
+    The top-rung run is drawn once and each cell reduces its part (see
+    :func:`sobolbench.estimators.inner_set`): under QMC the top cell fills
+    outputs that lower cells slice; under MC each cell fills and drops its
+    own.  The draw is dropped on return.
     """
-    own_n, own_k, _ = cells[0]
-    evaluations = evaluation_set(
-        model, cfg.estimators, own_n, _sampler_for(cfg, own_k)
-    )
+    n_top, top, _ = cells[0]
+    evaluations = evaluation_set(model, cfg.estimators, n_top, _sampler_for(cfg, top))
     results = {}
     for n, k, start in cells:
         sampler = _sampler_for(cfg, k)
         results[(n, k)] = estimate_cell(
             model, cfg.estimators, n, sampler, cfg.bin_override,
-            evaluations.rows(start, n, sampler),
+            inner_set(evaluations, start, n, sampler),
         )
     return results
 
@@ -270,17 +273,20 @@ def run_benchmark(
 
     Each (N, run index) cell's outputs are evaluated once for all
     configured estimators (see :func:`estimate_cell`), and under QMC once
-    for the whole ladder: every cell belongs to the group of the cell
-    whose draw holds it (see :func:`_draw_groups`).  Groups fan out over a
-    thread pool when ``threads`` (or the SOBOLBENCH_THREADS variable)
-    exceeds one; every cell is a pure function of its (N, run index) pair
-    and results are merged in a fixed order, so the output is identical
-    regardless of parallelism.
+    for the whole ladder; each replicate is drawn once, at the top rung,
+    for its group of cells (see :func:`_draw_groups`), after every kind is
+    checked against the model.  Groups fan out over a thread pool when
+    ``threads`` (or the SOBOLBENCH_THREADS variable) exceeds one; every
+    cell is a pure function of its (N, run index) pair and results are
+    merged in a fixed order, so the output is identical regardless of
+    parallelism.
     """
     model = build(cfg.test)
     if model.analytic_main is None:
         raise ValueError(f"{model.name}: RMSE requires analytic reference indices")
     n_threads = resolve_threads(threads)
+    # A bin schedule that partitions the smallest N partitions them all.
+    _cell_bins(model, cfg.estimators, 1 << cfg.p_min, cfg.bin_override)
 
     groups = _draw_groups(cfg)
     results: dict[tuple[int, int], dict[EstimatorKind, np.ndarray]] = {}

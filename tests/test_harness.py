@@ -168,9 +168,11 @@ def test_records_cost_columns():
 
 def test_thread_count_does_not_change_records():
     # QMC groups are uneven (with K = 4 top run 0 holds every cell of the
-    # lowest rung), so QMC runs an odd thread count over them
+    # lowest rung), so QMC runs an odd thread count over them; MC too, over
+    # its K = 4 groups of one replicate each
     for test, kinds, sampler, threads in [
         ("Ishigami", (EstimatorKind.SK, EstimatorKind.DLR), "MC", 4),
+        ("ParkAhn7", tuple(EstimatorKind), "MC", 3),
         ("GFunc10A", tuple(EstimatorKind), "QMC", 3),
         ("DepQuad4", (EstimatorKind.DLR,), "QMC", 3),
     ]:
@@ -302,13 +304,46 @@ def test_qmc_ladder_evaluates_only_its_top_rung(counted):
 
 def test_mc_ladder_evaluates_every_cell(counted):
     # MC's B at N is not a row slice of B at 2N, so each ParkAhn7 cell
-    # (d = 7) still makes its own 2d + 2 = 16 model calls of N rows
+    # (d = 7) still makes its own 2d + 2 = 16 model calls of N rows; the
+    # calls come replicate by replicate, so only their multiset is fixed
     cfg = BenchmarkConfig(
         test="ParkAhn7", estimators=tuple(EstimatorKind), sampler="MC",
         p_min=4, p_max=7, k=3,
     )
     run_benchmark(cfg)
-    assert counted["rows"] == [1 << p for p in range(4, 8) for _ in range(3 * 16)]
+    assert sorted(counted["rows"]) == [
+        1 << p for p in range(4, 8) for _ in range(3 * 16)
+    ]
+
+
+@pytest.mark.parametrize(
+    "test,kinds,width",
+    [("ParkAhn7", tuple(EstimatorKind), 21), ("DepQuad4", (EstimatorKind.DLR,), 4)],
+)
+def test_mc_ladder_draws_each_run_once(counted, test, kinds, width):
+    # an MC run's draw at N is a row prefix of its draw at N_top = 128, so
+    # a ladder (p = 4..7, K = 3) draws and transforms each replicate once,
+    # at the top rung: 3d = 21 columns for ParkAhn7 all-five, d = 4 for
+    # DepQuad4 dlr
+    cfg = BenchmarkConfig(
+        test=test, estimators=kinds, sampler="MC", p_min=4, p_max=7, k=3
+    )
+    run_benchmark(cfg)
+    assert counted["draws"] == [width] * 3
+    assert counted["transformed"] == [128 * width] * 3
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("sampler", ["MC", "QMC"])
+def test_refused_ladder_draws_nothing(counted, sampler, threads):
+    # the pairing is refused before any replicate is drawn
+    cfg = BenchmarkConfig(
+        test="DepQuad4", estimators=(EstimatorKind.DLR, EstimatorKind.SOBOL),
+        sampler=sampler, p_min=8, p_max=10, k=4,
+    )
+    with pytest.raises(estimators.IncompatibleModelError, match="independent"):
+        run_benchmark(cfg, threads=threads)
+    assert counted["draws"] == [] and counted["f"] == 0
 
 
 def test_qmc_dlr_only_draws_d_columns(counted):
@@ -318,12 +353,11 @@ def test_qmc_dlr_only_draws_d_columns(counted):
     assert counted["f"] == 3
 
 
-def test_cell_fills_one_set_of_outputs_at_a_time(monkeypatch):
-    # an MC ParkAhn7 all-five cell fills one set (3d columns) in 2d + 2 = 16
-    # model calls, and neither the set nor its outputs outlive the cell.  A
-    # plan holds a set's outputs but not the set, so liveness is judged by
-    # weak references to the outputs each set hands out, not by the set
-    # alone.
+@pytest.fixture()
+def tracked(monkeypatch):
+    """Every evaluation set made, each with weak references to the outputs
+    it hands out.  A plan holds a set's outputs but not the set, so
+    liveness is judged by those references, not by the set alone."""
     live = weakref.WeakSet()
     handed_out = []
 
@@ -340,8 +374,11 @@ def test_cell_fills_one_set_of_outputs_at_a_time(monkeypatch):
             return out
 
     monkeypatch.setattr(estimators, "EvaluationSet", TrackedSet)
-    base = build("ParkAhn7")
-    sets_alive = []
+    return live, handed_out
+
+
+def _with_sets_alive(base, handed_out, sets_alive):
+    """``base`` whose f records how many sets have outputs alive at each call."""
 
     def f(x):
         sets_alive.append(
@@ -349,7 +386,15 @@ def test_cell_fills_one_set_of_outputs_at_a_time(monkeypatch):
         )
         return base.f(x)
 
-    model = dataclasses.replace(base, f=f)
+    return dataclasses.replace(base, f=f)
+
+
+def test_cell_fills_one_set_of_outputs_at_a_time(tracked):
+    # an MC ParkAhn7 all-five cell fills one set (3d columns) in 2d + 2 = 16
+    # model calls, and neither the set nor its outputs outlive the cell
+    live, handed_out = tracked
+    sets_alive = []
+    model = _with_sets_alive(build("ParkAhn7"), handed_out, sets_alive)
     sampler = SamplerSpec(kind="MC", seed=7, run_index=1)
     cell = estimate_cell(model, tuple(EstimatorKind), 64, sampler)
     assert list(cell) == list(EstimatorKind)
@@ -359,14 +404,36 @@ def test_cell_fills_one_set_of_outputs_at_a_time(monkeypatch):
     assert all(r() is None for r in handed_out[0])  # nor any of its outputs
 
 
-def _assert_cells_match_standalone_plans(sampler):
+def test_mc_ladder_keeps_one_cell_of_outputs_alive(tracked, monkeypatch):
+    # the cells of an MC replicate share its one top-rung draw, but each
+    # fills outputs of its own, and none outlive their cell: over a
+    # ParkAhn7 ladder (p = 4..6, K = 2) at most one set has outputs alive
+    # at any model call, so the peak is one top cell plus its draw
+    live, handed_out = tracked
+    sets_alive = []
+    model = _with_sets_alive(build("ParkAhn7"), handed_out, sets_alive)
+    monkeypatch.setattr(harness, "build", lambda test: model)
+    cfg = BenchmarkConfig(
+        test="ParkAhn7", estimators=tuple(EstimatorKind), sampler="MC",
+        p_min=4, p_max=6, k=2,
+    )
+    run_benchmark(cfg, threads=1)
+    assert len(sets_alive) == 3 * 2 * 16
+    assert max(sets_alive) == 1
+    assert sum(bool(refs) for refs in handed_out) == 3 * 2  # one set per cell
+    assert len(live) == 0
+    assert all(r() is None for refs in handed_out for r in refs)
+
+
+def _assert_cells_match_standalone_plans(
+    sampler, test="Ishigami", kinds=tuple(EstimatorKind)
+):
     # every record equals the one computed from standalone cells, which
     # draw and evaluate per estimator and cell
     cfg = BenchmarkConfig(
-        test="Ishigami", estimators=tuple(EstimatorKind), sampler=sampler,
-        p_min=6, p_max=8, k=3,
+        test=test, estimators=kinds, sampler=sampler, p_min=6, p_max=8, k=3,
     )
-    model = build("Ishigami")
+    model = build(test)
 
     def standalone(kind, n):
         block = []
@@ -375,9 +442,7 @@ def _assert_cells_match_standalone_plans(sampler):
             block.append(estimate_cell(model, (kind,), n, spec)[kind])
         return np.array(block)
 
-    blocks = {
-        (k, 1 << p): standalone(k, 1 << p) for k in EstimatorKind for p in (6, 7, 8)
-    }
+    blocks = {(k, 1 << p): standalone(k, 1 << p) for k in kinds for p in (6, 7, 8)}
     for r in run_benchmark(cfg, threads=2):
         block = blocks[(r.estimator, r.n)]
         assert r.rmse == float(rmse_against(block, model.analytic_main)[r.input - 1])
@@ -386,6 +451,17 @@ def _assert_cells_match_standalone_plans(sampler):
 
 def test_shared_cells_match_standalone_plans():
     _assert_cells_match_standalone_plans("MC")
+
+
+@pytest.mark.parametrize(
+    "test,kinds",
+    [("ParkAhn7", tuple(EstimatorKind)), ("DepQuad4", (EstimatorKind.DLR,))],
+)
+def test_mc_prefix_cells_match_standalone_plans(test, kinds):
+    # the lower MC cells re-block a row prefix of the top run's transformed
+    # draw (N_top = 256), which gives the bits of their own draws through
+    # the lognormal (ParkAhn7) and the Cholesky (DepQuad4) transforms
+    _assert_cells_match_standalone_plans("MC", test, kinds)
 
 
 def test_qmc_row_slice_cells_match_standalone_plans():
