@@ -181,26 +181,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     cell = estimate_cell(model, kinds, args.n, spec, args.bins)
 
     print(f"test {model.name} (d={model.d}), sampler {args.sampler}, N={args.n}")
-    analytic_f0 = model.analytic_f0 is not None
     any_negative = False
     for kind in kinds:
-        evals = eval_count(kind, model.d, args.n, analytic_f0)
+        evals = eval_count(kind, model.d, args.n)
         print(f"\nestimator {kind.value}: {evals} model evaluations")
-        if kind is EstimatorKind.ORACLE:
-            print(f"  (f0 source: {'analytic' if analytic_f0 else 'estimated'})")
         print(f"  {'input':>5}  {'S_hat':>12}  {'analytic':>12}  {'|error|':>12}")
-        for i, s_hat in enumerate(cell[kind]):
-            if model.analytic_main is not None:
-                ref = model.analytic_main[i]
-                ref_s = f"{ref:12.6f}"
-                err_s = f"{abs(s_hat - ref):12.6f}"
-            else:
-                ref_s, err_s = f"{'n/a':>12}", f"{'n/a':>12}"
+        for i, (s_hat, ref) in enumerate(zip(cell[kind], model.analytic_main), 1):
             mark = ""
             if s_hat < 0.0:
                 mark = "  *"
                 any_negative = True
-            print(f"  {i + 1:>5}  {s_hat:12.6f}  {ref_s}  {err_s}{mark}")
+            print(f"  {i:>5}  {s_hat:12.6f}  {ref:12.6f}  {abs(s_hat - ref):12.6f}{mark}")
     if any_negative:
         print("\n  * negative estimate: statistical fluctuation around a small index")
     return 0

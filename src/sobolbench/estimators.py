@@ -6,12 +6,12 @@ shared estimate of the total variance D to give S_i = D_i / D:
 * ``sobol``  : mean(fA * fAB_i) - mean(fA)^2            (two sample sets)
 * ``sk``     : mean(fA * (fAB_i - fB))                  (two sample sets)
 * ``owen``   : mean((fA - fCA_i) * (fAB_i - fB))        (three sample sets)
-* ``oracle`` : mean((fA - f0) * (fAB_i - fB))           (exact mean f0)
+* ``oracle`` : mean((fA - f0) * (fAB_i - fB))           (model's exact f0)
 * ``dlr``    : sort by x_i, bin, variance of bin means  (single sample set)
 
 Model outputs live in an evaluation set: one unit point set of dimension d,
 2d, or 3d, whose coordinate blocks form the base matrices A, B, C, and the
-outputs at A, B, C, AB_i and CA_i, each evaluated the first time it is read.
+outputs at A, B, AB_i and CA_i, each evaluated the first time it is read.
 One set per (N, run) cell, drawn at the widest width its estimators need
 and transformed once, serves all of them under either sampler.  A shorter
 run inside a longer one is a row slice of its set under QMC and a row
@@ -122,8 +122,9 @@ class EvaluationPlan:
     that shares coordinate i with A); ``f_ca[i]`` holds outputs at A with
     column i replaced from C (Owen's third set).  Blocks the estimator does
     not read are None.  ``bins`` is the cell's DLR bin schedule, read by
-    DLR alone; ``f0`` is the oracle's mean, the analytic value or else the
-    mean of ``f_c``, and None for the other estimators.
+    DLR alone; ``f0`` is the model's exact mean, read by the oracle alone.
+    No estimator reads outputs at C alone, so ``f_c`` is always None; it
+    stays for the benchmark tracer (``perfbench/spans.py``), which reads it.
     """
 
     kind: EstimatorKind
@@ -137,9 +138,9 @@ class EvaluationPlan:
     f0: Optional[float] = None
 
 
-# Output blocks each estimator reduces: "a", "b" and "c" are the outputs at
-# the base matrices A, B and C, one block of N evaluations each; "ab" and
-# "ca" hold one block per input, d blocks each (see EvaluationPlan).
+# Output blocks each estimator reduces, in evaluation order: "a" and "b" are
+# the outputs at the base matrices A and B, one block of N evaluations each;
+# "ab" and "ca" hold one block per input, d blocks each (see EvaluationPlan).
 _OUTPUT_BLOCKS = {
     EstimatorKind.SOBOL: ("a", "ab"),
     EstimatorKind.SK: ("a", "b", "ab"),
@@ -149,24 +150,14 @@ _OUTPUT_BLOCKS = {
 }
 
 
-def _output_blocks(kind: EstimatorKind, analytic_f0: bool = True) -> tuple[str, ...]:
-    """The output blocks ``kind`` reads, in evaluation order."""
-    if kind == EstimatorKind.ORACLE and not analytic_f0:
-        # No exact mean available: spend one extra block on estimating it.
-        return _OUTPUT_BLOCKS[kind] + ("c",)
-    return _OUTPUT_BLOCKS[kind]
-
-
-def eval_count(kind: EstimatorKind, d: int, n: int, analytic_f0: bool = True) -> int:
+def eval_count(kind: EstimatorKind, d: int, n: int) -> int:
     """Model evaluations of one ``kind`` run for all d inputs, alone."""
-    blocks = _output_blocks(kind, analytic_f0)
-    return n * sum(d if len(b) == 2 else 1 for b in blocks)
+    return n * sum(d if len(b) == 2 else 1 for b in _OUTPUT_BLOCKS[kind])
 
 
-def draw_width(kind: EstimatorKind, d: int, analytic_f0: bool = True) -> int:
+def draw_width(kind: EstimatorKind, d: int) -> int:
     """Columns of the unit draw ``kind`` needs alone: d, 2d or 3d."""
-    matrices = {m for block in _output_blocks(kind, analytic_f0) for m in block}
-    return d * len(matrices)
+    return d * len({m for block in _OUTPUT_BLOCKS[kind] for m in block})
 
 
 def _base_matrices(draw: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -215,7 +206,7 @@ class EvaluationSet:
     ``matrices`` are A, B[, C] in model space, each (n, d), the blocks of
     ``draw``, one draw of ``dims`` = d, 2d or 3d unit columns (see
     :func:`_base_matrices`; a row slice has no draw).  Outputs are keyed by
-    block name: ``"a"``, ``"b"``, ``"c"`` (shape (n,)), and ``"ab"``,
+    block name: a matrix name such as ``"a"`` (shape (n,)), and ``"ab"``,
     ``"ca"`` (shape (d, n)), where block ``"xy"`` row i is the output at
     matrix y with column i taken from matrix x.  Every estimator of a cell
     reduces the cell's one set, so all of them read the same arrays.
@@ -297,8 +288,7 @@ def evaluation_set(
     so one set serves every estimator of a cell under either sampler.
     """
     d = model.d
-    analytic_f0 = model.analytic_f0 is not None
-    width = max(draw_width(kind, d, analytic_f0) for kind in kinds) // d
+    width = max(draw_width(kind, d) for kind in kinds) // d
     u = generate_uniform(sampler, n, width * d).values
     if sampler.kind == "QMC":
         u = u.reshape(n, width, d).swapaxes(0, 1)
@@ -320,15 +310,11 @@ def build_plan(
     """The blocks of ``evaluations`` that ``kind`` reads, for all d inputs.
 
     Reading a block evaluates it if no earlier plan on the set has.  The
-    caller checks that ``kind`` applies to the set's model and passes
-    DLR's bin schedule (see :func:`sobolbench.harness.estimate_cell`).
+    caller checks that ``kind`` applies to the set's model (the oracle
+    needs its exact mean) and passes DLR's bin schedule (see
+    :func:`sobolbench.harness.estimate_cell`).
     """
-    model = evaluations.model
-    analytic_f0 = model.analytic_f0 is not None
-    outputs = {b: evaluations.f(b) for b in _output_blocks(kind, analytic_f0)}
-    f0 = None
-    if kind == EstimatorKind.ORACLE:
-        f0 = model.analytic_f0 if analytic_f0 else float(outputs["c"].mean())
+    outputs = {b: evaluations.f(b) for b in _OUTPUT_BLOCKS[kind]}
     return EvaluationPlan(
         kind=kind,
         x_a=evaluations.x("a"),
@@ -336,9 +322,8 @@ def build_plan(
         f_b=outputs.get("b"),
         f_ab=outputs.get("ab"),
         f_ca=outputs.get("ca"),
-        f_c=outputs.get("c"),
         bins=bins,
-        f0=f0,
+        f0=evaluations.model.analytic_f0 if kind == EstimatorKind.ORACLE else None,
     )
 
 

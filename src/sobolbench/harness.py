@@ -38,7 +38,7 @@ from .estimators import (
     inner_set,
 )
 from .models import InputModel, TestCaseId, build
-from .sampling import SamplerSpec
+from .sampling import SOBOL_PERIOD, SamplerSpec
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -102,6 +102,13 @@ class BenchmarkConfig:
             raise ValueError("p_min must be at least 1")
         if self.k < 2:
             raise ValueError("K must be at least 2")
+        # QMC replicates are consecutive Sobol' blocks of 2^p_max points after
+        # the skipped index 0, so the last ends at sequence index K * 2^p_max.
+        if self.sampler == "QMC" and self.k << self.p_max >= SOBOL_PERIOD:
+            raise ValueError(
+                f"QMC ladder needs K * 2^p_max = {self.k << self.p_max} Sobol' "
+                f"points, past the generator period of {SOBOL_PERIOD}"
+            )
         if self.fit_window not in ("upper", "full"):
             raise ValueError(f"unknown fit window {self.fit_window!r}")
         if self.bin_override is not None:
@@ -145,9 +152,9 @@ class RateFit:
 def cost(kind: EstimatorKind, d: int, n: int) -> tuple[int, int]:
     """(actual, table1) evaluation counts for a full set of d indices.
 
-    ``actual`` is what one ``kind`` run evaluates alone on a model with an
-    analytic mean (main effects only; see :func:`eval_count`), whether or
-    not the harness shares those evaluations with other estimators.
+    ``actual`` is what one ``kind`` run evaluates alone (main effects only;
+    see :func:`eval_count`), whether or not the harness shares those
+    evaluations with other estimators.
     ``table1`` is the published convention, which for the original Sobol'
     formula budgets the joint {S_i, S_i_tot} set: N(2d+1) instead of N(d+1).
     The two differ only for that estimator.
@@ -189,7 +196,11 @@ def _sampler_for(cfg: BenchmarkConfig, run_index: int) -> SamplerSpec:
 def _cell_bins(
     model: InputModel, kinds: Sequence[EstimatorKind], n: int, bin_count: Optional[int]
 ) -> Optional[BinSchedule]:
-    """DLR's bin schedule at n, or None, once ``kinds`` are checked in order."""
+    """DLR's bin schedule at n, or None, once ``kinds`` are checked in order.
+
+    Direct formulas need independent inputs; the oracle also needs the
+    model's exact mean.
+    """
     bins = None
     for kind in kinds:
         if kind == EstimatorKind.DLR:
@@ -198,6 +209,10 @@ def _cell_bins(
             raise IncompatibleModelError(
                 f"estimator {kind.value!r} on {model.name}: "
                 "direct formulas assume independent inputs"
+            )
+        elif kind == EstimatorKind.ORACLE and model.analytic_f0 is None:
+            raise IncompatibleModelError(
+                f"estimator 'oracle' on {model.name}: needs the model's exact mean f0"
             )
     return bins
 
@@ -282,8 +297,6 @@ def run_benchmark(
     parallelism.
     """
     model = build(cfg.test)
-    if model.analytic_main is None:
-        raise ValueError(f"{model.name}: RMSE requires analytic reference indices")
     n_threads = resolve_threads(threads)
     # A bin schedule that partitions the smallest N partitions them all.
     _cell_bins(model, cfg.estimators, 1 << cfg.p_min, cfg.bin_override)

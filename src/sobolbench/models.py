@@ -192,28 +192,23 @@ def trilinear_exact_moments(
     return f0, D, partial
 
 
-def build_park_ahn7(interpretation: str = "median") -> InputModel:
+def build_park_ahn7() -> InputModel:
     """Ten-term trilinear model with independent lognormal inputs.
 
     The published parameter list (2, 3, 0.001, 0.002, 0.004, 0.005, 0.003 with
     spread 0.4214) does not say how the two numbers parameterize a lognormal.
-    Reading them as (median, sd of ln x) reproduces the quoted reference
-    indices; the other readings do not (see tests), so "median" is the
-    default.  Under a non-default interpretation the quoted indices no longer
-    apply and analytic_main is left unset.
+    Only reading them as (median, sd of ln x) reproduces the quoted reference
+    indices; the test suite measures the misfit of the other readings.
     """
-    marginals = tuple(
-        Lognormal(m, _PARKAHN_SD, interpretation=interpretation) for m in _PARKAHN_M
-    )
+    marginals = tuple(Lognormal(m, _PARKAHN_SD) for m in _PARKAHN_M)
     moments = np.array([marg.moments() for marg in marginals])
     f0, D, _ = trilinear_exact_moments(_PARKAHN_TERMS, moments[:, 0], moments[:, 1])
-    main = np.asarray(_PARKAHN_MAIN) if interpretation == "median" else None
     return InputModel(
         name="ParkAhn7",
         d=7,
         f=_parkahn_f,
         marginals=marginals,
-        analytic_main=main,
+        analytic_main=np.asarray(_PARKAHN_MAIN),
         analytic_f0=f0,
         analytic_D=D,
     )

@@ -32,12 +32,12 @@ from scipy.special import ndtri
 from ._directions import MAX_DIM, MAXBIT, direction_vectors
 
 __all__ = [
+    "SOBOL_PERIOD",
     "UnitPointSet",
     "SamplerSpec",
     "Uniform",
     "Normal",
     "Lognormal",
-    "LOGNORMAL_INTERPRETATIONS",
     "CovarianceSpec",
     "generate_uniform",
     "mix_seed",
@@ -45,6 +45,9 @@ __all__ = [
     "transform_independent",
     "transform_correlated_normal",
 ]
+
+# Raw Sobol' sequence indices lie in [0, 2^32); index 0 is never returned.
+SOBOL_PERIOD = 1 << MAXBIT
 
 _GRAY_TABLE_CACHE: dict[int, np.ndarray] = {}
 
@@ -126,7 +129,7 @@ def _sobol_raw(start: int, n: int, dims: int) -> np.ndarray:
     block contributes nothing and is skipped.  XOR is exact, so the grouping
     gives the same bits as one pass per direction vector.
     """
-    if start + n > 1 << MAXBIT:
+    if start + n > SOBOL_PERIOD:
         raise ValueError("sequence index exceeds the 2^32 generator period")
     tables = _gray_byte_tables(dims)
     idx = np.arange(start, start + n, dtype=np.uint32)
@@ -164,13 +167,6 @@ def generate_uniform(spec: SamplerSpec, n: int, dims: int) -> UnitPointSet:
 # ---------------------------------------------------------------------------
 # Marginals
 
-# How a Lognormal(p1, p2) parameter pair is read:
-#   "underlying" : p1, p2 are mean and sd of ln x          x = exp(p1 + p2 z)
-#   "median"     : p1 is the median of x, p2 the sd of ln x x = exp(ln p1 + p2 z)
-#   "moments"    : p1, p2 are mean and sd of x itself
-LOGNORMAL_INTERPRETATIONS = ("underlying", "median", "moments")
-
-
 @dataclass(frozen=True)
 class Uniform:
     a: float
@@ -204,50 +200,30 @@ class Normal:
 
 @dataclass(frozen=True)
 class Lognormal:
-    """Lognormal marginal with an explicit reading of its two parameters.
+    """Lognormal marginal x = exp(ln(median) + sigma * z), z standard normal.
 
-    The interpretation flag exists because published parameter lists for
-    lognormal inputs are routinely ambiguous; see
-    :data:`LOGNORMAL_INTERPRETATIONS` for the three supported readings.
+    ``sigma`` is the standard deviation of ln x.
     """
 
-    p1: float
-    p2: float
-    interpretation: str = "median"
+    median: float
+    sigma: float
 
     def __post_init__(self):
-        if self.interpretation not in LOGNORMAL_INTERPRETATIONS:
-            raise ValueError(
-                f"unknown lognormal interpretation {self.interpretation!r}; "
-                f"expected one of {LOGNORMAL_INTERPRETATIONS}"
-            )
-        if not self.p2 > 0:
-            raise ValueError("Lognormal requires p2 > 0")
-        if self.interpretation in ("median", "moments") and not self.p1 > 0:
-            raise ValueError(f"Lognormal({self.interpretation}) requires p1 > 0")
-
-    def log_params(self) -> tuple[float, float]:
-        """(mu, sigma) of the underlying normal ln x."""
-        if self.interpretation == "underlying":
-            return self.p1, self.p2
-        if self.interpretation == "median":
-            return float(np.log(self.p1)), self.p2
-        # moments: match E[x] = p1 and SD[x] = p2
-        sigma2 = float(np.log1p((self.p2 / self.p1) ** 2))
-        mu = float(np.log(self.p1)) - 0.5 * sigma2
-        return mu, float(np.sqrt(sigma2))
+        if not self.median > 0:
+            raise ValueError("Lognormal requires median > 0")
+        if not self.sigma > 0:
+            raise ValueError("Lognormal requires sigma > 0")
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
-        # In place, in the operation order of exp(mu + sigma * ndtri(u)).
-        mu, sigma = self.log_params()
+        # In place, in the operation order of exp(ln(median) + sigma * ndtri(u)).
         z = ndtri(u)
-        z *= sigma
-        z += mu
+        z *= self.sigma
+        z += float(np.log(self.median))
         return np.exp(z, out=z)
 
     def moments(self) -> tuple[float, float]:
-        """Exact (E[x], E[x^2]) from the underlying normal parameters."""
-        mu, sigma = self.log_params()
+        """Exact (E[x], E[x^2])."""
+        mu, sigma = float(np.log(self.median)), self.sigma
         e1 = float(np.exp(mu + 0.5 * sigma**2))
         e2 = float(np.exp(2.0 * mu + 2.0 * sigma**2))
         return e1, e2

@@ -105,20 +105,25 @@ def configs(draw):
     estimators = tuple(
         draw(st.lists(st.sampled_from(EstimatorKind), min_size=1, unique=True))
     )
+    # A QMC ladder's K top-rung runs must fit in the 2^32-point Sobol'
+    # period, so its p_max is at most 30 and K * 2^p_max below 2^32.
+    sampler = draw(st.sampled_from(["MC", "QMC"]))
+    p_cap = 30 if sampler == "QMC" else None
     # A bin_override needs dlr and must split N = 2^p_min into bins of at
     # least 2 points; ladders drawn with one start below 2^64 points.
     if EstimatorKind.DLR in estimators and draw(st.booleans()):
-        p_min = draw(st.integers(2, 64))
+        p_min = draw(st.integers(2, p_cap or 64))
         bin_override = 2 ** draw(st.integers(1, p_min - 1))
     else:
-        p_min, bin_override = draw(st.integers(min_value=1)), None
+        p_min, bin_override = draw(st.integers(1, p_cap)), None
+    p_max = draw(st.integers(p_min, p_cap))
     return BenchmarkConfig(
         test=draw(st.sampled_from(TEST_CASE_NAMES)),
         estimators=estimators,
-        sampler=draw(st.sampled_from(["MC", "QMC"])),
+        sampler=sampler,
         p_min=p_min,
-        p_max=draw(st.integers(min_value=p_min)),
-        k=draw(st.integers(min_value=2)),
+        p_max=p_max,
+        k=draw(st.integers(2, None if p_cap is None else ((1 << 32) - 1) >> p_max)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
         bin_override=bin_override,
         fit_window=draw(st.sampled_from(["upper", "full"])),
@@ -204,14 +209,24 @@ def test_estimate_oracle_reports_f0_source(capsys, monkeypatch):
         "estimate", "--test", "GFunc10A", "--estimators", "oracle",
         "--sampler", "QMC", "--n", "1024",
     ]
-    assert main(args) == 0
-    assert "f0 source: analytic" in capsys.readouterr().out
-    # without an exact mean the oracle estimates f0 from an extra C block
-    model = dataclasses.replace(cli.build("GFunc10A"), analytic_f0=None)
-    monkeypatch.setattr(cli, "build", lambda t: model)
+    # the oracle reads the model's exact mean: its table counts N(d+2) and
+    # needs no line on where f0 came from
     assert main(args) == 0
     out = capsys.readouterr().out
-    assert "f0 source: estimated" in out and "13312 model evaluations" in out
+    assert "estimator oracle: 12288 model evaluations" in out and "f0" not in out
+    # a model without an exact mean is refused before any output or model call
+    calls = []
+    base = cli.build("GFunc10A")
+
+    def counted_f(x):
+        calls.append(len(x))
+        return base.f(x)
+
+    model = dataclasses.replace(base, f=counted_f, analytic_f0=None)
+    monkeypatch.setattr(cli, "build", lambda t: model)
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "exact mean" in err and calls == []
 
 
 def test_estimate_unknown_names_are_usage_errors(capsys):
@@ -372,6 +387,23 @@ def test_bench_malformed_config_exit_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, text="test=Linear4\nestimators=sk\nnonsense\n")
     assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_bench_qmc_ladder_past_sobol_period_exit_2(tmp_path, capsys, monkeypatch):
+    # K * 2^p_max = 2^32 Sobol' points: refused with the config, before any
+    # ladder runs or the output directory is made
+    def never(*args, **kwargs):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr(cli, "run_benchmark", never)
+    cfg_path = write_config(
+        tmp_path,
+        text="test=Linear4\nestimators=sk\nsampler=QMC\np_min=8\np_max=22\nK=1024\n",
+    )
+    out_dir = tmp_path / "o"
+    assert main(["bench", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert "period" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_bench_missing_config_exit_4(tmp_path, capsys):

@@ -278,34 +278,16 @@ def _without_f0(base: InputModel) -> InputModel:
     return dataclasses.replace(base, name=base.name + "NoF0", analytic_f0=None)
 
 
-def test_oracle_without_analytic_f0_estimates_it():
-    base = build("Linear4")
-    stripped = _without_f0(base)
-    plan = _plan(stripped, EstimatorKind.ORACLE, 1 << 12)
-    assert plan.f0 != base.analytic_f0
-    assert plan.f_c.shape == (1 << 12,)
-    assert plan.f0 == float(plan.f_c.mean())
-    # one extra block on top of the N(d+2) direct-formula evaluations
-    assert _populated(plan) == (1 << 12) * (base.d + 3)
-    estimates = estimate_main_index(plan)
-    assert np.allclose(estimates, base.analytic_main, atol=0.01)
-    assert np.array_equal(estimates, _estimate(stripped, EstimatorKind.ORACLE, 1 << 12))
-
-
 def test_eval_count_table_matches_plans_and_cost():
-    # one table sizes the plans, harness.cost and the draw width; an oracle
-    # that must estimate f0 reads an extra C block
+    # one table sizes the plans, harness.cost and the draw width; the oracle
+    # reads the model's exact mean, never an extra block
     n = 128
-    for model in (build("Ishigami"), _without_f0(build("Ishigami"))):
-        has_f0 = model.analytic_f0 is not None
-        for kind in ALL_KINDS:
-            populated = _populated(_plan(model, kind, n))
-            assert populated == eval_count(kind, 3, n, has_f0)
-            if has_f0:
-                assert populated == cost(kind, 3, n)[0]
-    assert eval_count(EstimatorKind.ORACLE, 3, n, analytic_f0=False) == n * 6
+    model = build("Ishigami")
+    for kind in ALL_KINDS:
+        populated = _populated(_plan(model, kind, n))
+        assert populated == eval_count(kind, 3, n) == cost(kind, 3, n)[0]
+    assert eval_count(EstimatorKind.ORACLE, 3, n) == n * 5
     assert [draw_width(k, 3) for k in ALL_KINDS] == [6, 6, 9, 6, 3]
-    assert draw_width(EstimatorKind.ORACLE, 3, analytic_f0=False) == 9
 
 
 def _assert_same_plan(shared, alone):

@@ -20,8 +20,8 @@ from sobolbench.harness import (
     rmse_against,
     run_benchmark,
 )
-from sobolbench.models import InputModel, TestCaseId as CaseId, build
-from sobolbench.sampling import SamplerSpec
+from sobolbench.models import TestCaseId as CaseId, build
+from sobolbench.sampling import SOBOL_PERIOD, SamplerSpec
 
 import test_acceptance
 
@@ -103,6 +103,26 @@ def test_config_validation():
         test="Linear4", estimators=("dlr",), sampler="QMC", p_min=8, p_max=10,
         bin_override=128,
     ).bin_override == 128
+
+
+def test_config_refuses_qmc_ladder_past_sobol_period():
+    # QMC replicate k of the top rung is the Sobol' block [1 + k N, 1 + (k+1) N),
+    # so K * 2^p_max points must stay below the 2^32 period; the configs are
+    # only built, never run
+    def config(sampler, p_max, k):
+        return BenchmarkConfig(
+            test="Linear4", estimators=("sk",), sampler=sampler,
+            p_min=4, p_max=p_max, k=k,
+        )
+
+    assert SOBOL_PERIOD == 1 << 32
+    for p_max, k in [(22, 1023), (30, 3)]:
+        assert config("QMC", p_max, k).k << p_max < SOBOL_PERIOD
+    for p_max, k in [(22, 1024), (22, 1100), (30, 4), (31, 2)]:
+        with pytest.raises(ValueError, match="period"):
+            config("QMC", p_max, k)
+    # an MC ladder draws from PCG64 streams, which have no such bound
+    assert config("MC", 22, 1100).k == 1100
 
 
 def test_config_coerces_names():
@@ -214,20 +234,6 @@ def test_dependent_model_rejects_direct_estimator():
         p_min=8, p_max=8,
     )
     with pytest.raises(Exception, match="independent inputs"):
-        run_benchmark(cfg)
-
-
-def test_missing_analytic_reference_rejected(monkeypatch):
-    import sobolbench.harness as harness
-
-    base = build("Linear4")
-    bare = InputModel(name="bare", d=4, f=base.f, marginals=base.marginals)
-    monkeypatch.setattr(harness, "build", lambda t: bare)
-    cfg = BenchmarkConfig(
-        test="Linear4", estimators=(EstimatorKind.SK,), sampler="QMC",
-        p_min=8, p_max=8,
-    )
-    with pytest.raises(ValueError, match="analytic reference"):
         run_benchmark(cfg)
 
 
@@ -344,6 +350,28 @@ def test_refused_ladder_draws_nothing(counted, sampler, threads):
     with pytest.raises(estimators.IncompatibleModelError, match="independent"):
         run_benchmark(cfg, threads=threads)
     assert counted["draws"] == [] and counted["f"] == 0
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [(EstimatorKind.ORACLE,), (EstimatorKind.DLR, EstimatorKind.ORACLE)],
+    ids=["oracle", "dlr+oracle"],
+)
+def test_oracle_without_exact_mean_draws_nothing(counted, kinds, monkeypatch):
+    # the oracle reads the model's exact mean f0, so a model without one is
+    # refused before anything is drawn, by a cell and by a ladder
+    model = dataclasses.replace(harness.build("Linear4"), analytic_f0=None)
+    with pytest.raises(estimators.IncompatibleModelError, match="exact mean"):
+        estimate_cell(model, kinds, 64, SamplerSpec(kind="MC"))
+    monkeypatch.setattr(harness, "build", lambda test: model)
+    cfg = BenchmarkConfig(
+        test="Linear4", estimators=kinds, sampler="QMC", p_min=4, p_max=6, k=2
+    )
+    for threads in (1, 2):
+        with pytest.raises(estimators.IncompatibleModelError, match="exact mean"):
+            run_benchmark(cfg, threads=threads)
+    assert counted["draws"] == [] and counted["transformed"] == []
+    assert counted["f"] == 0
 
 
 def test_qmc_dlr_only_draws_d_columns(counted):

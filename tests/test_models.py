@@ -8,7 +8,6 @@ from sobolbench.models import (
     TEST_CASE_NAMES,
     TestCaseId as CaseId,
     build,
-    build_park_ahn7,
     evaluate,
     trilinear_exact_moments,
 )
@@ -87,26 +86,40 @@ def test_parkahn7_frozen_moments():
 
 
 def test_parkahn7_interpretation_variants():
-    med = build_park_ahn7("median")
-    assert med.analytic_main is not None
-    for other in ("underlying", "moments"):
-        alt = build_park_ahn7(other)
-        # quoted indices document the median reading only
-        assert alt.analytic_main is None
-        assert alt.analytic_f0 is not None and alt.analytic_D is not None
-        assert alt.analytic_f0 != med.analytic_f0
-    with pytest.raises(ValueError):
-        build_park_ahn7("mode")
+    # The published pairs (p1, 0.4214) can be read three ways; only the
+    # model's (median, sd of ln x) reading gives exact S_i within 2e-3 of
+    # the quoted ones.  Measured misfits: 1.3e-3 for it, 0.14 for (mean, sd)
+    # of ln x and 0.33 for (mean, sd) of x.
+    m = build("ParkAhn7")
+    p1 = np.array([marg.median for marg in m.marginals])
+    p2 = 0.4214
+    readings = {
+        "median": np.array([marg.moments() for marg in m.marginals]).T,
+        "mean and sd of ln x": (
+            np.exp(p1 + 0.5 * p2**2), np.exp(2.0 * p1 + 2.0 * p2**2)
+        ),
+        "mean and sd of x": (p1, p1**2 + p2**2),
+    }
+    terms = (
+        (1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6), (2, 3, 4),
+        (2, 3, 5), (2, 4, 5), (2, 5, 6), (2, 4, 7), (2, 6, 7),
+    )
+    misfit = {}
+    for reading, (e1, e2) in readings.items():
+        _, var, partial = trilinear_exact_moments(terms, e1, e2)
+        misfit[reading] = np.max(np.abs(partial / var - m.analytic_main))
+    assert [r for r, err in misfit.items() if err < 2e-3] == ["median"]
+    assert misfit["mean and sd of ln x"] > 0.1
+    assert misfit["mean and sd of x"] > 0.3
 
 
 def test_parkahn7_median_marginals():
     m = build("ParkAhn7")
-    p1 = [2.0, 3.0, 0.001, 0.002, 0.004, 0.005, 0.003]
-    for marg, want in zip(m.marginals, p1):
+    median = [2.0, 3.0, 0.001, 0.002, 0.004, 0.005, 0.003]
+    for marg, want in zip(m.marginals, median):
         assert isinstance(marg, Lognormal)
-        assert marg.interpretation == "median"
-        assert marg.p1 == want
-        assert marg.p2 == 0.4214
+        assert marg.median == want
+        assert marg.sigma == 0.4214
 
 
 def test_trilinear_moments_against_direct_sum():
@@ -342,8 +355,6 @@ def test_input_model_validation():
 def test_main_effects_within_unit_interval():
     for name in TEST_CASE_NAMES:
         m = build(name)
-        if m.analytic_main is None:
-            continue
         assert np.all(m.analytic_main >= 0.0)
         assert np.all(m.analytic_main <= 1.0)
         if not m.has_dependent_inputs:

@@ -12,7 +12,6 @@ from scipy.special import ndtri
 import sobolbench
 from sobolbench.sampling import (
     CovarianceSpec,
-    LOGNORMAL_INTERPRETATIONS,
     Lognormal,
     Normal,
     SamplerSpec,
@@ -276,24 +275,22 @@ def test_normal_from_unit():
 
 
 def test_lognormal_interpretations():
-    assert LOGNORMAL_INTERPRETATIONS == ("underlying", "median", "moments")
-    under = Lognormal(0.3, 0.7, "underlying")
-    assert under.log_params() == (0.3, 0.7)
-    med = Lognormal(2.0, 0.5, "median")
-    mu, sigma = med.log_params()
-    assert abs(mu - np.log(2.0)) < 1e-15 and sigma == 0.5
+    # the one reading: (median of x, sd of ln x)
+    med = Lognormal(2.0, 0.5)
+    assert (med.median, med.sigma) == (2.0, 0.5)
     # the median maps from u = 0.5
     assert abs(med.from_unit(np.array([0.5]))[0] - 2.0) < 1e-12
-    mom = Lognormal(2.0, 0.5, "moments")
-    e1, e2 = mom.moments()
-    assert abs(e1 - 2.0) < 1e-12
-    assert abs(np.sqrt(e2 - e1**2) - 0.5) < 1e-12
-    with pytest.raises(ValueError, match="interpretation"):
-        Lognormal(1.0, 1.0, "mode")
-    with pytest.raises(ValueError):
-        Lognormal(-1.0, 1.0, "median")
-    with pytest.raises(ValueError):
-        Lognormal(1.0, 0.0, "underlying")
+    e1, e2 = med.moments()
+    assert abs(e1 - 2.0 * np.exp(0.125)) < 1e-12
+    assert abs(e2 - 4.0 * np.exp(0.5)) < 1e-12
+    with pytest.raises(TypeError):
+        Lognormal(1.0, 1.0, "median")
+    with pytest.raises(ValueError, match="median"):
+        Lognormal(-1.0, 1.0)
+    with pytest.raises(ValueError, match="median"):
+        Lognormal(0.0, 1.0)
+    with pytest.raises(ValueError, match="sigma"):
+        Lognormal(1.0, 0.0)
 
 
 def _closed_form(marginal, u):
@@ -301,14 +298,12 @@ def _closed_form(marginal, u):
         return marginal.a + (marginal.b - marginal.a) * u
     if isinstance(marginal, Normal):
         return marginal.mu + marginal.sigma * ndtri(u)
-    mu, sigma = marginal.log_params()
-    return np.exp(mu + sigma * ndtri(u))
+    return np.exp(np.log(marginal.median) + marginal.sigma * ndtri(u))
 
 
 @pytest.mark.parametrize(
     "marginal",
-    [Uniform(-2.0, 4.0), Normal(10.0, 2.0)]
-    + [Lognormal(2.0, 0.5, how) for how in LOGNORMAL_INTERPRETATIONS],
+    [Uniform(-2.0, 4.0), Normal(10.0, 2.0), Lognormal(2.0, 0.5)],
     ids=repr,
 )
 def test_from_unit_in_place_equals_closed_form(marginal):
@@ -322,7 +317,7 @@ def test_from_unit_in_place_equals_closed_form(marginal):
 
 def test_lognormal_sample_median():
     u = qmc(1 << 12, 1).values[:, 0]
-    x = Lognormal(3.0, 0.8, "median").from_unit(u)
+    x = Lognormal(3.0, 0.8).from_unit(u)
     assert abs(np.median(x) - 3.0) < 0.02
 
 
