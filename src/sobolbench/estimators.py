@@ -14,8 +14,8 @@ Model outputs live in an evaluation set: one unit point set of dimension d,
 outputs at A, B, AB_i and CA_i, each evaluated the first time it is read.
 One set per (N, run) cell, drawn at the widest width its estimators need
 and transformed once, serves all of them under either sampler.  A shorter
-run inside a longer one is a row slice of its set under QMC and a row
-prefix of its draw under MC (see :func:`inner_set`).  Each
+run inside a longer one is a row slice of its set, outputs included (see
+:meth:`EvaluationSet.rows`).  Each
 estimator is a pure reduction over the blocks of the set it reads
 (:func:`sobolbench.harness.estimate_cell` runs all of a cell's estimators).
 """
@@ -48,7 +48,6 @@ __all__ = [
     "bin_schedule",
     "eval_count",
     "evaluation_set",
-    "inner_set",
     "build_plan",
     "estimate_mean_and_variance",
     "estimate_sobol_original",
@@ -164,48 +163,27 @@ def _base_matrices(draw: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """The base matrices A, B[, C] of a run of n points, views of its draw.
 
     A width W is one n-point draw of ``W * d`` unit columns, laid out in
-    block order: matrix j is the rows ``j * n`` to ``(j + 1) * n`` of one
-    (W * n, d) array, transformed in one call.  A narrower draw of the same
-    run is a row prefix of it, with the same A and B:
+    block order: matrix j is coordinate block j of the draw, the rows
+    ``j * n`` to ``(j + 1) * n`` of one (W * n, d) copy, transformed in one
+    call.  Draws of either sampler are prefix-stable in their columns (see
+    :mod:`sobolbench.sampling`), so a narrower draw of the same run has the
+    same A and B.
 
-    * QMC: Sobol' dimensions are prefix-stable.  Matrix j is coordinate
-      block j of the draw, put in block order by one copy (width above 1).
-    * MC: the draw is the leading values of the run's stream in row order
-      (see :mod:`sobolbench.sampling`), so, reshaped without a copy,
-      matrix j is the values ``j * n * d`` onward.
-
-    Runs nest across n too (see :func:`inner_set`).  Under QMC, run k of n
-    points is the Sobol' block ``[1 + k*n, 1 + (k+1)*n)``: for a power of
-    two M >= n, the rows ``k*n mod M`` onward of run ``k*n // M`` of M
-    points, in every matrix and so in every output.  Under MC, run k's draw
-    at n is the leading ``W * n`` rows of its draw at M, re-blocked: for
-    n < M, B at n is rows of A at M: the draws nest, the outputs do not.
+    Runs nest across n too, in every matrix and so in every output (see
+    :meth:`EvaluationSet.rows`).  For a power of two M >= n, QMC run k of n
+    points, the Sobol' block ``[1 + k*n, 1 + (k+1)*n)``, is the rows
+    ``k*n mod M`` onward of run ``k*n // M`` of M points; MC run k of n
+    points is the leading n rows of MC run k of M points.
     """
     return tuple(draw[j : j + n] for j in range(0, len(draw), n))
-
-
-def inner_set(
-    outer: EvaluationSet, start: int, n: int, sampler: SamplerSpec
-) -> EvaluationSet:
-    """The set of run ``(n, sampler)``, from row ``start`` of ``outer``'s longer run.
-
-    The caller vouches that the run nests there (see :func:`_base_matrices`).
-    Under QMC it is a row slice of ``outer`` that shares its outputs (see
-    :meth:`EvaluationSet.rows`); under MC, an unfilled set on a re-blocked
-    row prefix of ``outer``'s draw (``start`` is 0) that shares no outputs.
-    """
-    if sampler.kind == "QMC":
-        return outer.rows(start, n, sampler)
-    prefix = outer.draw[: outer.dims // outer.model.d * n]
-    return EvaluationSet(outer.model, n, sampler, _base_matrices(prefix, n), prefix)
 
 
 class EvaluationSet:
     """Model outputs on base matrices, each computed the first time it is read.
 
     ``matrices`` are A, B[, C] in model space, each (n, d), the blocks of
-    ``draw``, one draw of ``dims`` = d, 2d or 3d unit columns (see
-    :func:`_base_matrices`; a row slice has no draw).  Outputs are keyed by
+    one draw of ``dims`` = d, 2d or 3d unit columns (see
+    :func:`_base_matrices`).  Outputs are keyed by
     block name: a matrix name such as ``"a"`` (shape (n,)), and ``"ab"``,
     ``"ca"`` (shape (d, n)), where block ``"xy"`` row i is the output at
     matrix y with column i taken from matrix x.  Every estimator of a cell
@@ -218,12 +196,10 @@ class EvaluationSet:
         n: int,
         sampler: SamplerSpec,
         matrices: Sequence[np.ndarray],
-        draw: Optional[np.ndarray] = None,
     ):
         self.model = model
         self.n = n
         self.sampler = sampler
-        self.draw = draw
         self.dims = len(matrices) * model.d
         self._x = dict(zip("abc", matrices))
         self._f: dict[str, np.ndarray] = {}
@@ -233,7 +209,7 @@ class EvaluationSet:
         """Rows ``start`` to ``start + n`` of this set, as the set of ``(n, sampler)``.
 
         The caller vouches that those rows are that run's draw (see
-        :func:`inner_set`).  The matrices are views, and each output block
+        :func:`_base_matrices`).  The matrices are views, and each output block
         is the row slice ``[..., start:start + n]`` of this set's block, so
         either set fills a block for both.
         """
@@ -290,16 +266,14 @@ def evaluation_set(
     d = model.d
     width = max(draw_width(kind, d) for kind in kinds) // d
     u = generate_uniform(sampler, n, width * d).values
-    if sampler.kind == "QMC":
-        u = u.reshape(n, width, d).swapaxes(0, 1)
-    # A copy only for a QMC draw of width > 1; rebinding u frees the draw.
-    u = u.reshape(width * n, d)
+    # The block-order copy (none at width 1); rebinding u frees the draw.
+    u = u.reshape(n, width, d).swapaxes(0, 1).reshape(width * n, d)
     rows = UnitPointSet(n=width * n, dims=d, values=u)
     if model.covariance is not None:
         x = transform_correlated_normal(rows, model.covariance)
     else:
         x = transform_independent(rows, model.marginals)
-    return EvaluationSet(model, n, sampler, _base_matrices(x, n), x)
+    return EvaluationSet(model, n, sampler, _base_matrices(x, n))
 
 
 def build_plan(

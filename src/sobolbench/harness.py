@@ -3,11 +3,10 @@
 For each sample count N = 2^p on a ladder, K replicate runs are performed
 (disjoint Sobol' blocks for QMC, independently seeded streams for MC).  Each
 run evaluates the model once and every estimator reduces the shared
-outputs.  Each run at N lies inside a top-rung run, drawn once per ladder:
-under QMC as a row block, so a QMC ladder evaluates only its top rung; under
-MC as a re-blocked row prefix of the draw (matrix B at N is the stream values
-[N d, 2 N d), not a row slice of B at N_top), so each MC run evaluates its
-own outputs.  The root-mean-square error of each estimator's S_i against
+outputs.  Each run at N is a row block of a top-rung run, drawn once per
+ladder (under QMC a block of some top run, under MC the leading rows of the
+top run of the same index), so a ladder evaluates only its top rung.  The
+root-mean-square error of each estimator's S_i against
 the model's analytic value is recorded:
 
     eps_i(N) = sqrt( (1/K) * sum_k (S_i_hat[k] - S_i_analytic)^2 )
@@ -35,7 +34,6 @@ from .estimators import (
     estimate_main_index,
     eval_count,
     evaluation_set,
-    inner_set,
 )
 from .models import InputModel, TestCaseId, build
 from .sampling import SOBOL_PERIOD, SamplerSpec
@@ -245,9 +243,10 @@ def _draw_groups(cfg: BenchmarkConfig) -> list[list[tuple[int, int, int]]]:
     """The ladder's (N, run index) cells, one group per top-rung run.
 
     A group lists its cells as (n, k, start), its top-rung cell first: cell
-    (n, k) starts at row ``start`` of that cell's draw (see
-    :func:`sobolbench.estimators.inner_set`).  Under QMC that is top run
-    ``k * n // N_top`` at row ``k * n % N_top``; under MC, top run k at row 0.
+    (n, k) is the n rows from row ``start`` of the top cell's set (see
+    :func:`sobolbench.estimators._base_matrices`).  Under QMC that is top
+    run ``k * n // N_top`` at row ``k * n % N_top``; under MC, top run k at
+    row 0.
     """
     n_top = 1 << cfg.p_max
     groups: list[list[tuple[int, int, int]]] = [[] for _ in range(cfg.k)]
@@ -264,10 +263,10 @@ def _run_group(
 ) -> dict[tuple[int, int], dict[EstimatorKind, np.ndarray]]:
     """S_i estimates of every configured estimator at each cell of one group.
 
-    The top-rung run is drawn once and each cell reduces its part (see
-    :func:`sobolbench.estimators.inner_set`): under QMC the top cell fills
-    outputs that lower cells slice; under MC each cell fills and drops its
-    own.  The draw is dropped on return.
+    The top-rung run is drawn, transformed and evaluated once, and each
+    cell reduces a row slice of its outputs (see
+    :meth:`sobolbench.estimators.EvaluationSet.rows`).  The set is dropped
+    on return.
     """
     n_top, top, _ = cells[0]
     evaluations = evaluation_set(model, cfg.estimators, n_top, _sampler_for(cfg, top))
@@ -276,7 +275,7 @@ def _run_group(
         sampler = _sampler_for(cfg, k)
         results[(n, k)] = estimate_cell(
             model, cfg.estimators, n, sampler, cfg.bin_override,
-            inner_set(evaluations, start, n, sampler),
+            evaluations.rows(start, n, sampler),
         )
     return results
 
@@ -287,8 +286,8 @@ def run_benchmark(
     """All ConvergenceRecords for the config, sorted by (estimator, input, N).
 
     Each (N, run index) cell's outputs are evaluated once for all
-    configured estimators (see :func:`estimate_cell`), and under QMC once
-    for the whole ladder; each replicate is drawn once, at the top rung,
+    configured estimators (see :func:`estimate_cell`), and once for the
+    whole ladder; each replicate is drawn once, at the top rung,
     for its group of cells (see :func:`_draw_groups`), after every kind is
     checked against the model.  Groups fan out over a thread pool when
     ``threads`` (or the SOBOLBENCH_THREADS variable) exceeds one; every

@@ -15,10 +15,11 @@ Generator conventions
 * A QMC run with ``run_index = k`` returns the contiguous block of sequence
   elements with raw indices ``[1 + k*n, 1 + (k+1)*n)``; distinct runs use
   disjoint parts of the sequence.
-* An MC run uses ``numpy.random.default_rng(seed)`` and draws the ``n x dims``
-  matrix row by row; per-run seeds are derived with :func:`mix_seed`.  So
-  the draw is the first ``n * dims`` values of the run's stream, in row
-  order, whatever its shape.
+* An MC run seeds one PCG64 stream with :func:`mix_seed` of its seed and
+  run index; column ``c`` of the ``n x dims`` draw is the first ``n`` values
+  of that stream jumped ``c`` times (``PCG64.jumped(c)``).  So an MC draw
+  is the leading rows and columns of any longer, wider draw of the same
+  run, as a QMC draw is the leading columns of a wider one.
 """
 
 from __future__ import annotations
@@ -159,8 +160,10 @@ def generate_uniform(spec: SamplerSpec, n: int, dims: int) -> UnitPointSet:
             raise ValueError(f"QMC sample count must be a power of two, got n={n}")
         values = _sobol_raw(1 + spec.run_index * n, n, dims)
     else:
-        rng = np.random.default_rng(mix_seed(spec.seed, spec.run_index))
-        values = rng.random((n, dims))
+        stream = np.random.PCG64(mix_seed(spec.seed, spec.run_index))
+        values = np.empty((n, dims), order="F")
+        for c in range(dims):
+            np.random.Generator(stream.jumped(c)).random(out=values[:, c])
     return UnitPointSet(n=n, dims=dims, values=values)
 
 

@@ -196,7 +196,7 @@ def test_estimate_negative_marker(capsys):
     code = main(
         [
             "estimate", "--test", "Ishigami", "--estimators", "sobol",
-            "--sampler", "MC", "--n", "64", "--seed", "12345", "--run-index", "1",
+            "--sampler", "MC", "--n", "64", "--seed", "12345", "--run-index", "2",
         ]
     )
     out = capsys.readouterr().out

@@ -31,7 +31,6 @@ from sobolbench.sampling import (
     Uniform,
     UnitPointSet,
     generate_uniform,
-    mix_seed,
     transform_correlated_normal,
     transform_independent,
 )
@@ -274,10 +273,6 @@ def test_plan_blocks_share_one_point_set():
     assert not np.array_equal(plan.f_a, plan.f_b)
 
 
-def _without_f0(base: InputModel) -> InputModel:
-    return dataclasses.replace(base, name=base.name + "NoF0", analytic_f0=None)
-
-
 def test_eval_count_table_matches_plans_and_cost():
     # one table sizes the plans, harness.cost and the draw width; the oracle
     # reads the model's exact mean, never an extra block
@@ -299,11 +294,11 @@ def _assert_same_plan(shared, alone):
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
-@pytest.mark.parametrize("name", TEST_CASE_NAMES + ("Linear4NoF0",))
+@pytest.mark.parametrize("name", TEST_CASE_NAMES)
 def test_shared_plans_equal_standalone_plans(name, sampler):
     # every estimator reduces the same bits whether its plan comes from a
     # set shared with the others or from a draw of its own
-    model = _without_f0(build("Linear4")) if name == "Linear4NoF0" else build(name)
+    model = build(name)
     kinds = [
         k for k in ALL_KINDS
         if k == EstimatorKind.DLR or not model.has_dependent_inputs
@@ -340,25 +335,17 @@ def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
 @pytest.mark.parametrize("name", TEST_CASE_NAMES)
 def test_set_matrices_equal_fresh_transform_of_own_draw(name, sampler):
-    # a cell's set holds A, B[, C] in block order: matrix j is the transform
-    # of coordinate block j of an n-point Sobol' draw under QMC, and of the
-    # run's stream values j*n*d onward, n rows of d, under MC.  A set has no
-    # matrices beyond its width.
+    # a cell's set holds A, B[, C] in block order: under either sampler,
+    # matrix j is the transform of coordinate block j of the run's n-point
+    # draw.  A set has no matrices beyond its width.
     model = build(name)
     kinds = (EstimatorKind.DLR,) if model.has_dependent_inputs else ALL_KINDS
     n, d = 64, model.d
     evaluations = evaluation_set(model, kinds, n, sampler)
     width = evaluations.dims // d
     assert width == (1 if model.has_dependent_inputs else 3)
-    if sampler.kind == "QMC":
-        u = generate_uniform(sampler, n, width * d).values
-        blocks = [u[:, j * d : (j + 1) * d] for j in range(width)]
-    else:
-        rng = np.random.default_rng(mix_seed(sampler.seed, sampler.run_index))
-        stream = rng.random(width * n * d)
-        blocks = [
-            stream[j * n * d : (j + 1) * n * d].reshape(n, d) for j in range(width)
-        ]
+    u = generate_uniform(sampler, n, width * d).values
+    blocks = [u[:, j * d : (j + 1) * d] for j in range(width)]
     for matrix, block in zip("abc", blocks):
         unit = UnitPointSet(n=n, dims=d, values=block)
         if model.covariance is not None:
@@ -587,9 +574,11 @@ def test_dlr_single_input_model():
 
 def test_negative_estimate_not_clamped():
     m = build("Ishigami")
-    mc = SamplerSpec(kind="MC", seed=12345, run_index=1)
+    # run 2 is the first run of seed 12345 whose S_3 estimate at N = 64 is
+    # negative (run 0 gives 0.139, run 1 gives 0.021)
+    mc = SamplerSpec(kind="MC", seed=12345, run_index=2)
     s = list(_estimate(m, EstimatorKind.SOBOL, 64, mc))
-    assert s == pytest.approx([0.2739, 0.3647, -0.1002], abs=5e-4)
+    assert s == pytest.approx([0.1069, 0.2895, -0.1572], abs=5e-4)
     assert s[2] < 0.0
 
 

@@ -309,17 +309,50 @@ def test_qmc_ladder_evaluates_only_its_top_rung(counted):
 
 
 def test_mc_ladder_evaluates_every_cell(counted):
-    # MC's B at N is not a row slice of B at 2N, so each ParkAhn7 cell
-    # (d = 7) still makes its own 2d + 2 = 16 model calls of N rows; the
-    # calls come replicate by replicate, so only their multiset is fixed
+    # every MC cell is the leading rows of its replicate's top-rung run, so
+    # a ParkAhn7 ladder (d = 7, p = 4..7, K = 3) evaluates every cell through
+    # its K top runs alone: K (2d + 2) = 48 model calls of N_top = 128 rows
     cfg = BenchmarkConfig(
         test="ParkAhn7", estimators=tuple(EstimatorKind), sampler="MC",
         p_min=4, p_max=7, k=3,
     )
     run_benchmark(cfg)
-    assert sorted(counted["rows"]) == [
-        1 << p for p in range(4, 8) for _ in range(3 * 16)
-    ]
+    assert counted["rows"] == [128] * 3 * 16
+
+
+def test_mc_lower_cells_make_no_model_call(monkeypatch):
+    # in a ParkAhn7 MC ladder (p = 4..7, K = 3) only the top-rung cells call
+    # the model, and every cell's S_i equal, bit for bit, those of a
+    # standalone cell that draws and evaluates its own (N, k) run
+    base = build("ParkAhn7")
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return base.f(x)
+
+    monkeypatch.setattr(harness, "build", lambda test: dataclasses.replace(base, f=f))
+    cells = {}
+
+    def recorded(model, kinds, n, sampler, bin_count=None, evaluations=None):
+        before = len(calls)
+        s = estimate_cell(model, kinds, n, sampler, bin_count, evaluations)
+        cells[(n, sampler.run_index)] = (len(calls) - before, s)
+        return s
+
+    monkeypatch.setattr(harness, "estimate_cell", recorded)
+    kinds = tuple(EstimatorKind)
+    cfg = BenchmarkConfig(
+        test="ParkAhn7", estimators=kinds, sampler="MC", p_min=4, p_max=7, k=3
+    )
+    run_benchmark(cfg, threads=1)
+    assert sorted(cells) == [(1 << p, k) for p in range(4, 8) for k in range(3)]
+    for (n, k), (made, s) in cells.items():
+        assert made == (16 if n == 128 else 0), (n, k)
+        spec = SamplerSpec(kind="MC", seed=cfg.master_seed, run_index=k)
+        alone = estimate_cell(base, kinds, n, spec)
+        for kind in kinds:
+            assert np.array_equal(s[kind], alone[kind]), (n, k, kind)
 
 
 @pytest.mark.parametrize(
@@ -396,6 +429,13 @@ def tracked(monkeypatch):
             handed_out.append(self.refs)
             live.add(self)
 
+        def rows(self, *args):
+            # a row slice hands out views of this set's outputs, so they
+            # count as this set's
+            part = super().rows(*args)
+            part.refs = self.refs
+            return part
+
         def f(self, block):
             out = super().f(block)
             self.refs.append(weakref.ref(out))
@@ -433,10 +473,10 @@ def test_cell_fills_one_set_of_outputs_at_a_time(tracked):
 
 
 def test_mc_ladder_keeps_one_cell_of_outputs_alive(tracked, monkeypatch):
-    # the cells of an MC replicate share its one top-rung draw, but each
-    # fills outputs of its own, and none outlive their cell: over a
-    # ParkAhn7 ladder (p = 4..6, K = 2) at most one set has outputs alive
-    # at any model call, so the peak is one top cell plus its draw
+    # the cells of an MC replicate reduce row slices of its one top-rung
+    # set, and none of its outputs outlive the run: over a ParkAhn7 ladder
+    # (p = 4..6, K = 2) on one thread at most one replicate's top-rung
+    # outputs are alive at any model call, so the peak is one top cell
     live, handed_out = tracked
     sets_alive = []
     model = _with_sets_alive(build("ParkAhn7"), handed_out, sets_alive)
@@ -446,9 +486,9 @@ def test_mc_ladder_keeps_one_cell_of_outputs_alive(tracked, monkeypatch):
         p_min=4, p_max=6, k=2,
     )
     run_benchmark(cfg, threads=1)
-    assert len(sets_alive) == 3 * 2 * 16
+    assert len(sets_alive) == 2 * 16
     assert max(sets_alive) == 1
-    assert sum(bool(refs) for refs in handed_out) == 3 * 2  # one set per cell
+    assert sum(bool(refs) for refs in handed_out) == 2  # one set per replicate
     assert len(live) == 0
     assert all(r() is None for refs in handed_out for r in refs)
 
@@ -486,9 +526,9 @@ def test_shared_cells_match_standalone_plans():
     [("ParkAhn7", tuple(EstimatorKind)), ("DepQuad4", (EstimatorKind.DLR,))],
 )
 def test_mc_prefix_cells_match_standalone_plans(test, kinds):
-    # the lower MC cells re-block a row prefix of the top run's transformed
-    # draw (N_top = 256), which gives the bits of their own draws through
-    # the lognormal (ParkAhn7) and the Cholesky (DepQuad4) transforms
+    # the lower MC cells reduce the leading rows of the top run's set
+    # (N_top = 256), which gives the bits of their own draws through the
+    # lognormal (ParkAhn7) and the Cholesky (DepQuad4) transforms
     _assert_cells_match_standalone_plans("MC", test, kinds)
 
 

@@ -315,8 +315,8 @@ def test_model_output_does_not_depend_on_memory_order(name, kind):
     # the first d columns of a row-major 2d-wide matrix: neither C- nor
     # F-contiguous
     wide = np.ascontiguousarray(np.hstack([x, x]))
-    # the views an evaluation set takes of a cell's column-major draw: every
-    # third row (MC chunk order) and a block of rows (QMC block order)
+    # a strided view (every third row) and the view an evaluation set takes
+    # of a cell's column-major draw under either sampler (a block of rows)
     n = len(x)
     chunk_order = np.empty((3 * n, m.d), order="F")
     block_order = np.empty((3 * n, m.d), order="F")

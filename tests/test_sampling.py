@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 import sobolbench
@@ -214,14 +215,44 @@ def test_mc_mean_near_half():
 @pytest.mark.parametrize("seed,run_index", [(0, 0), (11, 3), (123456789, 9)])
 @pytest.mark.parametrize("d", [1, 7, 10])
 def test_mc_narrow_draw_is_leading_chunks_of_wider(width, seed, run_index, d):
-    # numpy fills a (n, dims) draw row by row from one stream, so a W*d-wide
-    # draw cut into d-column chunks is the first W*n chunks of the 3d-wide
-    # one; an MC ladder cell relies on it to give every estimator, at any
-    # width, the leading matrices of one block-ordered draw
+    # each column of an MC draw is the leading values of its own stream, so
+    # a draw of n points and W*d columns is the leading rows and columns of
+    # a longer, wider draw of the same run; an MC ladder relies on it to give
+    # every estimator, at any width and rung, a row slice of one top-rung set
     n = 96
-    wide = mc(n, 3 * d, seed=seed, run_index=run_index).values.reshape(3 * n, d)
+    wide = mc(4 * n, 3 * d, seed=seed, run_index=run_index).values
     narrow = mc(n, width * d, seed=seed, run_index=run_index).values
-    assert np.array_equal(wide[: width * n], narrow.reshape(width * n, d))
+    assert np.array_equal(wide[:n, : width * d], narrow)
+
+
+def test_mc_column_is_its_own_jumped_stream():
+    # column c of run k is the leading n values of PCG64(mix_seed(seed, k))
+    # jumped c times
+    seed, run_index, n = 123456789, 4, 50
+    values = mc(n, 5, seed=seed, run_index=run_index).values
+    stream = np.random.PCG64(mix_seed(seed, run_index))
+    for c in range(5):
+        want = np.random.Generator(stream.jumped(c)).random(n)
+        assert np.array_equal(values[:, c], want), c
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    run_index=st.integers(0, 2**20),
+    n=st.integers(1, 80),
+    dims=st.integers(1, 12),
+    more_n=st.integers(0, 80),
+    more_dims=st.integers(0, 12),
+)
+def test_mc_draw_prefix_stable_in_both_axes(seed, run_index, n, dims, more_n, more_dims):
+    # any MC draw is the leading block of a longer, wider draw of its run,
+    # and the next run draws other values
+    draw = mc(n, dims, seed=seed, run_index=run_index).values
+    wider = mc(n + more_n, dims + more_dims, seed=seed, run_index=run_index).values
+    assert np.array_equal(wider[:n, :dims], draw)
+    other = mc(n, dims, seed=seed, run_index=run_index + 1).values
+    assert not np.array_equal(draw, other)
 
 
 def test_mix_seed_frozen_values():

@@ -32,8 +32,8 @@ spans = _load_spans()
     [
         # QMC evaluates only the top rung: K (2d + 2) calls, d = 3
         ("Ishigami", "QMC", 1, 2 * 8),
-        # MC evaluates every cell: 2 rungs x K x (2d + 2) calls, d = 7
-        ("ParkAhn7", "MC", 2, 2 * 2 * 16),
+        # so does MC: K (2d + 2) calls, d = 7
+        ("ParkAhn7", "MC", 2, 2 * 16),
     ],
 )
 def test_traced_ladder_records_every_layer(test, sampler, threads, f_calls):
