@@ -29,7 +29,6 @@ from .models import (
     TEST_CASE_NAMES,
     TestCaseId,
     build,
-    evaluate,
 )
 from .sampling import (
     CovarianceSpec,
@@ -65,7 +64,6 @@ __all__ = [
     "TEST_CASE_NAMES",
     "TestCaseId",
     "build",
-    "evaluate",
     "CovarianceSpec",
     "Lognormal",
     "Normal",

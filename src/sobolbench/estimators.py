@@ -11,13 +11,13 @@ shared estimate of the total variance D to give S_i = D_i / D:
 
 Model outputs live in an evaluation set: one unit point set of dimension d,
 2d, or 3d, whose coordinate blocks form the base matrices A, B, C, and the
-outputs at A, B, AB_i and CA_i, each evaluated the first time it is read.
-One set per (N, run) cell, drawn at the widest width its estimators need
-and transformed once, serves all of them under either sampler.  A shorter
-run inside a longer one is a row slice of its set, outputs included (see
-:meth:`EvaluationSet.rows`).  Each
-estimator is a pure reduction over the blocks of the set it reads
-(:func:`sobolbench.harness.estimate_cell` runs all of a cell's estimators).
+outputs at A, B, AB_i and CA_i, all evaluated when the set is drawn.  One
+set per (N, run) cell, drawn at the widest width its estimators need and
+transformed once, serves all of them under either sampler.  A shorter run
+inside a longer one is a row slice of its set, outputs included (see
+:meth:`EvaluationSet.rows`).  Each estimator is a pure reduction over the
+blocks of the set it reads (:func:`sobolbench.harness.estimate_cell` runs
+all of a cell's estimators).
 """
 
 from __future__ import annotations
@@ -154,101 +154,61 @@ def eval_count(kind: EstimatorKind, d: int, n: int) -> int:
     return n * sum(d if len(b) == 2 else 1 for b in _OUTPUT_BLOCKS[kind])
 
 
-def draw_width(kind: EstimatorKind, d: int) -> int:
-    """Columns of the unit draw ``kind`` needs alone: d, 2d or 3d."""
-    return d * len({m for block in _OUTPUT_BLOCKS[kind] for m in block})
-
-
-def _base_matrices(draw: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """The base matrices A, B[, C] of a run of n points, views of its draw.
-
-    A width W is one n-point draw of ``W * d`` unit columns, laid out in
-    block order: matrix j is coordinate block j of the draw, the rows
-    ``j * n`` to ``(j + 1) * n`` of one (W * n, d) copy, transformed in one
-    call.  Draws of either sampler are prefix-stable in their columns (see
-    :mod:`sobolbench.sampling`), so a narrower draw of the same run has the
-    same A and B.
-
-    Runs nest across n too, in every matrix and so in every output (see
-    :meth:`EvaluationSet.rows`).  For a power of two M >= n, QMC run k of n
-    points, the Sobol' block ``[1 + k*n, 1 + (k+1)*n)``, is the rows
-    ``k*n mod M`` onward of run ``k*n // M`` of M points; MC run k of n
-    points is the leading n rows of MC run k of M points.
-    """
-    return tuple(draw[j : j + n] for j in range(0, len(draw), n))
-
-
+@dataclass(frozen=True, eq=False)
 class EvaluationSet:
-    """Model outputs on base matrices, each computed the first time it is read.
+    """Model outputs on the base matrices of one run, all computed when drawn.
 
-    ``matrices`` are A, B[, C] in model space, each (n, d), the blocks of
-    one draw of ``dims`` = d, 2d or 3d unit columns (see
-    :func:`_base_matrices`).  Outputs are keyed by
-    block name: a matrix name such as ``"a"`` (shape (n,)), and ``"ab"``,
-    ``"ca"`` (shape (d, n)), where block ``"xy"`` row i is the output at
-    matrix y with column i taken from matrix x.  Every estimator of a cell
-    reduces the cell's one set, so all of them read the same arrays.
+    ``x`` maps each base matrix the set's blocks read, ``"a"``, ``"b"`` and
+    (for Owen) ``"c"``, to A, B, C in model space, each (n, d), views of
+    one transformed draw.
+    ``f`` maps every block the set's estimators read to its outputs: a
+    matrix name such as ``"a"`` (shape (n,)), and ``"ab"``, ``"ca"`` (shape
+    (d, n)), where block ``"xy"`` row i is the output at matrix y with
+    column i taken from matrix x.  Every estimator of a cell reduces the
+    cell's one set, so all of them read the same arrays; nothing writes to
+    a set once it is made.
     """
 
-    def __init__(
-        self,
-        model: InputModel,
-        n: int,
-        sampler: SamplerSpec,
-        matrices: Sequence[np.ndarray],
-    ):
-        self.model = model
-        self.n = n
-        self.sampler = sampler
-        self.dims = len(matrices) * model.d
-        self._x = dict(zip("abc", matrices))
-        self._f: dict[str, np.ndarray] = {}
-        self._source: Optional[tuple[EvaluationSet, slice]] = None
+    model: InputModel
+    x: dict[str, np.ndarray]
+    f: dict[str, np.ndarray]
 
-    def rows(self, start: int, n: int, sampler: SamplerSpec) -> EvaluationSet:
-        """Rows ``start`` to ``start + n`` of this set, as the set of ``(n, sampler)``.
+    def rows(self, start: int, n: int) -> EvaluationSet:
+        """Rows ``start`` to ``start + n`` of this set, matrices and outputs as views.
 
-        The caller vouches that those rows are that run's draw (see
-        :func:`_base_matrices`).  The matrices are views, and each output block
-        is the row slice ``[..., start:start + n]`` of this set's block, so
-        either set fills a block for both.
+        Runs nest across n in every matrix and so in every output, and the
+        caller vouches that those rows are the run it reduces them as.  For
+        a power of two M >= n, QMC run k of n points, the Sobol' block
+        ``[1 + k*n, 1 + (k+1)*n)``, is the rows ``k*n mod M`` onward of run
+        ``k*n // M`` of M points; MC run k of n points is the leading n rows
+        of MC run k of M points.
         """
-        if start < 0 or n <= 0 or start + n > self.n:
-            raise ValueError(f"rows {start}..{start + n} lie outside a set of {self.n}")
+        total = len(self.x["a"])
+        if start < 0 or n <= 0 or start + n > total:
+            raise ValueError(f"rows {start}..{start + n} lie outside a set of {total}")
         rows = slice(start, start + n)
-        part = type(self)(self.model, n, sampler, [x[rows] for x in self._x.values()])
-        part._source = (self, rows)
-        return part
+        return EvaluationSet(
+            self.model,
+            {m: x[rows] for m, x in self.x.items()},
+            {b: f[..., rows] for b, f in self.f.items()},
+        )
 
-    def x(self, matrix: str) -> np.ndarray:
-        """Base matrix ``"a"``, ``"b"`` or ``"c"`` in model space (a view)."""
-        if matrix not in self._x:
-            raise ValueError(
-                f"a {self.dims}-column draw has no matrix {matrix.upper()}"
-            )
-        return self._x[matrix]
 
-    def f(self, block: str) -> np.ndarray:
-        """Outputs of one block (see the class docstring)."""
-        if block not in self._f:
-            if self._source is not None:
-                source, rows = self._source
-                self._f[block] = source.f(block)[..., rows]
-            elif len(block) == 1:
-                self._f[block] = self.model.f(self.x(block))
-            else:
-                donor, base = self.x(block[0]), self.x(block[1])
-                # One column-major scratch copy of the base serves all d
-                # mixed matrices: column i is swapped in from the donor for
-                # one call and restored after it, so f must not write to x.
-                mixed = base.copy(order="F")
-                out = np.empty((self.model.d, self.n))
-                for i in range(self.model.d):
-                    mixed[:, i] = donor[:, i]
-                    out[i] = self.model.f(mixed)
-                    mixed[:, i] = base[:, i]
-                self._f[block] = out
-        return self._f[block]
+def _outputs(model: InputModel, x: dict[str, np.ndarray], block: str) -> np.ndarray:
+    """Outputs of one block over base matrices ``x`` (see :class:`EvaluationSet`)."""
+    if len(block) == 1:
+        return model.f(x[block])
+    donor, base = x[block[0]], x[block[1]]
+    # One column-major scratch copy of the base serves all d mixed
+    # matrices: column i is swapped in from the donor for one call and
+    # restored after it, so f must not write to x.
+    mixed = base.copy(order="F")
+    out = np.empty((model.d, len(base)))
+    for i in range(model.d):
+        mixed[:, i] = donor[:, i]
+        out[i] = model.f(mixed)
+        mixed[:, i] = base[:, i]
+    return out
 
 
 def evaluation_set(
@@ -257,23 +217,35 @@ def evaluation_set(
     n: int,
     sampler: SamplerSpec,
 ) -> EvaluationSet:
-    """One unfilled set that gives each of ``kinds`` the bits it would draw alone.
+    """The evaluated set that gives each of ``kinds`` the bits it would draw alone.
 
-    The set views one draw at the widest width any of ``kinds`` needs.  A
-    narrower draw of the run is a prefix of it (see :func:`_base_matrices`),
-    so one set serves every estimator of a cell under either sampler.
+    The run is drawn once, as ``W * d`` unit columns where W is the number
+    of base matrices the blocks of ``kinds`` read, and laid out in block
+    order: matrix j is coordinate block j of the draw, the rows ``j * n``
+    to ``(j + 1) * n`` of one (W * n, d) copy, transformed in one call.
+    Draws of either sampler are prefix-stable in their columns (see
+    :mod:`sobolbench.sampling`), so a narrower draw of the run has the same
+    A and B, and one set serves every estimator of a cell.  Every block
+    any of ``kinds`` reads is evaluated before the set is returned.
     """
     d = model.d
-    width = max(draw_width(kind, d) for kind in kinds) // d
+    blocks = dict.fromkeys(b for kind in kinds for b in _OUTPUT_BLOCKS[kind])
+    matrices = sorted(set("".join(blocks)))
+    width = len(matrices)
     u = generate_uniform(sampler, n, width * d).values
     # The block-order copy (none at width 1); rebinding u frees the draw.
-    u = u.reshape(n, width, d).swapaxes(0, 1).reshape(width * n, d)
-    rows = UnitPointSet(n=width * n, dims=d, values=u)
+    u = UnitPointSet(
+        n=width * n,
+        dims=d,
+        values=u.reshape(n, width, d).swapaxes(0, 1).reshape(width * n, d),
+    )
     if model.covariance is not None:
-        x = transform_correlated_normal(rows, model.covariance)
+        draw = transform_correlated_normal(u, model.covariance)
     else:
-        x = transform_independent(rows, model.marginals)
-    return EvaluationSet(model, n, sampler, _base_matrices(x, n))
+        draw = transform_independent(u, model.marginals)
+    del u  # alive through the model calls, the unit draw adds its size to peak RSS
+    x = {m: draw[j * n : (j + 1) * n] for j, m in enumerate(matrices)}
+    return EvaluationSet(model, x, {b: _outputs(model, x, b) for b in blocks})
 
 
 def build_plan(
@@ -283,15 +255,21 @@ def build_plan(
 ) -> EvaluationPlan:
     """The blocks of ``evaluations`` that ``kind`` reads, for all d inputs.
 
-    Reading a block evaluates it if no earlier plan on the set has.  The
-    caller checks that ``kind`` applies to the set's model (the oracle
-    needs its exact mean) and passes DLR's bin schedule (see
+    The set must hold every block ``kind`` reads.  The caller checks that
+    ``kind`` applies to the set's model (the oracle needs its exact mean)
+    and passes DLR's bin schedule (see
     :func:`sobolbench.harness.estimate_cell`).
     """
-    outputs = {b: evaluations.f(b) for b in _OUTPUT_BLOCKS[kind]}
+    missing = [b for b in _OUTPUT_BLOCKS[kind] if b not in evaluations.f]
+    if missing:
+        raise ValueError(
+            f"estimator {kind.value!r} reads block(s) {', '.join(missing)} "
+            "that the evaluation set lacks"
+        )
+    outputs = {b: evaluations.f[b] for b in _OUTPUT_BLOCKS[kind]}
     return EvaluationPlan(
         kind=kind,
-        x_a=evaluations.x("a"),
+        x_a=evaluations.x["a"],
         f_a=outputs["a"],
         f_b=outputs.get("b"),
         f_ab=outputs.get("ab"),

@@ -227,12 +227,17 @@ def estimate_cell(
 
     Every kind is checked before anything is drawn (see :func:`_cell_bins`).
     The estimators then reduce one evaluation set, so each output is
-    computed once for all: ``evaluations`` when given (say, part of a
-    longer run's set), else one drawn for the cell, which dies with it.
+    computed once for all: ``evaluations`` when given (say, rows of a
+    longer run's set), which must have n rows, else one drawn and evaluated
+    for the cell, which dies with it.
     """
     bins = _cell_bins(model, kinds, n, bin_count)
     if evaluations is None:
         evaluations = evaluation_set(model, kinds, n, sampler)
+    elif len(evaluations.x["a"]) != n:
+        raise ValueError(
+            f"evaluation set has {len(evaluations.x['a'])} rows, but N = {n}"
+        )
     return {
         kind: estimate_main_index(build_plan(kind, evaluations, bins))
         for kind in kinds
@@ -243,10 +248,10 @@ def _draw_groups(cfg: BenchmarkConfig) -> list[list[tuple[int, int, int]]]:
     """The ladder's (N, run index) cells, one group per top-rung run.
 
     A group lists its cells as (n, k, start), its top-rung cell first: cell
-    (n, k) is the n rows from row ``start`` of the top cell's set (see
-    :func:`sobolbench.estimators._base_matrices`).  Under QMC that is top
-    run ``k * n // N_top`` at row ``k * n % N_top``; under MC, top run k at
-    row 0.
+    (n, k) is the n rows from row ``start`` of the top cell's evaluated set
+    (see :meth:`sobolbench.estimators.EvaluationSet.rows`).  Under QMC that
+    is top run ``k * n // N_top`` at row ``k * n % N_top``; under MC, top
+    run k at row 0.
     """
     n_top = 1 << cfg.p_max
     groups: list[list[tuple[int, int, int]]] = [[] for _ in range(cfg.k)]
@@ -263,19 +268,18 @@ def _run_group(
 ) -> dict[tuple[int, int], dict[EstimatorKind, np.ndarray]]:
     """S_i estimates of every configured estimator at each cell of one group.
 
-    The top-rung run is drawn, transformed and evaluated once, and each
-    cell reduces a row slice of its outputs (see
-    :meth:`sobolbench.estimators.EvaluationSet.rows`).  The set is dropped
-    on return.
+    The top-rung run is drawn, transformed and evaluated in full once,
+    before any cell is reduced, and each cell reduces a row slice of its
+    outputs (see :meth:`sobolbench.estimators.EvaluationSet.rows`).  The
+    set is dropped on return.
     """
     n_top, top, _ = cells[0]
     evaluations = evaluation_set(model, cfg.estimators, n_top, _sampler_for(cfg, top))
     results = {}
     for n, k, start in cells:
-        sampler = _sampler_for(cfg, k)
         results[(n, k)] = estimate_cell(
-            model, cfg.estimators, n, sampler, cfg.bin_override,
-            evaluations.rows(start, n, sampler),
+            model, cfg.estimators, n, _sampler_for(cfg, k), cfg.bin_override,
+            evaluations.rows(start, n),
         )
     return results
 

@@ -23,7 +23,6 @@ __all__ = [
     "TestCaseId",
     "TEST_CASE_NAMES",
     "build",
-    "evaluate",
 ]
 
 
@@ -76,22 +75,6 @@ class InputModel:
     @property
     def has_dependent_inputs(self) -> bool:
         return self.covariance is not None
-
-
-def evaluate(model: InputModel, x) -> float | np.ndarray:
-    """Evaluate the model at a single d-vector or an (n, d) batch."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape[0] != model.d:
-            raise ValueError(f"expected a {model.d}-vector, got length {arr.shape[0]}")
-        return float(model.f(arr[None, :])[0])
-    if arr.ndim == 2:
-        if arr.shape[1] != model.d:
-            raise ValueError(
-                f"expected points of dimension {model.d}, got {arr.shape[1]}"
-            )
-        return model.f(arr)
-    raise ValueError("x must be a d-vector or an (n, d) array")
 
 
 class TestCaseId(Enum):

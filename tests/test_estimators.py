@@ -13,7 +13,6 @@ from sobolbench.estimators import (
     bin_schedule,
     build_plan,
     default_bin_schedule,
-    draw_width,
     estimate_dlr,
     estimate_main_index,
     estimate_mean_and_variance,
@@ -205,7 +204,7 @@ def test_oracle_at_pooled_mean_matches_scipy_sobol_indices(name, sampler):
 
     n = 1 << 12
     evaluations = evaluation_set(build(name), (EstimatorKind.SK,), n, sampler)
-    f_a, f_b, f_ab = (evaluations.f(block) for block in ("a", "b", "ab"))
+    f_a, f_b, f_ab = (evaluations.f[block] for block in ("a", "b", "ab"))
     pooled = np.concatenate([f_a, f_b])
     want = [
         estimate_oracle(f_a, f_b, f_ab_i, pooled.mean()) / np.var(pooled)
@@ -282,7 +281,8 @@ def test_eval_count_table_matches_plans_and_cost():
         populated = _populated(_plan(model, kind, n))
         assert populated == eval_count(kind, 3, n) == cost(kind, 3, n)[0]
     assert eval_count(EstimatorKind.ORACLE, 3, n) == n * 5
-    assert [draw_width(k, 3) for k in ALL_KINDS] == [6, 6, 9, 6, 3]
+    widths = [3 * len(evaluation_set(model, (k,), n, QMC).x) for k in ALL_KINDS]
+    assert widths == [6, 6, 9, 6, 3]
 
 
 def _assert_same_plan(shared, alone):
@@ -319,7 +319,7 @@ def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
     # be left as they were
     model = build(name)
     evaluations = evaluation_set(model, (EstimatorKind.OWEN,), 64, sampler)
-    base = {m: evaluations.x(m).copy() for m in "abc"}
+    base = {m: evaluations.x[m].copy() for m in "abc"}
     for block in ("ab", "ca"):
         donor, into = base[block[0]], base[block[1]]
         want = []
@@ -327,9 +327,9 @@ def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
             mixed = np.array(into, order="C")
             mixed[:, i] = donor[:, i]
             want.append(model.f(mixed))
-        assert np.array_equal(evaluations.f(block), np.array(want))
+        assert np.array_equal(evaluations.f[block], np.array(want))
     for m in "abc":
-        assert np.array_equal(evaluations.x(m), base[m])
+        assert np.array_equal(evaluations.x[m], base[m])
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
@@ -342,8 +342,9 @@ def test_set_matrices_equal_fresh_transform_of_own_draw(name, sampler):
     kinds = (EstimatorKind.DLR,) if model.has_dependent_inputs else ALL_KINDS
     n, d = 64, model.d
     evaluations = evaluation_set(model, kinds, n, sampler)
-    width = evaluations.dims // d
+    width = len(evaluations.x)
     assert width == (1 if model.has_dependent_inputs else 3)
+    assert sorted(evaluations.x) == list("abc"[:width])
     u = generate_uniform(sampler, n, width * d).values
     blocks = [u[:, j * d : (j + 1) * d] for j in range(width)]
     for matrix, block in zip("abc", blocks):
@@ -352,10 +353,7 @@ def test_set_matrices_equal_fresh_transform_of_own_draw(name, sampler):
             want = transform_correlated_normal(unit, model.covariance)
         else:
             want = transform_independent(unit, model.marginals)
-        assert np.array_equal(evaluations.x(matrix), want), matrix
-    for missing in "abc"[width:]:
-        with pytest.raises(ValueError, match=f"no matrix {missing.upper()}"):
-            evaluations.x(missing)
+        assert np.array_equal(evaluations.x[matrix], want), matrix
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
@@ -372,15 +370,15 @@ def test_narrower_set_is_leading_matrices_of_widest(name, sampler):
     widest = evaluation_set(model, by_width, n, sampler)
     for kind in by_width:
         narrow = evaluation_set(model, (kind,), n, sampler)
-        for matrix in "abc"[: narrow.dims // d]:
-            assert np.array_equal(narrow.x(matrix), widest.x(matrix)), (kind, matrix)
+        for matrix in narrow.x:
+            assert np.array_equal(narrow.x[matrix], widest.x[matrix]), (kind, matrix)
 
 
 @pytest.mark.parametrize("name", TEST_CASE_NAMES)
 def test_qmc_row_slice_is_shorter_run(name):
     # QMC run 3 of 64 points is the Sobol' block [193, 257), rows 64..127 of
     # run 1 of 128 points: the slice of the longer run's set has the same
-    # matrices and outputs, bit for bit, and its outputs fill the longer set
+    # matrices and outputs, bit for bit, as views of the longer set's
     base = build(name)
     calls = []
 
@@ -390,27 +388,35 @@ def test_qmc_row_slice_is_shorter_run(name):
 
     model = dataclasses.replace(base, f=f)
     kinds = (EstimatorKind.DLR,) if model.has_dependent_inputs else ALL_KINDS
-    blocks = ("a",) if model.has_dependent_inputs else ("a", "b", "c", "ab", "ca")
-    run3 = SamplerSpec(kind="QMC", run_index=3)
-    alone = evaluation_set(model, kinds, 64, run3)
+    blocks = ["a"] if model.has_dependent_inputs else ["a", "ab", "b", "ca"]
+    alone = evaluation_set(model, kinds, 64, SamplerSpec(kind="QMC", run_index=3))
     longer = evaluation_set(model, kinds, 128, SamplerSpec(kind="QMC", run_index=1))
-    part = longer.rows(64, 64, run3)
-    assert (part.n, part.sampler, part.dims) == (64, run3, alone.dims)
-    for matrix in "abc"[: alone.dims // model.d]:
-        assert np.array_equal(part.x(matrix), alone.x(matrix)), matrix
+    evaluated = len(calls)
+    part = longer.rows(64, 64)
+    assert len(calls) == evaluated  # the part evaluated nothing itself
+    assert calls.count(128) == calls.count(64)
+    assert sorted(part.x) == sorted(alone.x)
+    for matrix in alone.x:
+        assert np.array_equal(part.x[matrix], alone.x[matrix]), matrix
+        assert np.shares_memory(part.x[matrix], longer.x[matrix]), matrix
+    assert sorted(part.f) == sorted(alone.f) == blocks
     for block in blocks:
-        assert np.array_equal(part.f(block), alone.f(block)), block
-        assert np.shares_memory(part.f(block), longer.f(block)), block
-    assert calls.count(128) == calls.count(64)  # the part evaluated nothing itself
+        assert np.array_equal(part.f[block], alone.f[block]), block
+        assert np.shares_memory(part.f[block], longer.f[block]), block
 
 
 def test_evaluation_set_rejects_mismatched_use():
     m = build("Ishigami")
     evaluations = evaluation_set(m, (EstimatorKind.SK,), 64, QMC)
-    with pytest.raises(ValueError, match="no matrix C"):
+    with pytest.raises(ValueError, match="'owen' reads block.s. ca that the"):
         build_plan(EstimatorKind.OWEN, evaluations)
     with pytest.raises(ValueError, match="rows 32..96 lie outside a set of 64"):
-        evaluations.rows(32, 64, QMC)
+        evaluations.rows(32, 64)
+    # a set must be the cell's own n rows, not a longer run's
+    longer = evaluation_set(m, (EstimatorKind.SK, EstimatorKind.DLR), 128, QMC)
+    for kind in (EstimatorKind.SK, EstimatorKind.DLR):
+        with pytest.raises(ValueError, match="set has 128 rows, but N = 64"):
+            estimate_cell(m, (kind,), 64, QMC, evaluations=longer)
 
 
 def test_dependent_model_rejects_direct_formulas():

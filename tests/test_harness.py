@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sobolbench.estimators as estimators
 import sobolbench.harness as harness
@@ -237,6 +238,38 @@ def test_dependent_model_rejects_direct_estimator():
         run_benchmark(cfg)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(2, 40),
+    p_range=st.tuples(st.integers(1, 12), st.integers(1, 12)).map(sorted),
+    sampler=st.sampled_from(["MC", "QMC"]),
+)
+def test_draw_groups_place_each_cell_once_in_its_top_run(k, p_range, sampler):
+    # every (N, k) cell of the ladder is listed once, as rows of the top
+    # run that holds it: QMC run k at N is the Sobol' block from k N, MC run
+    # k at N the leading rows of top run k; each group leads with its top cell
+    p_min, p_max = p_range
+    cfg = BenchmarkConfig(
+        test="Linear4", estimators=(EstimatorKind.SK,), sampler=sampler,
+        p_min=p_min, p_max=p_max, k=k,
+    )
+    n_top = 1 << p_max
+    groups = harness._draw_groups(cfg)
+    cells = [(n, run) for group in groups for n, run, _ in group]
+    assert sorted(cells) == sorted(
+        (1 << p, run) for p in range(p_min, p_max + 1) for run in range(k)
+    )
+    assert len(groups) == k
+    for top, group in enumerate(groups):
+        assert group[0] == (n_top, top, 0)
+        for n, run, start in group:
+            assert start + n <= n_top
+            if sampler == "QMC":
+                assert top * n_top + start == run * n
+            else:
+                assert (top, start) == (run, 0)
+
+
 @pytest.fixture()
 def counted(monkeypatch):
     """Counts run_benchmark's model calls and records the rows of each, its
@@ -321,9 +354,10 @@ def test_mc_ladder_evaluates_every_cell(counted):
 
 
 def test_mc_lower_cells_make_no_model_call(monkeypatch):
-    # in a ParkAhn7 MC ladder (p = 4..7, K = 3) only the top-rung cells call
-    # the model, and every cell's S_i equal, bit for bit, those of a
-    # standalone cell that draws and evaluates its own (N, k) run
+    # in a ParkAhn7 MC ladder (p = 4..7, K = 3) only the K top-rung sets
+    # call the model, each in full before its first cell, so no cell calls
+    # it; every cell's S_i equal, bit for bit, those of a standalone cell
+    # that draws and evaluates its own (N, k) run
     base = build("ParkAhn7")
     calls = []
 
@@ -346,9 +380,10 @@ def test_mc_lower_cells_make_no_model_call(monkeypatch):
         test="ParkAhn7", estimators=kinds, sampler="MC", p_min=4, p_max=7, k=3
     )
     run_benchmark(cfg, threads=1)
+    assert calls == [128] * 3 * 16
     assert sorted(cells) == [(1 << p, k) for p in range(4, 8) for k in range(3)]
     for (n, k), (made, s) in cells.items():
-        assert made == (16 if n == 128 else 0), (n, k)
+        assert made == 0, (n, k)
         spec = SamplerSpec(kind="MC", seed=cfg.master_seed, run_index=k)
         alone = estimate_cell(base, kinds, n, spec)
         for kind in kinds:
@@ -416,32 +451,31 @@ def test_qmc_dlr_only_draws_d_columns(counted):
 
 @pytest.fixture()
 def tracked(monkeypatch):
-    """Every evaluation set made, each with weak references to the outputs
-    it hands out.  A plan holds a set's outputs but not the set, so
-    liveness is judged by those references, not by the set alone."""
+    """Every evaluation set made, and weak references to the outputs of
+    each unit draw.  A set's outputs are computed before the set is made,
+    so they are grouped by the draw they come from, one per set.  A plan
+    holds a set's outputs but not the set, so liveness is judged by those
+    references, not by the set alone."""
     live = weakref.WeakSet()
     handed_out = []
+    draw, outputs = estimators.generate_uniform, estimators._outputs
 
     class TrackedSet(estimators.EvaluationSet):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.refs = []
-            handed_out.append(self.refs)
+        def __post_init__(self):
             live.add(self)
 
-        def rows(self, *args):
-            # a row slice hands out views of this set's outputs, so they
-            # count as this set's
-            part = super().rows(*args)
-            part.refs = self.refs
-            return part
+    def tracked_draw(*args):
+        handed_out.append([])
+        return draw(*args)
 
-        def f(self, block):
-            out = super().f(block)
-            self.refs.append(weakref.ref(out))
-            return out
+    def tracked_outputs(*args):
+        out = outputs(*args)
+        handed_out[-1].append(weakref.ref(out))
+        return out
 
     monkeypatch.setattr(estimators, "EvaluationSet", TrackedSet)
+    monkeypatch.setattr(estimators, "generate_uniform", tracked_draw)
+    monkeypatch.setattr(estimators, "_outputs", tracked_outputs)
     return live, handed_out
 
 

@@ -8,7 +8,6 @@ from sobolbench.models import (
     TEST_CASE_NAMES,
     TestCaseId as CaseId,
     build,
-    evaluate,
     trilinear_exact_moments,
 )
 from sobolbench.sampling import (
@@ -20,6 +19,11 @@ from sobolbench.sampling import (
     transform_correlated_normal,
     transform_independent,
 )
+
+
+def _at(m, point):
+    """The model's output at one point, from a one-row batch."""
+    return float(m.f(np.array([point], dtype=float))[0])
 
 
 def test_registry_builds_every_case():
@@ -50,7 +54,7 @@ def test_linear4_reference_values():
     assert abs(m.analytic_main.sum() - 1.0) < 1e-15
     assert np.array_equal(m.analytic_main, m.analytic_total)
     assert m.analytic_f0 == 16.0
-    assert evaluate(m, [1.0, 3.0, 5.0, 7.0]) == 16.0
+    assert _at(m, [1.0, 3.0, 5.0, 7.0]) == 16.0
     assert all(isinstance(mm, Normal) for mm in m.marginals)
 
 
@@ -155,8 +159,8 @@ def test_ishigami_reference_values():
     assert m.analytic_total[0] == pytest.approx(0.5576, abs=5e-4)
     assert m.analytic_total[1] == m.analytic_main[1]
     assert abs(sum(m.analytic_total) - (1.0 + m.analytic_total[2])) < 1e-12
-    assert evaluate(m, [0.0, 0.0, 0.0]) == 0.0
-    assert evaluate(m, [np.pi / 2, np.pi / 2, 0.0]) == pytest.approx(8.0, abs=1e-12)
+    assert _at(m, [0.0, 0.0, 0.0]) == 0.0
+    assert _at(m, [np.pi / 2, np.pi / 2, 0.0]) == pytest.approx(8.0, abs=1e-12)
     assert all(isinstance(mm, Uniform) for mm in m.marginals)
 
 
@@ -183,8 +187,8 @@ def test_gfunc10b_reference_values():
     assert m.analytic_main[0] == pytest.approx(0.0199, abs=1e-4)
     assert m.analytic_D == pytest.approx((4.0 / 3.0) ** 10 - 1.0, rel=1e-14)
     # at the distribution center every factor |4u-2|+a = 0 for a = 0
-    assert evaluate(m, [0.5] * 10) == 0.0
-    assert evaluate(m, [0.0] * 10) == pytest.approx(2.0**10, rel=1e-12)
+    assert _at(m, [0.5] * 10) == 0.0
+    assert _at(m, [0.0] * 10) == pytest.approx(2.0**10, rel=1e-12)
 
 
 GFUNC_A = {"GFunc10A": (0.0, 0.0) + (3.0,) * 8, "GFunc10B": (0.0,) * 10}
@@ -257,25 +261,11 @@ def test_deplinear3_reference_values():
     assert m.analytic_main[1] == pytest.approx(0.1286, abs=5e-5)
     assert m.analytic_main[2] == pytest.approx(0.5143, abs=5e-5)
     assert m.analytic_f0 == 0.0
-    assert evaluate(m, [1.0, 2.0, 3.0]) == 6.0
+    assert _at(m, [1.0, 2.0, 3.0]) == 6.0
 
 
 # ---------------------------------------------------------------------------
 # evaluation interface and validation
-
-
-def test_evaluate_shapes():
-    m = build("Ishigami")
-    x = np.array([[0.0, 0.0, 0.0], [np.pi / 2, np.pi / 2, 0.0]])
-    out = evaluate(m, x)
-    assert out.shape == (2,)
-    assert out[1] == pytest.approx(8.0, abs=1e-12)
-    with pytest.raises(ValueError, match="3"):
-        evaluate(m, [0.0, 0.0])
-    with pytest.raises(ValueError, match="dimension"):
-        evaluate(m, np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        evaluate(m, np.zeros((2, 2, 2)))
 
 
 def test_batch_matches_pointwise():
@@ -287,8 +277,8 @@ def test_batch_matches_pointwise():
             x = np.abs(x) % 1.0 if name.startswith("GFunc") else x
         if name == "ParkAhn7":
             x = np.abs(x) + 0.1
-        batch = evaluate(m, x)
-        single = np.array([evaluate(m, row) for row in x])
+        batch = m.f(x)
+        single = np.array([_at(m, row) for row in x])
         assert np.allclose(batch, single, rtol=1e-14)
 
 
