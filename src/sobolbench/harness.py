@@ -228,12 +228,16 @@ def estimate_cell(
     Every kind is checked before anything is drawn (see :func:`_cell_bins`).
     The estimators then reduce one evaluation set, so each output is
     computed once for all: ``evaluations`` when given (say, rows of a
-    longer run's set), which must have n rows, else one drawn and evaluated
-    for the cell, which dies with it.
+    longer run's set), which must be this model's with n rows, else one
+    drawn and evaluated for the cell, which dies with it.
     """
     bins = _cell_bins(model, kinds, n, bin_count)
     if evaluations is None:
         evaluations = evaluation_set(model, kinds, n, sampler)
+    elif (drawn := evaluations.model).name != model.name or drawn.d != model.d:
+        raise ValueError(
+            f"set drawn for {drawn.name} (d={drawn.d}), not {model.name} (d={model.d})"
+        )
     elif len(evaluations.x["a"]) != n:
         raise ValueError(
             f"evaluation set has {len(evaluations.x['a'])} rows, but N = {n}"

@@ -417,6 +417,20 @@ def test_evaluation_set_rejects_mismatched_use():
     for kind in (EstimatorKind.SK, EstimatorKind.DLR):
         with pytest.raises(ValueError, match="set has 128 rows, but N = 64"):
             estimate_cell(m, (kind,), 64, QMC, evaluations=longer)
+    # a set must be drawn for the cell's model: the test and its d, not the object
+    dlr = (EstimatorKind.DLR,)
+    ishigami = evaluation_set(m, dlr, 64, QMC)
+    with pytest.raises(
+        ValueError, match=r"drawn for Ishigami \(d=3\), not DepQuad4 \(d=4\)"
+    ):
+        estimate_cell(build("DepQuad4"), dlr, 64, QMC, evaluations=ishigami)
+    renamed = dataclasses.replace(m, name="Ishigami3")
+    with pytest.raises(ValueError, match=r"drawn for Ishigami \(d=3\), not Ishigami3"):
+        estimate_cell(renamed, dlr, 64, QMC, evaluations=ishigami)
+    rebuilt = build("Ishigami")
+    assert rebuilt is not m
+    got = estimate_cell(rebuilt, dlr, 64, QMC, evaluations=ishigami)[EstimatorKind.DLR]
+    assert np.array_equal(got, estimate_cell(m, dlr, 64, QMC)[EstimatorKind.DLR])
 
 
 def test_dependent_model_rejects_direct_formulas():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -128,18 +129,53 @@ def test_qmc_last_block_before_period_matches_reference(dims):
     assert np.array_equal(_sobol_raw(start, n, dims), ref)
 
 
+def _run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on this checkout's src/."""
+    src = Path(sobolbench.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return out.stdout
+
+
 def test_import_does_not_load_scipy_stats():
     # The generator is in-house because importing scipy.stats (which holds
     # scipy's Sobol' engine) costs about a second and 45 MB; a fresh
     # interpreter shows whether the package or its CLI pulls it in.
-    src = Path(sobolbench.__file__).resolve().parents[1]
     probe = "import sys, sobolbench.cli; print('scipy.stats' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
+    assert _run_fresh(probe).strip() == "False"
+
+
+def test_scipy_special_loads_on_first_normal_quantile():
+    # Importing scipy.special costs about 0.2 s and 26 MB, and uniform-only
+    # models never take a normal quantile, so it loads on first use.  The
+    # first use then runs in pool workers, and must not change a record.
+    probe = textwrap.dedent("""
+        import sys, tempfile
+        from pathlib import Path
+        from sobolbench.cli import write_records_csv
+        from sobolbench.estimators import EstimatorKind
+        from sobolbench.harness import BenchmarkConfig, estimate_cell, run_benchmark
+        from sobolbench.models import build
+        from sobolbench.sampling import SamplerSpec
+
+        def ladder(test, sampler, threads):
+            cfg = BenchmarkConfig(test, tuple(EstimatorKind), sampler, 4, 6, k=4)
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "records.csv"
+                write_records_csv(path, run_benchmark(cfg, threads=threads))
+                return path.read_bytes()
+
+        ladder("GFunc10A", "QMC", 1)
+        estimate_cell(build("Ishigami"), tuple(EstimatorKind), 64, SamplerSpec("MC"))
+        print("scipy.special" in sys.modules)
+        two = ladder("ParkAhn7", "MC", 2)
+        print("scipy.special" in sys.modules)
+        print(two == ladder("ParkAhn7", "MC", 1))
+    """)
+    assert _run_fresh(probe).split() == ["False", "True", "True"]
 
 
 def test_qmc_last_block_pinned():
