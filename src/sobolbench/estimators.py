@@ -31,7 +31,6 @@ import numpy as np
 from .models import InputModel
 from .sampling import (
     SamplerSpec,
-    UnitPointSet,
     generate_uniform,
     transform_correlated_normal,
     transform_independent,
@@ -159,8 +158,8 @@ class EvaluationSet:
     """Model outputs on the base matrices of one run, all computed when drawn.
 
     ``x`` maps each base matrix the set's blocks read, ``"a"``, ``"b"`` and
-    (for Owen) ``"c"``, to A, B, C in model space, each (n, d), views of
-    one transformed draw.
+    (for Owen) ``"c"``, to A, B, C in model space, each (n, d), column
+    blocks of one column-major transformed draw.
     ``f`` maps every block the set's estimators read to its outputs: a
     matrix name such as ``"a"`` (shape (n,)), and ``"ab"``, ``"ca"`` (shape
     (d, n)), where block ``"xy"`` row i is the output at matrix y with
@@ -199,15 +198,16 @@ def _outputs(model: InputModel, x: dict[str, np.ndarray], block: str) -> np.ndar
     if len(block) == 1:
         return model.f(x[block])
     donor, base = x[block[0]], x[block[1]]
-    # One column-major scratch copy of the base serves all d mixed
-    # matrices: column i is swapped in from the donor for one call and
-    # restored after it, so f must not write to x.
-    mixed = base.copy(order="F")
+    # The mixed matrices are the base itself: column i is saved, swapped in
+    # from the donor for one call and restored after it, so f must not
+    # write to x.
     out = np.empty((model.d, len(base)))
+    saved = np.empty(len(base))
     for i in range(model.d):
-        mixed[:, i] = donor[:, i]
-        out[i] = model.f(mixed)
-        mixed[:, i] = base[:, i]
+        saved[:] = base[:, i]
+        base[:, i] = donor[:, i]
+        out[i] = model.f(base)
+        base[:, i] = saved
     return out
 
 
@@ -219,32 +219,26 @@ def evaluation_set(
 ) -> EvaluationSet:
     """The evaluated set that gives each of ``kinds`` the bits it would draw alone.
 
-    The run is drawn once, as ``W * d`` unit columns where W is the number
-    of base matrices the blocks of ``kinds`` read, and laid out in block
-    order: matrix j is coordinate block j of the draw, the rows ``j * n``
-    to ``(j + 1) * n`` of one (W * n, d) copy, transformed in one call.
-    Draws of either sampler are prefix-stable in their columns (see
-    :mod:`sobolbench.sampling`), so a narrower draw of the run has the same
-    A and B, and one set serves every estimator of a cell.  Every block
-    any of ``kinds`` reads is evaluated before the set is returned.
+    The run is drawn once, as ``W * d`` column-major unit columns where W is
+    the number of base matrices the blocks of ``kinds`` read, and
+    transformed in place in one call: matrix j is columns ``j * d`` to
+    ``(j + 1) * d`` of the unit draw's own buffer.  Draws of either sampler
+    are prefix-stable in their columns (see :mod:`sobolbench.sampling`), so
+    a narrower draw of the run has the same A and B, and one set serves
+    every estimator of a cell.  Every block any of ``kinds`` reads is
+    evaluated before the set is returned.  Dependent inputs take width 1
+    alone: a wider draw fails ``transform_correlated_normal``'s dims check.
     """
     d = model.d
     blocks = dict.fromkeys(b for kind in kinds for b in _OUTPUT_BLOCKS[kind])
     matrices = sorted(set("".join(blocks)))
     width = len(matrices)
-    u = generate_uniform(sampler, n, width * d).values
-    # The block-order copy (none at width 1); rebinding u frees the draw.
-    u = UnitPointSet(
-        n=width * n,
-        dims=d,
-        values=u.reshape(n, width, d).swapaxes(0, 1).reshape(width * n, d),
-    )
+    u = generate_uniform(sampler, n, width * d)
     if model.covariance is not None:
         draw = transform_correlated_normal(u, model.covariance)
     else:
-        draw = transform_independent(u, model.marginals)
-    del u  # alive through the model calls, the unit draw adds its size to peak RSS
-    x = {m: draw[j * n : (j + 1) * n] for j, m in enumerate(matrices)}
+        draw = transform_independent(u, model.marginals * width, u.values)
+    x = {m: draw[:, j * d : (j + 1) * d] for j, m in enumerate(matrices)}
     return EvaluationSet(model, x, {b: _outputs(model, x, b) for b in blocks})
 
 
@@ -326,14 +320,25 @@ def estimate_oracle(
 
 
 def _argsort_ties_by_index(x: np.ndarray) -> np.ndarray:
-    """``np.argsort(x, kind="stable")``, from numpy's faster default sort.
+    """``np.argsort(x, kind="stable")`` of a float64 x, from a sort of packed keys.
 
-    The default sort's order is the only one when the sorted keys strictly
-    increase.  Otherwise (equal keys, say from a narrow Uniform far from
-    zero, or NaN) x is sorted again stably so that ties keep sample order.
-    The sorted keys are freed on return, before the caller's gather.
+    Each value's order-preserving uint64 key (all bits flipped when the sign
+    bit is set, else the sign bit) has its low ``ceil(log2 N)`` bits replaced
+    by the row index; the sorted keys' low bits are an order, the only one
+    when the sorted values strictly increase.  Otherwise (values apart only
+    in the dropped bits, equal keys, say from a narrow Uniform far from
+    zero, ±0, or NaN) x is argsorted stably so that ties keep sample order.
     """
-    order = np.argsort(x)
+    n = len(x)
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    key = (x.view(np.int64) >> 63).view(np.uint64)
+    key |= np.uint64(1 << 63)
+    key ^= x.view(np.uint64)
+    key &= ~low
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    key &= low
+    order = key.view(np.int64)
     keys = x[order]
     if np.all(keys[1:] > keys[:-1]):
         return order

@@ -36,10 +36,11 @@ class InputModel:
     ``f`` maps an (n, d) array to n outputs, row by row.  It may receive a
     column-major array (sample matrices are kept column-major so each input
     column is contiguous).  It must not write to its input: AB_i and CA_i
-    outputs come from one scratch matrix whose column i is swapped in for
-    the call and restored after it.  Its result must not depend on memory
-    order; ``x.sum(axis=1)`` with d >= 8, for one, does (pairwise along
-    contiguous rows, one column at a time otherwise).
+    outputs come from the evaluation set's own base matrix, whose column i
+    is swapped in for the call and restored after it; a write corrupts the
+    set.  Its result must not depend on memory order; ``x.sum(axis=1)``
+    with d >= 8, for one, does (pairwise along contiguous rows, one column
+    at a time otherwise).
     """
 
     name: str
@@ -249,13 +250,17 @@ def build_gfunc(a: Sequence[float], name: str) -> InputModel:
     d = a_arr.shape[0]
 
     def f(x: np.ndarray) -> np.ndarray:
-        # The closed form's operations in its order, on one temporary.
-        t = np.multiply(x, 4.0)
-        t -= 2.0
-        np.abs(t, out=t)
-        t += a_arr
-        t /= denom
-        return np.prod(t, axis=1)
+        # The closed form's operations in its order, a column at a time on
+        # two n-vectors; factors multiply in input order, as in np.prod.
+        out, t = np.ones(len(x)), np.empty(len(x))
+        for i in range(d):
+            np.multiply(x[:, i], 4.0, out=t)
+            t -= 2.0
+            np.abs(t, out=t)
+            t += a_arr[i]
+            t /= denom[i]
+            out *= t
+        return out
 
     partial = (1.0 / 3.0) / denom**2
     D = float(np.prod(1.0 + partial) - 1.0)

@@ -5,7 +5,8 @@ low-discrepancy sequence (``QMC``, Gray-code construction over the bundled
 direction-number table, read one byte of the Gray-code index at a time through
 lookup tables cached per dimension count).  Unit samples map to model space
 through independent marginals or a Gaussian covariance (Cholesky); normal
-quantiles are ``scipy.special.ndtri``, imported on first use.
+quantiles are ``scipy.special.ndtri``, imported on first use.  Both samplers
+return column-major draws; QMC builds its draw in blocks of rows.
 
 Generator conventions
 ---------------------
@@ -50,6 +51,11 @@ __all__ = [
 SOBOL_PERIOD = 1 << MAXBIT
 
 _GRAY_TABLE_CACHE: dict[int, np.ndarray] = {}
+
+# Rows _sobol_raw builds row-major, scales and copies at a time into its
+# column-major result: one cast-and-transpose ufunc call is 3-4x slower, and
+# the block's temporaries (12 bytes a coordinate) stay small beside the draw.
+_SOBOL_BLOCK_ROWS = 2048
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
@@ -126,27 +132,32 @@ def _gray_byte_tables(dims: int) -> np.ndarray:
 
 
 def _sobol_raw(start: int, n: int, dims: int) -> np.ndarray:
-    """Sobol' elements with raw sequence indices [start, start + n).
+    """Sobol' elements with raw sequence indices [start, start + n), column-major.
 
     Direct Gray-code construction: element i is the XOR of the direction
     vectors selected by the set bits of gray(i) = i ^ (i >> 1).  The XOR is
     taken a byte of gray(i) at a time, as
     ``T[0][g & 255] ^ T[1][(g >> 8) & 255] ^ T[2][...] ^ T[3][...]`` over the
-    tables of :func:`_gray_byte_tables`; a byte that is zero for the whole
-    block contributes nothing and is skipped.  XOR is exact, so the grouping
-    gives the same bits as one pass per direction vector.
+    tables of :func:`_gray_byte_tables`, into a uint32 block of
+    ``_SOBOL_BLOCK_ROWS`` rows; a byte that is zero for the whole block
+    contributes nothing and is skipped.  XOR is exact, so the grouping gives
+    the same bits as one pass per direction vector.
     """
     if start + n > SOBOL_PERIOD:
         raise ValueError("sequence index exceeds the 2^32 generator period")
     tables = _gray_byte_tables(dims)
     idx = np.arange(start, start + n, dtype=np.uint32)
     gray = idx ^ (idx >> np.uint32(1))
-    out = np.zeros((n, dims), dtype=np.uint32)
-    for c, table in enumerate(tables):
-        byte = (gray >> np.uint32(8 * c)) & np.uint32(0xFF)
-        if byte.any():
-            out ^= np.take(table, byte, axis=0)
-    return out * np.float64(2.0**-MAXBIT)
+    out = np.empty((n, dims), order="F")
+    for lo in range(0, n, _SOBOL_BLOCK_ROWS):
+        g = gray[lo : lo + _SOBOL_BLOCK_ROWS]
+        block = np.zeros((len(g), dims), dtype=np.uint32)
+        for c, table in enumerate(tables):
+            byte = (g >> np.uint32(8 * c)) & np.uint32(0xFF)
+            if byte.any():
+                block ^= np.take(table, byte, axis=0)
+        np.copyto(out[lo : lo + len(g)], block * 2.0**-MAXBIT)
+    return out
 
 
 def generate_uniform(spec: SamplerSpec, n: int, dims: int) -> UnitPointSet:
@@ -288,17 +299,21 @@ def cholesky_lower(cov: CovarianceSpec) -> np.ndarray:
     return L
 
 
-def transform_independent(u: UnitPointSet, marginals: Sequence[Marginal]) -> np.ndarray:
+def transform_independent(
+    u: UnitPointSet, marginals: Sequence[Marginal], out: np.ndarray | None = None
+) -> np.ndarray:
     """Map unit samples to model space columnwise through the marginals.
 
-    The result is column-major (Fortran-ordered), so each input column a
+    The result goes into ``out``, which may be ``u.values`` itself, or else
+    into a new column-major (Fortran-ordered) array, so each input column a
     model, a column swap or a sort reads is contiguous.
     """
     if u.dims != len(marginals):
         raise ValueError(
             f"point set has {u.dims} dims but {len(marginals)} marginals given"
         )
-    out = np.empty((u.n, u.dims), order="F")
+    if out is None:
+        out = np.empty((u.n, u.dims), order="F")
     for j, marg in enumerate(marginals):
         out[:, j] = marg.from_unit(u.values[:, j])
     return out

@@ -1,15 +1,18 @@
 """Estimator formulas: exact identities, plan construction, convergence."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sobolbench.estimators import (
     BinSchedule,
     DegenerateModelError,
     EstimatorKind,
     IncompatibleModelError,
+    _argsort_ties_by_index,
     bin_schedule,
     build_plan,
     default_bin_schedule,
@@ -313,10 +316,11 @@ def test_shared_plans_equal_standalone_plans(name, sampler):
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
 @pytest.mark.parametrize("name", INDEPENDENT_CASES)
 def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
-    # AB_i/CA_i outputs come from one column-major scratch copy whose column
-    # i is swapped in and restored; each must equal the output on a mixed
-    # matrix built from a fresh row-major copy, and the base matrices must
-    # be left as they were
+    # AB_i/CA_i outputs come from the set's own base matrix, a column block
+    # of its column-major draw, whose column i is swapped in and restored;
+    # each must equal the output on a mixed matrix built from a fresh
+    # row-major copy (test_set_matrices_equal_fresh_transform_of_own_draw
+    # checks that every swapped column was restored)
     model = build(name)
     evaluations = evaluation_set(model, (EstimatorKind.OWEN,), 64, sampler)
     base = {m: evaluations.x[m].copy() for m in "abc"}
@@ -335,9 +339,11 @@ def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
 @pytest.mark.parametrize("name", TEST_CASE_NAMES)
 def test_set_matrices_equal_fresh_transform_of_own_draw(name, sampler):
-    # a cell's set holds A, B[, C] in block order: under either sampler,
-    # matrix j is the transform of coordinate block j of the run's n-point
-    # draw.  A set has no matrices beyond its width.
+    # a cell's set holds A, B[, C] as column blocks of one draw: under
+    # either sampler, matrix j is the transform of columns j*d..(j+1)*d of
+    # the run's n-point draw.  The column swaps of the AB_i/CA_i outputs
+    # ran in these matrices, so this also fails if one column was not
+    # restored.  A set has no matrices beyond its width.
     model = build(name)
     kinds = (EstimatorKind.DLR,) if model.has_dependent_inputs else ALL_KINDS
     n, d = 64, model.d
@@ -354,6 +360,56 @@ def test_set_matrices_equal_fresh_transform_of_own_draw(name, sampler):
         else:
             want = transform_independent(unit, model.marginals)
         assert np.array_equal(evaluations.x[matrix], want), matrix
+
+
+def test_set_of_direct_kind_on_dependent_model_fails_before_model_call():
+    # direct formulas need a 2d-wide draw, which the Cholesky transform of a
+    # d-dim covariance refuses before any output is evaluated
+    model = build("DepQuad4")
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return model.f(x)
+
+    counted = dataclasses.replace(model, f=f)
+    for kind in DIRECT_KINDS:
+        with pytest.raises(ValueError, match="covariance"):
+            evaluation_set(counted, (kind,), 64, QMC)
+    assert calls == []
+
+
+def _held_bytes(evaluations):
+    """Bytes of the distinct buffers a set's matrices and outputs live in."""
+    roots = {}
+    for a in (*evaluations.x.values(), *evaluations.f.values()):
+        while a.base is not None:
+            a = a.base
+        roots[id(a)] = a
+    return sum(a.nbytes for a in roots.values())
+
+
+@pytest.mark.parametrize(
+    "name,sampler",
+    [("GFunc10A", QMC), ("ParkAhn7", MC)],
+    ids=["GFunc10A-QMC", "ParkAhn7-MC"],
+)
+def test_evaluation_set_peak_memory_is_near_what_it_holds(name, sampler):
+    # a set is drawn, transformed and column-swapped in one buffer, so
+    # building it allocates little beyond the arrays it keeps: no block-order
+    # copy, no separate transform output, no scratch base matrix and no
+    # (n, d) temporary in a model call.  numpy reports its allocations to
+    # tracemalloc, so the peak does not depend on the C allocator.
+    model = build(name)
+    n = 1 << 12
+    evaluation_set(model, ALL_KINDS, n, sampler)  # imports and table caches
+    tracemalloc.start()
+    try:
+        evaluations = evaluation_set(model, ALL_KINDS, n, sampler)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * _held_bytes(evaluations)
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
@@ -535,6 +591,44 @@ def test_dlr_ties_from_wide_offset_uniform():
     f = u[:, 1]
     bins = default_bin_schedule(1 << 10)
     assert estimate_dlr(x, f, bins) == _dlr_stable_reference(x, f, bins)
+
+
+def _nan(sign, payload):
+    bits = sign << 63 | 0x7FF << 52 | payload
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+_SPECIAL_FLOATS = st.one_of(
+    st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.0**-1022]),
+    st.builds(_nan, st.integers(0, 1), st.integers(1, (1 << 52) - 1)),
+)
+
+
+@st.composite
+def _sort_inputs(draw):
+    """float64 arrays of 1..5000 values: distinct values at several scales
+    (subnormal, or apart only in their lowest bits), with a share of them
+    replaced from a few special values (NaN of either sign and any payload,
+    ±0, ±inf, subnormals), which gives heavy ties."""
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from(["normal", "subnormal", "last_bits"]))
+    if scale == "last_bits":
+        x = 1.0 + rng.integers(0, 1 << 14, n) * 2.0**-52
+    else:
+        x = rng.standard_normal(n) * (1e-310 if scale == "subnormal" else 1.0)
+    pool = np.array(draw(st.lists(_SPECIAL_FLOATS, min_size=1, max_size=8)))
+    share = draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    tied = rng.random(n) < share
+    x[tied] = rng.choice(pool, tied.sum())
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sort_inputs())
+def test_packed_key_sort_equals_stable_argsort(x):
+    assert np.array_equal(_argsort_ties_by_index(x), np.argsort(x, kind="stable"))
 
 
 def test_dlr_length_mismatch():

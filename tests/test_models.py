@@ -292,35 +292,40 @@ def _model_space(m, spec):
 @pytest.mark.parametrize("kind", ["MC", "QMC"])
 @pytest.mark.parametrize("name", TEST_CASE_NAMES)
 def test_model_output_does_not_depend_on_memory_order(name, kind):
-    # Sample matrices are column-major, and an AB_i/CA_i block swaps columns
-    # in one scratch copy, so f must give the same bits in either order and
-    # must not write to its input.  This is not automatic: x.sum(axis=1)
-    # adds each row pairwise once d >= 8 when rows are contiguous, but one
-    # column at a time on a column-major array, so such a model with d >= 8
-    # would change bits with the layout (np.prod, and sums over d <= 7, do
-    # not).
+    # Sample matrices are column blocks of one column-major draw, and an
+    # AB_i/CA_i block swaps columns in the set's own base matrix, so f must
+    # give the same bits in any layout and must not write to its input.
+    # This is not automatic: x.sum(axis=1) adds each row pairwise once
+    # d >= 8 when rows are contiguous, but one column at a time on a
+    # column-major array, so such a model with d >= 8 would change bits
+    # with the layout (np.prod, and sums over d <= 7, do not).
     m = build(name)
     spec = SamplerSpec(kind=kind, seed=11, run_index=2)
     x = _model_space(m, spec)
     # the first d columns of a row-major 2d-wide matrix: neither C- nor
     # F-contiguous
     wide = np.ascontiguousarray(np.hstack([x, x]))
-    # a strided view (every third row) and the view an evaluation set takes
-    # of a cell's column-major draw under either sampler (a block of rows)
+    # a strided view (every third row), a block of rows of a column-major
+    # array, and the view an evaluation set takes of a cell's draw under
+    # either sampler: columns d..2d of a column-major (n, 3d) array
     n = len(x)
     chunk_order = np.empty((3 * n, m.d), order="F")
     block_order = np.empty((3 * n, m.d), order="F")
+    column_blocks = np.empty((n, 3 * m.d), order="F")
     chunk_order[1::3] = x
     block_order[n : 2 * n] = x
+    column_blocks[:, m.d : 2 * m.d] = x
     layouts = [
         np.ascontiguousarray(x),
         np.asfortranarray(x),
         wide[:, : m.d],
         chunk_order[1::3],
         block_order[n : 2 * n],
+        column_blocks[:, m.d : 2 * m.d],
     ]
-    for view in layouts[2:]:
+    for view in layouts[2:5]:
         assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    assert layouts[5].flags.f_contiguous and layouts[5].base is column_blocks
     want = m.f(layouts[0])
     for arr in layouts:
         before = arr.copy()

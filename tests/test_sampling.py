@@ -19,6 +19,7 @@ from sobolbench.sampling import (
     SamplerSpec,
     Uniform,
     UnitPointSet,
+    _SOBOL_BLOCK_ROWS,
     _sobol_raw,
     cholesky_lower,
     generate_uniform,
@@ -127,6 +128,23 @@ def test_qmc_last_block_before_period_matches_reference(dims):
     start, n = (1 << 32) - 64, 64
     ref = _sobol_by_bit(eng._sv.T, start, n) * 2.0**-32
     assert np.array_equal(_sobol_raw(start, n, dims), ref)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+@pytest.mark.parametrize("dims", [1, 21, 64])
+def test_qmc_draw_across_row_blocks_matches_reference(dims):
+    # The draw is built _SOBOL_BLOCK_ROWS rows at a time: these rows start
+    # off a multiple of the block size, end in a partial block, and cross
+    # 2^16, so the third Gray-code byte is zero over the first block and
+    # skipped there but not in later ones.
+    qmc_mod = pytest.importorskip("scipy.stats.qmc")
+    eng = qmc_mod.Sobol(d=dims, scramble=False, bits=32)
+    if getattr(eng, "_sv", None) is None:
+        pytest.skip("this scipy does not expose its direction vectors")
+    start, n = (1 << 16) - _SOBOL_BLOCK_ROWS - 1000, 3 * _SOBOL_BLOCK_ROWS + 100
+    got = _sobol_raw(start, n, dims)
+    assert got.flags.f_contiguous
+    assert np.array_equal(got, _sobol_by_bit(eng._sv.T, start, n) * 2.0**-32)
 
 
 def _run_fresh(code: str) -> str:
@@ -437,6 +455,21 @@ def test_transform_independent_columns():
     assert abs(x[0, 1] - 5.0) < 1e-12
     with pytest.raises(ValueError):
         transform_independent(u, (Uniform(0.0, 1.0),))
+
+
+@pytest.mark.parametrize("kind", ["QMC", "MC"])
+def test_transform_independent_in_place(kind):
+    # without out the transform is pure; with out=u.values it overwrites the
+    # unit draw with the same bits and returns that array
+    u = generate_uniform(SamplerSpec(kind=kind, seed=3), 64, 3)
+    marginals = (Uniform(-1.0, 3.0), Normal(5.0, 2.0), Lognormal(2.0, 0.4))
+    before = u.values.copy()
+    pure = transform_independent(u, marginals)
+    assert np.array_equal(u.values, before)
+    assert pure is not u.values
+    in_place = transform_independent(u, marginals, u.values)
+    assert in_place is u.values
+    assert np.array_equal(in_place.view(np.uint64), pure.view(np.uint64))
 
 
 def test_correlated_diagonal_equals_independent():
