@@ -41,8 +41,6 @@ for kind in kinds:
 
 # input 3 drives the output only through its interaction with input 1,
 # so its main effect is exactly zero; every estimator should sit near 0
-# while the total index (stored as reference data) does not
-print(f"  analytic totals   = {np.round(model.analytic_total, 4)}")
 
 # dependent inputs: the direct formulas assume independence and refuse to
 # run, but DLR needs only a single sample set and the sort-and-bin step

@@ -173,8 +173,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     model = build(args.test)
     kinds = _parse_estimator_list(args.estimators)
     spec = SamplerSpec(kind=args.sampler, seed=args.seed, run_index=args.run_index)
-    if EstimatorKind.DLR not in kinds and args.bins is not None:
-        raise ValueError("--bins applies only to the dlr estimator")
     # The estimators share their model evaluations; each table still reports
     # what its estimator would cost alone.  The cell runs every check on n,
     # bins and the model before anything is printed.

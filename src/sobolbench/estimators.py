@@ -176,11 +176,8 @@ class EvaluationSet:
         """Rows ``start`` to ``start + n`` of this set, matrices and outputs as views.
 
         Runs nest across n in every matrix and so in every output, and the
-        caller vouches that those rows are the run it reduces them as.  For
-        a power of two M >= n, QMC run k of n points, the Sobol' block
-        ``[1 + k*n, 1 + (k+1)*n)``, is the rows ``k*n mod M`` onward of run
-        ``k*n // M`` of M points; MC run k of n points is the leading n rows
-        of MC run k of M points.
+        caller vouches that those rows are the run it reduces them as (see
+        :func:`sobolbench.sampling._replicate_layout`).
         """
         total = len(self.x["a"])
         if start < 0 or n <= 0 or start + n > total:
@@ -251,8 +248,7 @@ def build_plan(
 
     The set must hold every block ``kind`` reads.  The caller checks that
     ``kind`` applies to the set's model (the oracle needs its exact mean)
-    and passes DLR's bin schedule (see
-    :func:`sobolbench.harness.estimate_cell`).
+    and passes DLR's bin schedule (see :func:`sobolbench.harness._cell_bins`).
     """
     missing = [b for b in _OUTPUT_BLOCKS[kind] if b not in evaluations.f]
     if missing:

@@ -4,10 +4,9 @@ For each sample count N = 2^p on a ladder, K replicate runs are performed
 (disjoint Sobol' blocks for QMC, independently seeded streams for MC).  Each
 run evaluates the model once and every estimator reduces the shared
 outputs.  Each run at N is a row block of a top-rung run, drawn once per
-ladder (under QMC a block of some top run, under MC the leading rows of the
-top run of the same index), so a ladder evaluates only its top rung.  The
-root-mean-square error of each estimator's S_i against
-the model's analytic value is recorded:
+ladder (see :func:`sobolbench.sampling._replicate_layout`), so a ladder
+evaluates only its top rung.  The root-mean-square error of each
+estimator's S_i against the model's analytic value is recorded:
 
     eps_i(N) = sqrt( (1/K) * sum_k (S_i_hat[k] - S_i_analytic)^2 )
 
@@ -36,7 +35,7 @@ from .estimators import (
     evaluation_set,
 )
 from .models import InputModel, TestCaseId, build
-from .sampling import SOBOL_PERIOD, SamplerSpec
+from .sampling import SOBOL_PERIOD, SamplerSpec, _replicate_layout
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -98,23 +97,28 @@ class BenchmarkConfig:
             raise ValueError("p_min must not exceed p_max")
         if self.p_min < 1:
             raise ValueError("p_min must be at least 1")
+        if self.p_max > 62:
+            raise ValueError("p_max must be at most 62 (N is an array length)")
         if self.k < 2:
             raise ValueError("K must be at least 2")
-        # QMC replicates are consecutive Sobol' blocks of 2^p_max points after
-        # the skipped index 0, so the last ends at sequence index K * 2^p_max.
-        if self.sampler == "QMC" and self.k << self.p_max >= SOBOL_PERIOD:
-            raise ValueError(
-                f"QMC ladder needs K * 2^p_max = {self.k << self.p_max} Sobol' "
-                f"points, past the generator period of {SOBOL_PERIOD}"
-            )
+        if self.sampler == "QMC":
+            # Every lower-rung run lies in a top-rung one, and the last of
+            # those ends furthest into the Sobol' sequence.
+            n_top = 1 << self.p_max
+            end = _replicate_layout("QMC", self.k - 1, n_top, n_top)[0] + n_top
+            if end > SOBOL_PERIOD:
+                raise ValueError(
+                    f"QMC ladder needs Sobol' indices up to {end - 1}, past the "
+                    f"generator period of {SOBOL_PERIOD}"
+                )
         if self.fit_window not in ("upper", "full"):
             raise ValueError(f"unknown fit window {self.fit_window!r}")
-        if self.bin_override is not None:
-            if EstimatorKind.DLR not in self.estimators:
-                raise ValueError("bin_override applies only to the dlr estimator")
-            # Every ladder N is a power of two, so a count that partitions
+        if EstimatorKind.DLR in self.estimators:
+            # Every ladder N is a power of two, so a schedule that partitions
             # the smallest N partitions them all.
             bin_schedule(1 << self.p_min, self.bin_override)
+        elif self.bin_override is not None:
+            raise ValueError("bin_override applies only to the dlr estimator")
 
 
 @dataclass(frozen=True)
@@ -185,20 +189,17 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     return threads
 
 
-def _sampler_for(cfg: BenchmarkConfig, run_index: int) -> SamplerSpec:
-    if cfg.sampler == "QMC":
-        return SamplerSpec(kind="QMC", run_index=run_index)
-    return SamplerSpec(kind="MC", seed=cfg.master_seed, run_index=run_index)
-
-
 def _cell_bins(
-    model: InputModel, kinds: Sequence[EstimatorKind], n: int, bin_count: Optional[int]
+    model: InputModel,
+    kinds: Sequence[EstimatorKind],
+    n: int,
+    bin_count: Optional[int],
 ) -> Optional[BinSchedule]:
-    """DLR's bin schedule at n, or None, once ``kinds`` are checked in order.
-
-    Direct formulas need independent inputs; the oracle also needs the
-    model's exact mean.
-    """
+    """DLR's bin schedule for N = ``n``, or None, once ``kinds`` are checked
+    in order: a bin count needs DLR, direct formulas independent inputs,
+    and the oracle the model's exact mean."""
+    if bin_count is not None and EstimatorKind.DLR not in kinds:
+        raise ValueError("bin count applies only to the dlr estimator")
     bins = None
     for kind in kinds:
         if kind == EstimatorKind.DLR:
@@ -215,55 +216,52 @@ def _cell_bins(
     return bins
 
 
-def estimate_cell(
-    model: InputModel,
+def _estimates(
+    evaluations: EvaluationSet,
     kinds: Sequence[EstimatorKind],
-    n: int,
-    sampler: SamplerSpec,
-    bin_count: Optional[int] = None,
-    evaluations: Optional[EvaluationSet] = None,
+    bins: Optional[BinSchedule],
 ) -> dict[EstimatorKind, np.ndarray]:
-    """Every estimator's d main-effect estimates S_i from one (N, run) draw.
-
-    Every kind is checked before anything is drawn (see :func:`_cell_bins`).
-    The estimators then reduce one evaluation set, so each output is
-    computed once for all: ``evaluations`` when given (say, rows of a
-    longer run's set), which must be this model's with n rows, else one
-    drawn and evaluated for the cell, which dies with it.
-    """
-    bins = _cell_bins(model, kinds, n, bin_count)
-    if evaluations is None:
-        evaluations = evaluation_set(model, kinds, n, sampler)
-    elif (drawn := evaluations.model).name != model.name or drawn.d != model.d:
-        raise ValueError(
-            f"set drawn for {drawn.name} (d={drawn.d}), not {model.name} (d={model.d})"
-        )
-    elif len(evaluations.x["a"]) != n:
-        raise ValueError(
-            f"evaluation set has {len(evaluations.x['a'])} rows, but N = {n}"
-        )
+    """Each of ``kinds``' d estimates S_i from one set, the kinds checked by
+    :func:`_cell_bins` and ``bins`` DLR's schedule at the set's N (or None);
+    ``build_plan`` and ``estimate_main_index`` are looked up at call time,
+    where the benchmark's tracer rebinds them."""
     return {
         kind: estimate_main_index(build_plan(kind, evaluations, bins))
         for kind in kinds
     }
 
 
+def estimate_cell(
+    model: InputModel,
+    kinds: Sequence[EstimatorKind],
+    n: int,
+    sampler: SamplerSpec,
+    bin_count: Optional[int] = None,
+) -> dict[EstimatorKind, np.ndarray]:
+    """Every estimator's d main-effect estimates S_i from one (N, run) draw.
+
+    Every kind is checked before anything is drawn (see :func:`_cell_bins`).
+    The estimators then reduce one evaluation set drawn and evaluated for
+    the cell, so each output is computed once for all.
+    """
+    bins = _cell_bins(model, kinds, n, bin_count)
+    return _estimates(evaluation_set(model, kinds, n, sampler), kinds, bins)
+
+
 def _draw_groups(cfg: BenchmarkConfig) -> list[list[tuple[int, int, int]]]:
     """The ladder's (N, run index) cells, one group per top-rung run.
 
-    A group lists its cells as (n, k, start), its top-rung cell first: cell
-    (n, k) is the n rows from row ``start`` of the top cell's evaluated set
-    (see :meth:`sobolbench.estimators.EvaluationSet.rows`).  Under QMC that
-    is top run ``k * n // N_top`` at row ``k * n % N_top``; under MC, top
-    run k at row 0.
+    A group lists its cells as (n, k, row), its top-rung cell first: cell
+    (n, k) is the n rows from ``row`` of the top cell's evaluated set, as
+    :func:`sobolbench.sampling._replicate_layout` places it.
     """
     n_top = 1 << cfg.p_max
     groups: list[list[tuple[int, int, int]]] = [[] for _ in range(cfg.k)]
     for p in range(cfg.p_max, cfg.p_min - 1, -1):
         n = 1 << p
         for k in range(cfg.k):
-            top, start = divmod(k * n, n_top) if cfg.sampler == "QMC" else (k, 0)
-            groups[top].append((n, k, start))
+            _, top, row = _replicate_layout(cfg.sampler, k, n, n_top)
+            groups[top].append((n, k, row))
     return groups
 
 
@@ -274,18 +272,20 @@ def _run_group(
 
     The top-rung run is drawn, transformed and evaluated in full once,
     before any cell is reduced, and each cell reduces a row slice of its
-    outputs (see :meth:`sobolbench.estimators.EvaluationSet.rows`).  The
-    set is dropped on return.
+    outputs (see :meth:`sobolbench.estimators.EvaluationSet.rows`) with
+    DLR's bin schedule at its N.  The set is dropped on return.
     """
     n_top, top, _ = cells[0]
-    evaluations = evaluation_set(model, cfg.estimators, n_top, _sampler_for(cfg, top))
-    results = {}
-    for n, k, start in cells:
-        results[(n, k)] = estimate_cell(
-            model, cfg.estimators, n, _sampler_for(cfg, k), cfg.bin_override,
-            evaluations.rows(start, n),
+    spec = SamplerSpec(cfg.sampler, cfg.master_seed, top)
+    evaluations = evaluation_set(model, cfg.estimators, n_top, spec)
+    dlr = EstimatorKind.DLR in cfg.estimators
+    return {
+        (n, k): _estimates(
+            evaluations.rows(row, n), cfg.estimators,
+            bin_schedule(n, cfg.bin_override) if dlr else None,
         )
-    return results
+        for n, k, row in cells
+    }
 
 
 def run_benchmark(
@@ -294,18 +294,18 @@ def run_benchmark(
     """All ConvergenceRecords for the config, sorted by (estimator, input, N).
 
     Each (N, run index) cell's outputs are evaluated once for all
-    configured estimators (see :func:`estimate_cell`), and once for the
-    whole ladder; each replicate is drawn once, at the top rung,
-    for its group of cells (see :func:`_draw_groups`), after every kind is
-    checked against the model.  Groups fan out over a thread pool when
-    ``threads`` (or the SOBOLBENCH_THREADS variable) exceeds one; every
-    cell is a pure function of its (N, run index) pair and results are
-    merged in a fixed order, so the output is identical regardless of
-    parallelism.
+    configured estimators, and once for the whole ladder; each replicate is
+    drawn once, at the top rung, for its group of cells (see
+    :func:`_draw_groups`), after every kind is checked against the model.
+    Groups fan out over a thread pool when ``threads`` (or the
+    SOBOLBENCH_THREADS variable) exceeds one; every cell is a pure function
+    of its (N, run index) pair and results are merged in a fixed order, so
+    the output is identical regardless of parallelism.
     """
     model = build(cfg.test)
     n_threads = resolve_threads(threads)
-    # A bin schedule that partitions the smallest N partitions them all.
+    # Kinds are checked once, before anything is drawn; a bin schedule that
+    # partitions the smallest N partitions them all.
     _cell_bins(model, cfg.estimators, 1 << cfg.p_min, cfg.bin_override)
 
     groups = _draw_groups(cfg)

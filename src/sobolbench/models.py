@@ -2,9 +2,9 @@
 
 Each test case bundles a vectorized model function, its input distribution
 (independent marginals or a Gaussian covariance block), and whatever closed
-forms exist for its mean f0, total variance D, main-effect indices S_i, and
-total indices.  Main/total indices are computed from the model parameters
-rather than hard-coded, with one documented exception (ParkAhn7, see below).
+forms exist for its mean f0, total variance D and main-effect indices S_i.
+Main indices are computed from the model parameters rather than hard-coded,
+with one documented exception (ParkAhn7, see below).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class InputModel:
     marginals: Optional[tuple[Marginal, ...]] = None
     covariance: Optional[CovarianceSpec] = None
     analytic_main: Optional[np.ndarray] = None
-    analytic_total: Optional[np.ndarray] = None
     analytic_f0: Optional[float] = None
     analytic_D: Optional[float] = None
 
@@ -69,9 +68,6 @@ class InputModel:
                 raise ValueError("analytic_main length does not match dimension")
             if np.any(main < 0.0) or np.any(main > 1.0):
                 raise ValueError("analytic_main entries must lie in [0, 1]")
-        if self.analytic_total is not None:
-            total = np.asarray(self.analytic_total, dtype=float)
-            object.__setattr__(self, "analytic_total", total)
 
     @property
     def has_dependent_inputs(self) -> bool:
@@ -98,8 +94,7 @@ _LINEAR4_SIGMA = (1.0, 1.5, 2.0, 2.5)
 def build_linear4() -> InputModel:
     """f = sum(x_i) with independent x_i ~ N(mu_i, sigma_i^2).
 
-    For an additive Gaussian model D_i = sigma_i^2, D = sum(sigma_j^2), and
-    main and total indices coincide.
+    For an additive Gaussian model D_i = sigma_i^2 and D = sum(sigma_j^2).
     """
     sigma2 = np.asarray(_LINEAR4_SIGMA, dtype=float) ** 2
     D = float(sigma2.sum())
@@ -112,7 +107,6 @@ def build_linear4() -> InputModel:
             Normal(m, s) for m, s in zip(_LINEAR4_MU, _LINEAR4_SIGMA)
         ),
         analytic_main=main,
-        analytic_total=main.copy(),
         analytic_f0=float(sum(_LINEAR4_MU)),
         analytic_D=D,
     )
@@ -223,15 +217,12 @@ def build_ishigami() -> InputModel:
     D = a**2 / 8.0 + b * np.pi**4 / 5.0 + b**2 * np.pi**8 / 18.0 + 0.5
     D1 = 0.5 * (1.0 + b * np.pi**4 / 5.0) ** 2
     D2 = a**2 / 8.0
-    # the only interaction term: x3 influences f solely through (x1, x3)
-    D13 = D - D1 - D2
     return InputModel(
         name="Ishigami",
         d=3,
         f=f,
         marginals=(Uniform(-np.pi, np.pi),) * 3,
         analytic_main=np.array([D1 / D, D2 / D, 0.0]),
-        analytic_total=np.array([(D1 + D13) / D, D2 / D, D13 / D]),
         analytic_f0=a / 2.0,
         analytic_D=float(D),
     )
@@ -301,16 +292,12 @@ def build_depquad4() -> InputModel:
     With mu1 = mu2 = 0:
       D    = s1^2 (s3^2 + mu3^2) + s2^2 (s4^2 + mu4^2) + 2 s12 (s34 + mu3 mu4)
       D_1  = (s1^2 mu3 + s12 mu4)^2 / s1^2,  D_2 symmetric,  D_3 = D_4 = 0
-      total: S_i^tot = (1 - rho^2) * (own main-plus-interaction variance) / D
-             with rho the input's pair correlation.
     """
     mean = np.asarray(_DEPQUAD_MEAN)
     C = np.asarray(_DEPQUAD_COV)
     s1sq, s2sq, s3sq, s4sq = C[0, 0], C[1, 1], C[2, 2], C[3, 3]
     s12, s34 = C[0, 1], C[2, 3]
     mu3, mu4 = mean[2], mean[3]
-    rho12 = s12 / np.sqrt(s1sq * s2sq)
-    rho34 = s34 / np.sqrt(s3sq * s4sq)
 
     D = s1sq * (s3sq + mu3**2) + s2sq * (s4sq + mu4**2) + 2.0 * s12 * (s34 + mu3 * mu4)
     D1 = (s1sq * mu3 + s12 * mu4) ** 2 / s1sq
@@ -318,21 +305,12 @@ def build_depquad4() -> InputModel:
     # mu1 = mu2 = 0 kills the symmetric expressions for inputs 3 and 4
     D3 = (s3sq * mean[0] + s34 * mean[1]) ** 2 / s3sq
     D4 = (s4sq * mean[1] + s34 * mean[0]) ** 2 / s4sq
-    total = np.array(
-        [
-            (1.0 - rho12**2) * s1sq * (s3sq + mu3**2) / D,
-            (1.0 - rho12**2) * s2sq * (s4sq + mu4**2) / D,
-            (1.0 - rho34**2) * s1sq * s3sq / D,
-            (1.0 - rho34**2) * s2sq * s4sq / D,
-        ]
-    )
     return InputModel(
         name="DepQuad4",
         d=4,
         f=lambda x: x[:, 0] * x[:, 2] + x[:, 1] * x[:, 3],
         covariance=CovarianceSpec(mean=mean, matrix=C),
         analytic_main=np.array([D1, D2, D3, D4]) / D,
-        analytic_total=total,
         # E[x1 x3] + E[x2 x4] = cov13 + mu1 mu3 + cov24 + mu2 mu4
         analytic_f0=float(C[0, 2] + mean[0] * mu3 + C[1, 3] + mean[1] * mu4),
         analytic_D=float(D),
@@ -352,8 +330,6 @@ def build_deplinear3() -> InputModel:
 
     Conditional expectations give D = 2 + sigma^2 + 2 rho sigma and
       S_1 = 1/D,  S_2 = (1 + rho sigma)^2 / D,  S_3 = (sigma + rho)^2 / D.
-    For this additive Gaussian model the total indices coincide with the
-    main ones.
     """
     sigma, rho = _DEPLIN_SIGMA, _DEPLIN_RHO
     C = np.array(
@@ -371,7 +347,6 @@ def build_deplinear3() -> InputModel:
         f=lambda x: x.sum(axis=1),
         covariance=CovarianceSpec(mean=np.zeros(3), matrix=C),
         analytic_main=main,
-        analytic_total=main.copy(),
         analytic_f0=0.0,
         analytic_D=float(D),
     )

@@ -13,9 +13,9 @@ Generator conventions
 * The all-zeros Sobol' element is skipped: sequence index 1 is the first
   returned point, so every returned coordinate is strictly positive and the
   inverse-CDF transforms are well defined.
-* A QMC run with ``run_index = k`` returns the contiguous block of sequence
-  elements with raw indices ``[1 + k*n, 1 + (k+1)*n)``; distinct runs use
-  disjoint parts of the sequence.
+* A QMC run with ``run_index = k`` returns a contiguous block of sequence
+  elements, starting at the raw index :func:`_replicate_layout` gives;
+  distinct runs use disjoint parts of the sequence.
 * An MC run seeds one PCG64 stream with :func:`mix_seed` of its seed and
   run index; column ``c`` of the ``n x dims`` draw is the first ``n`` values
   of that stream jumped ``c`` times (``PCG64.jumped(c)``).  So an MC draw
@@ -113,6 +113,21 @@ def mix_seed(master_seed: int, run_index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _replicate_layout(
+    kind: str, run: int, n: int, n_top: int
+) -> tuple[int, int, int]:
+    """(start, top, row): run ``run`` of n points is rows ``row`` onward of run
+    ``top`` of ``n_top`` points (a multiple of n), and starts at index ``start``.
+
+    QMC run k is the Sobol' block ``[1 + k*n, 1 + (k+1)*n)``, past the skipped
+    index 0; MC run k is the leading values of run k's own streams.
+    """
+    if kind != "QMC":
+        return 0, run, 0
+    top, row = divmod(run * n, n_top)
+    return 1 + top * n_top + row, top, row
+
+
 def _gray_byte_tables(dims: int) -> np.ndarray:
     """The (MAXBIT/8, 256, dims) uint32 tables of _sobol_raw, cached per dims.
 
@@ -175,7 +190,7 @@ def generate_uniform(spec: SamplerSpec, n: int, dims: int) -> UnitPointSet:
     if spec.kind == "QMC":
         if n & (n - 1) != 0:
             raise ValueError(f"QMC sample count must be a power of two, got n={n}")
-        values = _sobol_raw(1 + spec.run_index * n, n, dims)
+        values = _sobol_raw(_replicate_layout("QMC", spec.run_index, n, n)[0], n, dims)
     else:
         stream = np.random.PCG64(mix_seed(spec.seed, spec.run_index))
         values = np.empty((n, dims), order="F")

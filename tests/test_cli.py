@@ -106,16 +106,18 @@ def configs(draw):
         draw(st.lists(st.sampled_from(EstimatorKind), min_size=1, unique=True))
     )
     # A QMC ladder's K top-rung runs must fit in the 2^32-point Sobol'
-    # period, so its p_max is at most 30 and K * 2^p_max below 2^32.
+    # period, so its p_max is at most 30 and K * 2^p_max below 2^32; an MC
+    # ladder's N = 2^p_max must be an array length, so p_max is at most 62.
     sampler = draw(st.sampled_from(["MC", "QMC"]))
-    p_cap = 30 if sampler == "QMC" else None
-    # A bin_override needs dlr and must split N = 2^p_min into bins of at
-    # least 2 points; ladders drawn with one start below 2^64 points.
-    if EstimatorKind.DLR in estimators and draw(st.booleans()):
-        p_min = draw(st.integers(2, p_cap or 64))
+    p_cap = 30 if sampler == "QMC" else 62
+    # dlr's default bin schedule needs N = 2^p_min >= 4; a bin_override
+    # needs dlr and must split N = 2^p_min into bins of at least 2 points.
+    dlr = EstimatorKind.DLR in estimators
+    if dlr and draw(st.booleans()):
+        p_min = draw(st.integers(2, p_cap))
         bin_override = 2 ** draw(st.integers(1, p_min - 1))
     else:
-        p_min, bin_override = draw(st.integers(1, p_cap)), None
+        p_min, bin_override = draw(st.integers(2 if dlr else 1, p_cap)), None
     p_max = draw(st.integers(p_min, p_cap))
     return BenchmarkConfig(
         test=draw(st.sampled_from(TEST_CASE_NAMES)),
@@ -123,7 +125,7 @@ def configs(draw):
         sampler=sampler,
         p_min=p_min,
         p_max=p_max,
-        k=draw(st.integers(2, None if p_cap is None else ((1 << 32) - 1) >> p_max)),
+        k=draw(st.integers(2, ((1 << 32) - 1) >> p_max if sampler == "QMC" else None)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
         bin_override=bin_override,
         fit_window=draw(st.sampled_from(["upper", "full"])),
@@ -249,7 +251,7 @@ def test_estimate_unknown_names_are_usage_errors(capsys):
     assert main(["estimate", "--test", "Linear4", "--estimators", "sk",
                  "--sampler", "QMC", "--n", "64", "--bins", "3"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "--bins applies only to the dlr estimator" in err
+    assert out == "" and "applies only to the dlr estimator" in err
     assert main(["estimate", "--test", "Linear4", "--estimators", "sk,dlr",
                  "--sampler", "QMC", "--n", "64", "--bins", "3"]) == 2
     out, err = capsys.readouterr()

@@ -468,25 +468,6 @@ def test_evaluation_set_rejects_mismatched_use():
         build_plan(EstimatorKind.OWEN, evaluations)
     with pytest.raises(ValueError, match="rows 32..96 lie outside a set of 64"):
         evaluations.rows(32, 64)
-    # a set must be the cell's own n rows, not a longer run's
-    longer = evaluation_set(m, (EstimatorKind.SK, EstimatorKind.DLR), 128, QMC)
-    for kind in (EstimatorKind.SK, EstimatorKind.DLR):
-        with pytest.raises(ValueError, match="set has 128 rows, but N = 64"):
-            estimate_cell(m, (kind,), 64, QMC, evaluations=longer)
-    # a set must be drawn for the cell's model: the test and its d, not the object
-    dlr = (EstimatorKind.DLR,)
-    ishigami = evaluation_set(m, dlr, 64, QMC)
-    with pytest.raises(
-        ValueError, match=r"drawn for Ishigami \(d=3\), not DepQuad4 \(d=4\)"
-    ):
-        estimate_cell(build("DepQuad4"), dlr, 64, QMC, evaluations=ishigami)
-    renamed = dataclasses.replace(m, name="Ishigami3")
-    with pytest.raises(ValueError, match=r"drawn for Ishigami \(d=3\), not Ishigami3"):
-        estimate_cell(renamed, dlr, 64, QMC, evaluations=ishigami)
-    rebuilt = build("Ishigami")
-    assert rebuilt is not m
-    got = estimate_cell(rebuilt, dlr, 64, QMC, evaluations=ishigami)[EstimatorKind.DLR]
-    assert np.array_equal(got, estimate_cell(m, dlr, 64, QMC)[EstimatorKind.DLR])
 
 
 def test_dependent_model_rejects_direct_formulas():
@@ -533,6 +514,10 @@ def test_dlr_bin_override():
         estimate_cell(m, dlr, 1 << 10, QMC, bin_count=100)
     with pytest.raises(ValueError, match="bin count 0 must be at least 2"):
         estimate_cell(m, dlr, 1 << 10, QMC, bin_count=0)
+    # a bin count without dlr is refused, not ignored
+    sk = (EstimatorKind.SK,)
+    with pytest.raises(ValueError, match="applies only to the dlr estimator"):
+        estimate_cell(build("Ishigami"), sk, 64, QMC, bin_count=7)
 
 
 def test_dlr_bins_are_exhaustive_partition():

@@ -104,6 +104,14 @@ def test_config_validation():
         test="Linear4", estimators=("dlr",), sampler="QMC", p_min=8, p_max=10,
         bin_override=128,
     ).bin_override == 128
+    # dlr's default schedule needs N = 2^p_min >= 4, checked by the config
+    with pytest.raises(ValueError, match="requires N = 2\\^p with p >= 2, got N=2"):
+        BenchmarkConfig(
+            test="Linear4", estimators=("sk", "dlr"), sampler="QMC", p_min=1, p_max=4
+        )
+    assert BenchmarkConfig(
+        test="Linear4", estimators=("sk",), sampler="QMC", p_min=1, p_max=4
+    ).p_min == 1
 
 
 def test_config_refuses_qmc_ladder_past_sobol_period():
@@ -124,6 +132,26 @@ def test_config_refuses_qmc_ladder_past_sobol_period():
             config("QMC", p_max, k)
     # an MC ladder draws from PCG64 streams, which have no such bound
     assert config("MC", 22, 1100).k == 1100
+
+
+@given(
+    p_max=st.integers(63, None),
+    p_min=st.integers(1, None),
+    sampler=st.sampled_from(["MC", "QMC"]),
+    estimators=st.sampled_from([("sk",), ("dlr",), ("sk", "dlr")]),
+)
+def test_config_refuses_ladder_past_array_length(p_max, p_min, sampler, estimators):
+    # N = 2^p_max rows must be a numpy array length (below 2^63), so any
+    # p_max past 62 is a config error, also when dlr's bin schedule would
+    # be checked at an N of 2^p_min that no memory can hold
+    with pytest.raises(ValueError, match="p_max must be at most 62"):
+        BenchmarkConfig(
+            test="Linear4", estimators=estimators, sampler=sampler,
+            p_min=min(p_min, p_max), p_max=p_max,
+        )
+    assert BenchmarkConfig(
+        test="Linear4", estimators=("dlr",), sampler="MC", p_min=62, p_max=62,
+    ).p_max == 62
 
 
 def test_config_coerces_names():
@@ -355,39 +383,46 @@ def test_mc_ladder_evaluates_every_cell(counted):
 
 def test_mc_lower_cells_make_no_model_call(monkeypatch):
     # in a ParkAhn7 MC ladder (p = 4..7, K = 3) only the K top-rung sets
-    # call the model, each in full before its first cell, so no cell calls
-    # it; every cell's S_i equal, bit for bit, those of a standalone cell
-    # that draws and evaluates its own (N, k) run
+    # call the model, each in full before its first cell, so no cell's
+    # reduction calls it; every cell's S_i equal, bit for bit, those of a
+    # standalone cell that draws and evaluates its own (N, k) run
     base = build("ParkAhn7")
-    calls = []
+    calls, sets, reduced = [], [], []
 
     def f(x):
         calls.append(len(x))
         return base.f(x)
 
-    monkeypatch.setattr(harness, "build", lambda test: dataclasses.replace(base, f=f))
-    cells = {}
+    def counted_set(*args):
+        evaluations = estimators.evaluation_set(*args)
+        sets.append(len(calls))
+        return evaluations
 
-    def recorded(model, kinds, n, sampler, bin_count=None, evaluations=None):
-        before = len(calls)
-        s = estimate_cell(model, kinds, n, sampler, bin_count, evaluations)
-        cells[(n, sampler.run_index)] = (len(calls) - before, s)
+    def counted_reduce(plan):
+        s = estimators.estimate_main_index(plan)
+        reduced.append((len(plan.f_a), len(calls) - sets[-1], s))
         return s
 
-    monkeypatch.setattr(harness, "estimate_cell", recorded)
+    monkeypatch.setattr(harness, "build", lambda test: dataclasses.replace(base, f=f))
+    monkeypatch.setattr(harness, "evaluation_set", counted_set)
+    monkeypatch.setattr(harness, "estimate_main_index", counted_reduce)
     kinds = tuple(EstimatorKind)
     cfg = BenchmarkConfig(
         test="ParkAhn7", estimators=kinds, sampler="MC", p_min=4, p_max=7, k=3
     )
     run_benchmark(cfg, threads=1)
     assert calls == [128] * 3 * 16
+    # one thread reduces the groups in order, each cell's kinds in config order
+    cells = [(n, k) for group in harness._draw_groups(cfg) for n, k, _ in group]
     assert sorted(cells) == [(1 << p, k) for p in range(4, 8) for k in range(3)]
-    for (n, k), (made, s) in cells.items():
-        assert made == 0, (n, k)
-        spec = SamplerSpec(kind="MC", seed=cfg.master_seed, run_index=k)
-        alone = estimate_cell(base, kinds, n, spec)
-        for kind in kinds:
-            assert np.array_equal(s[kind], alone[kind]), (n, k, kind)
+    assert len(reduced) == len(cells) * len(kinds)
+    monkeypatch.undo()
+    for i, (n, k) in enumerate(cells):
+        alone = estimate_cell(base, kinds, n, SamplerSpec("MC", cfg.master_seed, k))
+        for j, kind in enumerate(kinds):
+            rows, made, s = reduced[i * len(kinds) + j]
+            assert (rows, made) == (n, 0), (n, k, kind)
+            assert np.array_equal(s, alone[kind]), (n, k, kind)
 
 
 @pytest.mark.parametrize(

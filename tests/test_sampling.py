@@ -20,6 +20,7 @@ from sobolbench.sampling import (
     Uniform,
     UnitPointSet,
     _SOBOL_BLOCK_ROWS,
+    _replicate_layout,
     _sobol_raw,
     cholesky_lower,
     generate_uniform,
@@ -76,6 +77,26 @@ def test_qmc_runs_are_consecutive_disjoint_blocks():
     seen0 = {tuple(row) for row in run0}
     seen1 = {tuple(row) for row in run1}
     assert not (seen0 & seen1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["MC", "QMC"]),
+    p_top=st.integers(0, 10),
+    data=st.data(),
+    dims=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_replicate_layout_places_each_run_in_its_top_run(kind, p_top, data, dims, seed):
+    # run k of n points is rows [row, row + n) of run `top` of n_top points,
+    # where _replicate_layout places it, under either sampler
+    n_top = 1 << p_top
+    n = 1 << data.draw(st.integers(0, p_top), label="p")
+    run = data.draw(st.integers(0, 100), label="run")
+    _, top, row = _replicate_layout(kind, run, n, n_top)
+    alone = generate_uniform(SamplerSpec(kind, seed, run), n, dims).values
+    held = generate_uniform(SamplerSpec(kind, seed, top), n_top, dims).values
+    assert np.array_equal(held[row : row + n], alone)
 
 
 @pytest.mark.filterwarnings("ignore:The balance properties")

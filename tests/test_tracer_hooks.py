@@ -3,7 +3,8 @@
 The tracer records spans from outside the package by rebinding module
 attributes that the ladder resolves at call time.  If the package renames or
 drops one of them, a traced benchmark run fails or records nothing for that
-layer; these tiny ladders catch that in the package's own test suite.
+layer; these tiny ladders and a standalone cell catch that in the package's
+own test suite.
 """
 
 import importlib.util
@@ -12,7 +13,14 @@ from pathlib import Path
 import pytest
 
 import sobolbench
-from sobolbench import BenchmarkConfig, EstimatorKind, cost, run_benchmark
+from sobolbench import (
+    BenchmarkConfig,
+    EstimatorKind,
+    SamplerSpec,
+    cost,
+    estimate_cell,
+    run_benchmark,
+)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -71,3 +79,23 @@ def test_traced_ladder_records_every_layer(test, sampler, threads, f_calls):
     assert metrics["estimators.estimate_main_index.calls"] == cells * len(EstimatorKind)
     assert metrics["sampling.generate_uniform.calls"] == cfg.k
     assert metrics["estimators.plan_bytes"] > 0
+
+
+def test_traced_standalone_cell_records_each_reduction():
+    # a standalone cell reduces its set through the same names the ladder
+    # does, so the library and CLI path stays traceable: one plan and one
+    # reduction per kind
+    kinds = tuple(EstimatorKind)
+    model = sobolbench.build("Ishigami")
+    plain = estimate_cell(model, kinds, 64, SamplerSpec("QMC"))
+
+    tracer = spans.Tracer()
+    with spans.traced_package(tracer, sobolbench):
+        traced = estimate_cell(model, kinds, 64, SamplerSpec("QMC"))
+    assert traced.keys() == plain.keys()
+    for kind in kinds:
+        assert (traced[kind] == plain[kind]).all(), kind
+
+    names = [s.name for s in tracer.spans]
+    assert names.count("estimators.build_plan") == len(kinds)
+    assert names.count("estimators.estimate_main_index") == len(kinds)
