@@ -10,6 +10,7 @@ from .estimators import (
     DegenerateModelError,
     EstimatorKind,
     IncompatibleModelError,
+    cost,
     default_bin_schedule,
 )
 from .harness import (
@@ -17,7 +18,6 @@ from .harness import (
     BenchmarkConfig,
     ConvergenceRecord,
     RateFit,
-    cost,
     estimate_cell,
     fit_rate,
     group_records,
@@ -49,12 +49,12 @@ __all__ = [
     "DegenerateModelError",
     "EstimatorKind",
     "IncompatibleModelError",
+    "cost",
     "default_bin_schedule",
     "DEFAULT_MASTER_SEED",
     "BenchmarkConfig",
     "ConvergenceRecord",
     "RateFit",
-    "cost",
     "estimate_cell",
     "fit_rate",
     "group_records",

@@ -29,12 +29,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .estimators import EstimatorKind, IncompatibleModelError, eval_count
+from .estimators import EstimatorKind, IncompatibleModelError, cost
 from .harness import (
     DEFAULT_MASTER_SEED,
     BenchmarkConfig,
     ConvergenceRecord,
     RateFit,
+    _TooFewPoints,
     estimate_cell,
     fit_rate,
     group_records,
@@ -181,7 +182,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     print(f"test {model.name} (d={model.d}), sampler {args.sampler}, N={args.n}")
     any_negative = False
     for kind in kinds:
-        evals = eval_count(kind, model.d, args.n)
+        evals = cost(kind, model.d, args.n)[0]
         print(f"\nestimator {kind.value}: {evals} model evaluations")
         print(f"  {'input':>5}  {'S_hat':>12}  {'analytic':>12}  {'|error|':>12}")
         for i, (s_hat, ref) in enumerate(zip(cell[kind], model.analytic_main), 1):
@@ -209,7 +210,7 @@ def write_rates_csv(
     """Fit every (estimator, input) group on both axes; returns rows written.
 
     Groups whose ladder leaves fewer than 4 usable points are skipped rather
-    than failing the whole run.
+    than failing the whole run; any other refusal of the fit propagates.
     """
     groups = group_records(records)
     rows = 0
@@ -221,7 +222,7 @@ def write_rates_csv(
             for axis in ("N", "N_CPU"):
                 try:
                     fit = fit_rate(group, axis=axis, window=window)
-                except ValueError:
+                except _TooFewPoints:
                     continue
                 writer.writerow(
                     [group[0].test, kind.value, group[0].sampler, *_row(fit, _RATE_FIELDS)]
@@ -321,32 +322,21 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
                     f"estimator {est} lacks N={missing[0]}"
                 )
 
+        # On N all estimators share one abscissa column, N itself; their
+        # evaluation counts differ, so on N_CPU each carries its own:
+        # (n_cpu_<e>, rmse_<e>) pairs.  A row with any RMSE <= 0 is dropped.
+        by_n = args.axis == "N"
+        columns = (
+            {"rmse": "rmse"} if by_n else {"n_cpu": "n_cpu_actual", "rmse": "rmse"}
+        )
+        header = ["N"] * by_n + [f"{c}_{e}" for e in estimators for c in columns]
+        lines = ["# " + " ".join(header)]
+        for n in ns:
+            at_n = [cell[(e, n)] for e in estimators]
+            if not any(float(row["rmse"]) <= 0.0 for row in at_n):
+                fields = [row[c] for row in at_n for c in columns.values()]
+                lines.append(" ".join([str(n)] * by_n + fields))
         path = out_dir / f"{test}_i{input_index}_{args.axis}.dat"
-        lines = []
-        if args.axis == "N":
-            # shared abscissa: N, then one RMSE column per estimator
-            lines.append("# N " + " ".join(f"rmse_{e}" for e in estimators))
-            for n in ns:
-                vals = [cell[(e, n)]["rmse"] for e in estimators]
-                if any(float(v) <= 0.0 for v in vals):
-                    continue
-                lines.append(" ".join([str(n)] + vals))
-        else:
-            # per-estimator evaluation counts differ, so each estimator
-            # carries its own abscissa column: (n_cpu_<e>, rmse_<e>) pairs
-            lines.append(
-                "# " + " ".join(f"n_cpu_{e} rmse_{e}" for e in estimators)
-            )
-            for n in ns:
-                fields = []
-                skip = False
-                for e in estimators:
-                    row = cell[(e, n)]
-                    if float(row["rmse"]) <= 0.0:
-                        skip = True
-                    fields.extend([row["n_cpu_actual"], row["rmse"]])
-                if not skip:
-                    lines.append(" ".join(fields))
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
 

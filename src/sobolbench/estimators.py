@@ -18,6 +18,10 @@ inside a longer one is a row slice of its set, outputs included (see
 :meth:`EvaluationSet.rows`).  Each estimator is a pure reduction over the
 blocks of the set it reads (:func:`sobolbench.harness.estimate_cell` runs
 all of a cell's estimators).
+
+What each estimator needs is stated here alone: the blocks it reads and
+so its cost (:func:`cost`), and which estimator lists, bin counts and
+models it accepts (:func:`_check_kinds`).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ __all__ = [
     "DegenerateModelError",
     "default_bin_schedule",
     "bin_schedule",
-    "eval_count",
+    "cost",
     "evaluation_set",
     "build_plan",
     "estimate_mean_and_variance",
@@ -148,9 +152,58 @@ _OUTPUT_BLOCKS = {
 }
 
 
-def eval_count(kind: EstimatorKind, d: int, n: int) -> int:
-    """Model evaluations of one ``kind`` run for all d inputs, alone."""
-    return n * sum(d if len(b) == 2 else 1 for b in _OUTPUT_BLOCKS[kind])
+def cost(kind: EstimatorKind, d: int, n: int) -> tuple[int, int]:
+    """(actual, table1) evaluation counts for a full set of d indices.
+
+    ``actual`` is what one ``kind`` run evaluates alone (main effects only),
+    whether or not a cell shares those evaluations with other estimators.
+    ``table1`` is the published convention, which for the original Sobol'
+    formula budgets the joint {S_i, S_i_tot} set: N(2d+1) instead of N(d+1).
+    The two differ only for that estimator.
+    """
+    actual = n * sum(d if len(b) == 2 else 1 for b in _OUTPUT_BLOCKS[kind])
+    if kind == EstimatorKind.SOBOL:
+        return actual, n * (2 * d + 1)
+    return actual, actual
+
+
+def _check_kinds(
+    kinds: Sequence[EstimatorKind],
+    n: int,
+    bin_count: Optional[int] = None,
+    model: Optional[InputModel] = None,
+) -> None:
+    """Refuse ``kinds`` unless they can share cells of N = ``n`` samples.
+
+    The list must be nonempty without repeats; a bin count needs DLR, and
+    DLR's schedule must partition ``n`` (every ladder N is a power of two,
+    so a schedule that partitions the smallest N partitions them all).
+    Given a model, the direct formulas need independent inputs and the
+    oracle the model's exact mean.
+    """
+    if not kinds:
+        raise ValueError("at least one estimator is required")
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ValueError(f"repeated estimator {kind.value!r}")
+    if EstimatorKind.DLR in kinds:
+        bin_schedule(n, bin_count)
+    elif bin_count is not None:
+        raise ValueError("bin count applies only to the dlr estimator")
+    if model is None:
+        return
+    for kind in kinds:
+        if kind == EstimatorKind.DLR:
+            continue
+        if model.has_dependent_inputs:
+            raise IncompatibleModelError(
+                f"estimator {kind.value!r} on {model.name}: "
+                "direct formulas assume independent inputs"
+            )
+        if kind == EstimatorKind.ORACLE and model.analytic_f0 is None:
+            raise IncompatibleModelError(
+                f"estimator 'oracle' on {model.name}: needs the model's exact mean f0"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,13 +295,14 @@ def evaluation_set(
 def build_plan(
     kind: EstimatorKind,
     evaluations: EvaluationSet,
-    bins: Optional[BinSchedule] = None,
+    bin_count: Optional[int] = None,
 ) -> EvaluationPlan:
     """The blocks of ``evaluations`` that ``kind`` reads, for all d inputs.
 
-    The set must hold every block ``kind`` reads.  The caller checks that
-    ``kind`` applies to the set's model (the oracle needs its exact mean)
-    and passes DLR's bin schedule (see :func:`sobolbench.harness._cell_bins`).
+    The set must hold every block ``kind`` reads.  DLR's bin schedule is
+    ``bin_count`` bins of the set's rows, or the default schedule without
+    one.  The caller checks ``kind`` against the set's model and the bin
+    count first (see :func:`_check_kinds`).
     """
     missing = [b for b in _OUTPUT_BLOCKS[kind] if b not in evaluations.f]
     if missing:
@@ -264,7 +318,9 @@ def build_plan(
         f_b=outputs.get("b"),
         f_ab=outputs.get("ab"),
         f_ca=outputs.get("ca"),
-        bins=bins,
+        bins=bin_schedule(len(outputs["a"]), bin_count)
+        if kind == EstimatorKind.DLR
+        else None,
         f0=evaluations.model.analytic_f0 if kind == EstimatorKind.ORACLE else None,
     )
 

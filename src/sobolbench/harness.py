@@ -24,14 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimators import (
-    BinSchedule,
     EstimatorKind,
     EvaluationSet,
-    IncompatibleModelError,
-    bin_schedule,
+    _check_kinds,
     build_plan,
+    cost,
     estimate_main_index,
-    eval_count,
     evaluation_set,
 )
 from .models import InputModel, TestCaseId, build
@@ -48,7 +46,6 @@ __all__ = [
     "run_benchmark",
     "rmse_against",
     "fit_rate",
-    "cost",
     "group_records",
 ]
 
@@ -60,6 +57,10 @@ THREADS_ENV_VAR = "SOBOLBENCH_THREADS"
 # Points with RMSE below this are indistinguishable from machine noise
 # (exact-zero analytic indices can produce them) and are dropped from fits.
 MIN_FIT_RMSE = 1e-14
+
+
+class _TooFewPoints(ValueError):
+    """A rate fit's ladder leaves fewer than 4 usable points."""
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,6 @@ class BenchmarkConfig:
                 for e in self.estimators
             ),
         )
-        if not self.estimators:
-            raise ValueError("at least one estimator is required")
-        for i, kind in enumerate(self.estimators):
-            if kind in self.estimators[:i]:
-                raise ValueError(f"repeated estimator {kind.value!r}")
         SamplerSpec(self.sampler, self.master_seed)  # checks kind and seed range
         if self.p_min > self.p_max:
             raise ValueError("p_min must not exceed p_max")
@@ -113,12 +109,7 @@ class BenchmarkConfig:
                 )
         if self.fit_window not in ("upper", "full"):
             raise ValueError(f"unknown fit window {self.fit_window!r}")
-        if EstimatorKind.DLR in self.estimators:
-            # Every ladder N is a power of two, so a schedule that partitions
-            # the smallest N partitions them all.
-            bin_schedule(1 << self.p_min, self.bin_override)
-        elif self.bin_override is not None:
-            raise ValueError("bin_override applies only to the dlr estimator")
+        _check_kinds(self.estimators, 1 << self.p_min, self.bin_override)
 
 
 @dataclass(frozen=True)
@@ -151,22 +142,6 @@ class RateFit:
     window: str
 
 
-def cost(kind: EstimatorKind, d: int, n: int) -> tuple[int, int]:
-    """(actual, table1) evaluation counts for a full set of d indices.
-
-    ``actual`` is what one ``kind`` run evaluates alone (main effects only;
-    see :func:`eval_count`), whether or not the harness shares those
-    evaluations with other estimators.
-    ``table1`` is the published convention, which for the original Sobol'
-    formula budgets the joint {S_i, S_i_tot} set: N(2d+1) instead of N(d+1).
-    The two differ only for that estimator.
-    """
-    actual = eval_count(kind, d, n)
-    if kind == EstimatorKind.SOBOL:
-        return actual, n * (2 * d + 1)
-    return actual, actual
-
-
 def rmse_against(estimates: np.ndarray, analytic: np.ndarray) -> np.ndarray:
     """Per-input RMSE of a (K, d) block of estimates against the d references."""
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
@@ -189,44 +164,16 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     return threads
 
 
-def _cell_bins(
-    model: InputModel,
-    kinds: Sequence[EstimatorKind],
-    n: int,
-    bin_count: Optional[int],
-) -> Optional[BinSchedule]:
-    """DLR's bin schedule for N = ``n``, or None, once ``kinds`` are checked
-    in order: a bin count needs DLR, direct formulas independent inputs,
-    and the oracle the model's exact mean."""
-    if bin_count is not None and EstimatorKind.DLR not in kinds:
-        raise ValueError("bin count applies only to the dlr estimator")
-    bins = None
-    for kind in kinds:
-        if kind == EstimatorKind.DLR:
-            bins = bin_schedule(n, bin_count)
-        elif model.has_dependent_inputs:
-            raise IncompatibleModelError(
-                f"estimator {kind.value!r} on {model.name}: "
-                "direct formulas assume independent inputs"
-            )
-        elif kind == EstimatorKind.ORACLE and model.analytic_f0 is None:
-            raise IncompatibleModelError(
-                f"estimator 'oracle' on {model.name}: needs the model's exact mean f0"
-            )
-    return bins
-
-
 def _estimates(
     evaluations: EvaluationSet,
     kinds: Sequence[EstimatorKind],
-    bins: Optional[BinSchedule],
+    bin_count: Optional[int],
 ) -> dict[EstimatorKind, np.ndarray]:
-    """Each of ``kinds``' d estimates S_i from one set, the kinds checked by
-    :func:`_cell_bins` and ``bins`` DLR's schedule at the set's N (or None);
-    ``build_plan`` and ``estimate_main_index`` are looked up at call time,
-    where the benchmark's tracer rebinds them."""
+    """Each of ``kinds``' d estimates S_i from one set, the kinds and DLR's
+    ``bin_count`` already checked; ``build_plan`` and ``estimate_main_index``
+    are looked up at call time, where the benchmark's tracer rebinds them."""
     return {
-        kind: estimate_main_index(build_plan(kind, evaluations, bins))
+        kind: estimate_main_index(build_plan(kind, evaluations, bin_count))
         for kind in kinds
     }
 
@@ -240,12 +187,13 @@ def estimate_cell(
 ) -> dict[EstimatorKind, np.ndarray]:
     """Every estimator's d main-effect estimates S_i from one (N, run) draw.
 
-    Every kind is checked before anything is drawn (see :func:`_cell_bins`).
-    The estimators then reduce one evaluation set drawn and evaluated for
-    the cell, so each output is computed once for all.
+    Every kind is checked before anything is drawn (see
+    :func:`sobolbench.estimators._check_kinds`).  The estimators then reduce
+    one evaluation set drawn and evaluated for the cell, so each output is
+    computed once for all.
     """
-    bins = _cell_bins(model, kinds, n, bin_count)
-    return _estimates(evaluation_set(model, kinds, n, sampler), kinds, bins)
+    _check_kinds(kinds, n, bin_count, model)
+    return _estimates(evaluation_set(model, kinds, n, sampler), kinds, bin_count)
 
 
 def _draw_groups(cfg: BenchmarkConfig) -> list[list[tuple[int, int, int]]]:
@@ -278,12 +226,8 @@ def _run_group(
     n_top, top, _ = cells[0]
     spec = SamplerSpec(cfg.sampler, cfg.master_seed, top)
     evaluations = evaluation_set(model, cfg.estimators, n_top, spec)
-    dlr = EstimatorKind.DLR in cfg.estimators
     return {
-        (n, k): _estimates(
-            evaluations.rows(row, n), cfg.estimators,
-            bin_schedule(n, cfg.bin_override) if dlr else None,
-        )
+        (n, k): _estimates(evaluations.rows(row, n), cfg.estimators, cfg.bin_override)
         for n, k, row in cells
     }
 
@@ -304,9 +248,7 @@ def run_benchmark(
     """
     model = build(cfg.test)
     n_threads = resolve_threads(threads)
-    # Kinds are checked once, before anything is drawn; a bin schedule that
-    # partitions the smallest N partitions them all.
-    _cell_bins(model, cfg.estimators, 1 << cfg.p_min, cfg.bin_override)
+    _check_kinds(cfg.estimators, 1 << cfg.p_min, cfg.bin_override, model)
 
     groups = _draw_groups(cfg)
     results: dict[tuple[int, int], dict[EstimatorKind, np.ndarray]] = {}
@@ -394,7 +336,7 @@ def fit_rate(
         keep = max(4, (len(pts) + 1) // 2)
         pts = pts[-keep:]
     if len(pts) < 4:
-        raise ValueError(
+        raise _TooFewPoints(
             f"rate fit needs at least 4 usable ladder points, got {len(pts)}"
         )
     x = np.log10([p[0] for p in pts])

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from sobolbench import cli
 from sobolbench.cli import main, parse_config
 from sobolbench.estimators import EstimatorKind
-from sobolbench.harness import BenchmarkConfig
+from sobolbench.harness import BenchmarkConfig, run_benchmark
 from sobolbench.models import TEST_CASE_NAMES
 
 TINY_CONFIG = """\
@@ -459,6 +459,26 @@ def test_bench_fit_window_flag(tmp_path, capsys):
     rates = read_csv(out_dir / "rates.csv")
     assert all(r[9] == "full" for r in rates[1:])
     assert all(r[8] == "4" for r in rates[1:])
+
+
+def test_write_rates_csv_skips_only_short_ladders(tmp_path, monkeypatch):
+    # a curve whose ladder leaves fewer than 4 usable points is skipped;
+    # any other refusal of the fit, an unknown window or axis, propagates
+    records = run_benchmark(BenchmarkConfig(
+        test="Linear4", estimators=("sk", "dlr"), sampler="QMC", p_min=4, p_max=7, k=2
+    ))
+    short_dlr = [r for r in records if r.estimator.value == "sk" or r.n < 128]
+    path = tmp_path / "rates.csv"
+    assert cli.write_rates_csv(path, short_dlr, "full") == 4 * 2
+    assert {row[1] for row in read_csv(path)[1:]} == {"sk"}
+    with pytest.raises(ValueError, match="unknown fit window 'bogus'"):
+        cli.write_rates_csv(path, records, "bogus")
+    fit_rate = cli.fit_rate
+    monkeypatch.setattr(
+        cli, "fit_rate", lambda group, axis, window: fit_rate(group, "n", window)
+    )
+    with pytest.raises(ValueError, match="unknown axis 'n'"):
+        cli.write_rates_csv(path, records, "full")
 
 
 # ---------------------------------------------------------------------------

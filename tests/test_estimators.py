@@ -15,6 +15,7 @@ from sobolbench.estimators import (
     _argsort_ties_by_index,
     bin_schedule,
     build_plan,
+    cost,
     default_bin_schedule,
     estimate_dlr,
     estimate_main_index,
@@ -23,10 +24,9 @@ from sobolbench.estimators import (
     estimate_owen,
     estimate_sk,
     estimate_sobol_original,
-    eval_count,
     evaluation_set,
 )
-from sobolbench.harness import cost, estimate_cell
+from sobolbench.harness import estimate_cell
 from sobolbench.models import TEST_CASE_NAMES, InputModel, build
 from sobolbench.sampling import (
     SamplerSpec,
@@ -52,9 +52,9 @@ DIRECT_KINDS = (
 )
 
 
-def _plan(model, kind, n, sampler=QMC, bins=None):
+def _plan(model, kind, n, sampler=QMC, bin_count=None):
     """The plan of one estimator on a set drawn for it alone."""
-    return build_plan(kind, evaluation_set(model, (kind,), n, sampler), bins)
+    return build_plan(kind, evaluation_set(model, (kind,), n, sampler), bin_count)
 
 
 def _populated(plan):
@@ -276,14 +276,13 @@ def test_plan_blocks_share_one_point_set():
 
 
 def test_eval_count_table_matches_plans_and_cost():
-    # one table sizes the plans, harness.cost and the draw width; the oracle
+    # one table sizes the plans, the cost and the draw width; the oracle
     # reads the model's exact mean, never an extra block
     n = 128
     model = build("Ishigami")
     for kind in ALL_KINDS:
-        populated = _populated(_plan(model, kind, n))
-        assert populated == eval_count(kind, 3, n) == cost(kind, 3, n)[0]
-    assert eval_count(EstimatorKind.ORACLE, 3, n) == n * 5
+        assert _populated(_plan(model, kind, n)) == cost(kind, 3, n)[0]
+    assert cost(EstimatorKind.ORACLE, 3, n)[0] == n * 5
     widths = [3 * len(evaluation_set(model, (k,), n, QMC).x) for k in ALL_KINDS]
     assert widths == [6, 6, 9, 6, 3]
 
@@ -508,7 +507,8 @@ def test_dlr_bin_override():
     m = build("Linear4")
     dlr = (EstimatorKind.DLR,)
     cell = estimate_cell(m, dlr, 1 << 10, QMC, bin_count=64)
-    plan = _plan(m, EstimatorKind.DLR, 1 << 10, bins=BinSchedule(n=1024, m=64, n_m=16))
+    plan = _plan(m, EstimatorKind.DLR, 1 << 10, bin_count=64)
+    assert plan.bins == BinSchedule(n=1024, m=64, n_m=16)
     assert np.array_equal(cell[EstimatorKind.DLR], estimate_main_index(plan))
     with pytest.raises(ValueError, match="divide"):
         estimate_cell(m, dlr, 1 << 10, QMC, bin_count=100)

@@ -1,5 +1,7 @@
 """The public API examples: README's "Library use" and config blocks, and the demo."""
 
+import importlib
+import pkgutil
 import re
 import runpy
 import shutil
@@ -7,9 +9,24 @@ from pathlib import Path
 
 import numpy as np
 
+import sobolbench
 from sobolbench.cli import RATES_HEADER, RECORDS_HEADER, config_block, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_exported_name_resolves():
+    # the package's and each submodule's __all__ name only what they hold
+    modules = [sobolbench] + [
+        importlib.import_module(f"sobolbench.{m.name}")
+        for m in pkgutil.iter_modules(sobolbench.__path__)
+        if not m.name.startswith("_")  # __main__ runs the command line
+    ]
+    for module in modules:
+        names = getattr(module, "__all__", [])
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+        assert len(set(names)) == len(names), module.__name__
 
 
 def test_readme_library_example_runs(capsys):

@@ -456,22 +456,34 @@ def test_refused_ladder_draws_nothing(counted, sampler, threads):
 
 
 @pytest.mark.parametrize(
-    "kinds",
-    [(EstimatorKind.ORACLE,), (EstimatorKind.DLR, EstimatorKind.ORACLE)],
-    ids=["oracle", "dlr+oracle"],
+    "kinds,error,match",
+    [
+        ((EstimatorKind.ORACLE,), estimators.IncompatibleModelError, "exact mean"),
+        (
+            (EstimatorKind.DLR, EstimatorKind.ORACLE),
+            estimators.IncompatibleModelError,
+            "exact mean",
+        ),
+        ((EstimatorKind.SK, EstimatorKind.SK), ValueError, "repeated estimator 'sk'"),
+        ((), ValueError, "at least one estimator"),
+    ],
+    ids=["oracle", "dlr+oracle", "sk+sk", "none"],
 )
-def test_oracle_without_exact_mean_draws_nothing(counted, kinds, monkeypatch):
+def test_oracle_without_exact_mean_draws_nothing(
+    counted, kinds, error, match, monkeypatch
+):
     # the oracle reads the model's exact mean f0, so a model without one is
-    # refused before anything is drawn, by a cell and by a ladder
+    # refused before anything is drawn, by a cell and by a ladder; so are
+    # a repeated estimator and an empty list, which a config also refuses
     model = dataclasses.replace(harness.build("Linear4"), analytic_f0=None)
-    with pytest.raises(estimators.IncompatibleModelError, match="exact mean"):
+    with pytest.raises(error, match=match):
         estimate_cell(model, kinds, 64, SamplerSpec(kind="MC"))
     monkeypatch.setattr(harness, "build", lambda test: model)
-    cfg = BenchmarkConfig(
-        test="Linear4", estimators=kinds, sampler="QMC", p_min=4, p_max=6, k=2
-    )
     for threads in (1, 2):
-        with pytest.raises(estimators.IncompatibleModelError, match="exact mean"):
+        with pytest.raises(error, match=match):
+            cfg = BenchmarkConfig(
+                test="Linear4", estimators=kinds, sampler="QMC", p_min=4, p_max=6, k=2
+            )
             run_benchmark(cfg, threads=threads)
     assert counted["draws"] == [] and counted["transformed"] == []
     assert counted["f"] == 0
