@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .estimators import EstimatorKind, IncompatibleModelError, cost
+from .estimators import EstimatorKind, IncompatibleModelError, _kind_list, cost
 from .harness import (
     DEFAULT_MASTER_SEED,
     BenchmarkConfig,
@@ -62,31 +62,14 @@ _FIELD_TYPES = get_type_hints(BenchmarkConfig)
 
 
 def _parse_estimator_list(text: str) -> tuple[EstimatorKind, ...]:
-    kinds = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            kind = EstimatorKind(tok)
-        except ValueError:
-            valid = ", ".join(k.value for k in EstimatorKind)
-            raise ValueError(f"unknown estimator {tok!r} (valid: {valid})")
-        if kind in kinds:
-            raise ValueError(f"repeated estimator {tok!r}")
-        kinds.append(kind)
-    if not kinds:
-        raise ValueError("estimator list is empty")
-    return tuple(kinds)
+    return _kind_list(tok for tok in map(str.strip, text.split(",")) if tok)
 
 
 def _config_value(key: str, value: str):
     """One config value converted to the type of its BenchmarkConfig field."""
     hint = _FIELD_TYPES[_CONFIG_FIELDS[key].name]
     if hint is TestCaseId:
-        if value not in TEST_CASE_NAMES:
-            raise ValueError(f"unknown test {value!r} (valid: {', '.join(TEST_CASE_NAMES)})")
-        return value
+        return TestCaseId(value)
     if hint == tuple[EstimatorKind, ...]:
         return _parse_estimator_list(value)
     if int in (hint, *get_args(hint)):
@@ -296,14 +279,14 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     rows = _read_records_csv(Path(args.records))
     if not rows:
         raise ValueError(f"{args.records}: no records")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     by_group: dict[tuple[str, int], list[dict[str, str]]] = {}
     for row in rows:
         by_group.setdefault((row["test"], int(row["input"])), []).append(row)
 
-    written = []
+    # Every group is checked and laid out before any file is written, so a
+    # refused input leaves no partial set of plot files.
+    out_dir = Path(args.out)
+    files: dict[Path, str] = {}
     for (test, input_index) in sorted(by_group):
         group = by_group[(test, input_index)]
         estimators = sorted({row["estimator"] for row in group})
@@ -336,11 +319,11 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
             if not any(float(row["rmse"]) <= 0.0 for row in at_n):
                 fields = [row[c] for row in at_n for c in columns.values()]
                 lines.append(" ".join([str(n)] * by_n + fields))
-        path = out_dir / f"{test}_i{input_index}_{args.axis}.dat"
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+        files[out_dir / f"{test}_i{input_index}_{args.axis}.dat"] = "\n".join(lines) + "\n"
 
-    for path in written:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, text in files.items():
+        path.write_text(text)
         print(f"wrote {path}")
     return 0
 
@@ -355,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="print index estimates for one run")
-    p_est.add_argument("--test", required=True, choices=TEST_CASE_NAMES)
+    p_est.add_argument("--test", required=True, help="one of: " + ", ".join(TEST_CASE_NAMES))
     p_est.add_argument(
         "--estimators",
         required=True,

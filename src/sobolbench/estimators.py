@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +68,11 @@ class EstimatorKind(Enum):
     OWEN = "owen"
     ORACLE = "oracle"
     DLR = "dlr"
+
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(k.value for k in cls)
+        raise ValueError(f"unknown estimator {value!r} (valid: {valid})")
 
 
 class IncompatibleModelError(ValueError):
@@ -167,31 +172,38 @@ def cost(kind: EstimatorKind, d: int, n: int) -> tuple[int, int]:
     return actual, actual
 
 
-def _check_kinds(
-    kinds: Sequence[EstimatorKind],
-    n: int,
-    bin_count: Optional[int] = None,
-    model: Optional[InputModel] = None,
-) -> None:
-    """Refuse ``kinds`` unless they can share cells of N = ``n`` samples.
-
-    The list must be nonempty without repeats; a bin count needs DLR, and
-    DLR's schedule must partition ``n`` (every ladder N is a power of two,
-    so a schedule that partitions the smallest N partitions them all).
-    Given a model, the direct formulas need independent inputs and the
-    oracle the model's exact mean.
-    """
+def _kind_list(names: Iterable[EstimatorKind | str]) -> tuple[EstimatorKind, ...]:
+    """``names`` as estimator kinds, refused if empty or with a repeat."""
+    kinds = tuple(EstimatorKind(name) for name in names)
     if not kinds:
         raise ValueError("at least one estimator is required")
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:
             raise ValueError(f"repeated estimator {kind.value!r}")
+    return kinds
+
+
+def _check_kinds(
+    names: Iterable[EstimatorKind | str],
+    n: int,
+    bin_count: Optional[int] = None,
+    model: Optional[InputModel] = None,
+) -> tuple[EstimatorKind, ...]:
+    """The kinds ``names`` gives, refused unless they can share cells of N = ``n``.
+
+    The list must be nonempty without repeats (:func:`_kind_list`); a bin
+    count needs DLR, and DLR's schedule must partition ``n`` (every ladder
+    N is a power of two, so a schedule that partitions the smallest N
+    partitions them all).  Given a model, the direct formulas need
+    independent inputs and the oracle the model's exact mean.
+    """
+    kinds = _kind_list(names)
     if EstimatorKind.DLR in kinds:
         bin_schedule(n, bin_count)
     elif bin_count is not None:
         raise ValueError("bin count applies only to the dlr estimator")
     if model is None:
-        return
+        return kinds
     for kind in kinds:
         if kind == EstimatorKind.DLR:
             continue
@@ -204,6 +216,7 @@ def _check_kinds(
             raise IncompatibleModelError(
                 f"estimator 'oracle' on {model.name}: needs the model's exact mean f0"
             )
+    return kinds
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,6 +451,6 @@ def estimate_main_index(plan: EvaluationPlan) -> np.ndarray:
         elif kind == EstimatorKind.DLR:
             d_i = estimate_dlr(plan.x_a[:, i], plan.f_a, plan.bins)
         else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown estimator kind {kind!r}")
+            raise ValueError(f"no formula for estimator kind {kind!r}")
         s[i] = d_i / d_hat
     return s

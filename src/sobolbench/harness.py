@@ -78,16 +78,7 @@ class BenchmarkConfig:
     fit_window: str = "upper"
 
     def __post_init__(self):
-        if isinstance(self.test, str):
-            object.__setattr__(self, "test", TestCaseId(self.test))
-        object.__setattr__(
-            self,
-            "estimators",
-            tuple(
-                EstimatorKind(e) if isinstance(e, str) else e
-                for e in self.estimators
-            ),
-        )
+        object.__setattr__(self, "test", TestCaseId(self.test))
         SamplerSpec(self.sampler, self.master_seed)  # checks kind and seed range
         if self.p_min > self.p_max:
             raise ValueError("p_min must not exceed p_max")
@@ -109,7 +100,8 @@ class BenchmarkConfig:
                 )
         if self.fit_window not in ("upper", "full"):
             raise ValueError(f"unknown fit window {self.fit_window!r}")
-        _check_kinds(self.estimators, 1 << self.p_min, self.bin_override)
+        kinds = _check_kinds(self.estimators, 1 << self.p_min, self.bin_override)
+        object.__setattr__(self, "estimators", kinds)
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,7 @@ def estimate_cell(
     one evaluation set drawn and evaluated for the cell, so each output is
     computed once for all.
     """
-    _check_kinds(kinds, n, bin_count, model)
+    kinds = _check_kinds(kinds, n, bin_count, model)
     return _estimates(evaluation_set(model, kinds, n, sampler), kinds, bin_count)
 
 

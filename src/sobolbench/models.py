@@ -83,6 +83,11 @@ class TestCaseId(Enum):
     DepQuad4 = "DepQuad4"
     DepLinear3 = "DepLinear3"
 
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(t.value for t in cls)
+        raise ValueError(f"unknown test {value!r} (valid: {valid})")
+
 
 # ---------------------------------------------------------------------------
 # Test 1: additive Gaussian model, d = 4
@@ -369,11 +374,4 @@ TEST_CASE_NAMES = tuple(t.value for t in TestCaseId)
 
 def build(test: TestCaseId | str) -> InputModel:
     """Construct the named test case with its fixed parameters."""
-    if isinstance(test, str):
-        try:
-            test = TestCaseId(test)
-        except ValueError:
-            raise ValueError(
-                f"unknown test case {test!r}; expected one of {TEST_CASE_NAMES}"
-            ) from None
-    return _BUILDERS[test]()
+    return _BUILDERS[TestCaseId(test)]()

@@ -25,6 +25,7 @@ Generator conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -49,8 +50,6 @@ __all__ = [
 
 # Raw Sobol' sequence indices lie in [0, 2^32); index 0 is never returned.
 SOBOL_PERIOD = 1 << MAXBIT
-
-_GRAY_TABLE_CACHE: dict[int, np.ndarray] = {}
 
 # Rows _sobol_raw builds row-major, scales and copies at a time into its
 # column-major result: one cast-and-transpose ufunc call is 3-4x slower, and
@@ -128,6 +127,7 @@ def _replicate_layout(
     return 1 + top * n_top + row, top, row
 
 
+@functools.cache
 def _gray_byte_tables(dims: int) -> np.ndarray:
     """The (MAXBIT/8, 256, dims) uint32 tables of _sobol_raw, cached per dims.
 
@@ -135,14 +135,11 @@ def _gray_byte_tables(dims: int) -> np.ndarray:
     bits ``j`` of the byte value ``b``; each table is filled by doubling,
     ``T[c, 2^j : 2^(j+1)] = T[c, :2^j] ^ V[8c + j]``.
     """
-    tables = _GRAY_TABLE_CACHE.get(dims)
-    if tables is None:
-        V = direction_vectors(dims)
-        tables = np.zeros((MAXBIT // 8, 256, dims), dtype=np.uint32)
-        for c in range(MAXBIT // 8):
-            for j in range(8):
-                tables[c, 1 << j : 2 << j] = tables[c, : 1 << j] ^ V[8 * c + j]
-        _GRAY_TABLE_CACHE[dims] = tables
+    V = direction_vectors(dims)
+    tables = np.zeros((MAXBIT // 8, 256, dims), dtype=np.uint32)
+    for c in range(MAXBIT // 8):
+        for j in range(8):
+            tables[c, 1 << j : 2 << j] = tables[c, : 1 << j] ^ V[8 * c + j]
     return tables
 
 

@@ -15,8 +15,9 @@ from hypothesis import given, strategies as st
 from sobolbench import cli
 from sobolbench.cli import main, parse_config
 from sobolbench.estimators import EstimatorKind
-from sobolbench.harness import BenchmarkConfig, run_benchmark
-from sobolbench.models import TEST_CASE_NAMES
+from sobolbench.harness import BenchmarkConfig, estimate_cell, run_benchmark
+from sobolbench.models import TEST_CASE_NAMES, build
+from sobolbench.sampling import SamplerSpec
 
 TINY_CONFIG = """\
 # smallest useful ladder
@@ -260,6 +261,60 @@ def test_estimate_unknown_names_are_usage_errors(capsys):
                  "--sampler", "MC", "--n", "64", "--seed", "-1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "seed -1 is outside [0, 2^64)" in err
+
+
+@pytest.mark.parametrize(
+    "test,estimators,library,message",
+    [
+        (
+            "Nope", "sk", lambda: build("Nope"),
+            f"unknown test 'Nope' (valid: {', '.join(TEST_CASE_NAMES)})",
+        ),
+        (
+            "Linear4", "sk,magic", lambda: EstimatorKind("magic"),
+            "unknown estimator 'magic' (valid: sobol, sk, owen, oracle, dlr)",
+        ),
+        (
+            "Linear4", ",",
+            lambda: estimate_cell(build("Linear4"), (), 64, SamplerSpec("QMC")),
+            "at least one estimator is required",
+        ),
+        (
+            "Linear4", "sk,dlr,sk",
+            lambda: estimate_cell(
+                build("Linear4"),
+                (EstimatorKind.SK, EstimatorKind.DLR, EstimatorKind.SK),
+                64,
+                SamplerSpec("QMC"),
+            ),
+            "repeated estimator 'sk'",
+        ),
+    ],
+    ids=["unknown-test", "unknown-estimator", "empty-list", "repeated-estimator"],
+)
+def test_name_rules_give_one_message_on_every_path(
+    test, estimators, library, message, capsys
+):
+    # the library refuses each name rule in one place; a config adds only
+    # its line number and the command line only its exit code
+    def refusal(call):
+        with pytest.raises(ValueError) as refused:
+            call()
+        return str(refused.value)
+
+    names = [e for e in estimators.split(",") if e]
+    assert refusal(library) == message
+    assert refusal(
+        lambda: BenchmarkConfig(
+            test=test, estimators=names, sampler="QMC", p_min=8, p_max=9
+        )
+    ) == message
+    text = f"test={test}\nestimators={estimators}\nsampler=QMC\np_min=8\np_max=9\n"
+    line = 1 if test == "Nope" else 2
+    assert refusal(lambda: parse_config(text)) == f"config line {line}: {message}"
+    assert main(["estimate", "--test", test, "--estimators", estimators,
+                 "--sampler", "QMC", "--n", "64"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_estimate_incompatible_model_exit_code(capsys):
@@ -539,6 +594,27 @@ def test_plotdata_single_estimator_files_differ_only_in_abscissa(tmp_path, capsy
     n_rows = (plots / "Ishigami_i1_N.dat").read_text().splitlines()[1:]
     cpu_rows = (plots / "Ishigami_i1_N_CPU.dat").read_text().splitlines()[1:]
     assert n_rows == cpu_rows
+
+
+def test_plotdata_incomplete_grid_writes_no_file(bench_output, tmp_path, capsys):
+    # the grid check fails only at input 3; the files of inputs 1 and 2
+    # must not be left behind
+    header, *rows = read_csv(bench_output / "records.csv")
+    at = {name: header.index(name) for name in ("estimator", "input", "N")}
+    dropped = next(
+        r for r in rows
+        if (r[at["estimator"]], r[at["input"]], r[at["N"]]) == ("sk", "3", "256")
+    )
+    bad = tmp_path / "records.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [header, *(r for r in rows if r is not dropped)]
+        )
+    plots = tmp_path / "plots"
+    assert main(["plotdata", str(bad), "--out", str(plots)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "input 3 estimator sk lacks N=256" in err
+    assert list(plots.glob("*.dat")) == []
 
 
 def test_plotdata_missing_columns_exit_2(tmp_path, capsys):
