@@ -36,13 +36,14 @@ from .harness import (
     ConvergenceRecord,
     RateFit,
     _TooFewPoints,
+    _config_field,
     estimate_cell,
     fit_rate,
     group_records,
     resolve_threads,
     run_benchmark,
 )
-from .models import TEST_CASE_NAMES, TestCaseId, build
+from .models import TEST_CASE_NAMES, build
 from .sampling import SamplerSpec
 
 # CSV columns are the record and rate-fit fields in declaration order, with
@@ -68,8 +69,6 @@ def _parse_estimator_list(text: str) -> tuple[EstimatorKind, ...]:
 def _config_value(key: str, value: str):
     """One config value converted to the type of its BenchmarkConfig field."""
     hint = _FIELD_TYPES[_CONFIG_FIELDS[key].name]
-    if hint is TestCaseId:
-        return TestCaseId(value)
     if hint == tuple[EstimatorKind, ...]:
         return _parse_estimator_list(value)
     if int in (hint, *get_args(hint)):
@@ -87,7 +86,10 @@ def parse_config(text: str) -> BenchmarkConfig:
 
     One key per line, '#' starts a comment, values after the first '='.
     The keys are BenchmarkConfig's fields, with k spelled K; estimators
-    are comma-separated.  Errors carry line numbers.
+    are comma-separated.  A refusal of one key's value carries that key's
+    line number; a refusal of a rule between keys (p_min above p_max, a bin
+    count without dlr or that does not divide 2^p_min, a QMC ladder past the
+    Sobol' period) carries ``config:``.
     """
     seen: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -115,12 +117,17 @@ def parse_config(text: str) -> BenchmarkConfig:
         if key in seen:
             lineno, value = seen[key]
             try:
-                kwargs[field.name] = _config_value(key, value)
+                kwargs[field.name] = _config_field(field.name, _config_value(key, value))
             except ValueError as exc:
                 raise ValueError(f"config line {lineno}: {exc}") from None
         elif field.default is dataclasses.MISSING:
             raise ValueError(f"config: missing required key {key!r}")
-    return BenchmarkConfig(**kwargs)
+    # Every key's own value has passed: what the config still refuses is a
+    # rule between keys, which no one line breaks.
+    try:
+        return BenchmarkConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config: {exc}") from None
 
 
 def config_block(cfg: BenchmarkConfig) -> dict:
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated subset of: " + ", ".join(k.value for k in EstimatorKind),
     )
-    p_est.add_argument("--sampler", required=True, choices=["MC", "QMC"])
+    p_est.add_argument("--sampler", required=True, help="MC or QMC")
     p_est.add_argument("--n", required=True, type=int, help="sample count N")
     p_est.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p_est.add_argument("--run-index", type=int, default=0)

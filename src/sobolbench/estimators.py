@@ -110,12 +110,17 @@ def default_bin_schedule(n: int) -> BinSchedule:
     return BinSchedule(n=n, m=m, n_m=n // m)
 
 
+def _check_bin_count(bin_count: int) -> None:
+    """Refuse a bin count that partitions no N."""
+    if bin_count < 2:
+        raise ValueError(f"bin count {bin_count} must be at least 2")
+
+
 def bin_schedule(n: int, bin_count: Optional[int] = None) -> BinSchedule:
     """``bin_count`` bins of N samples, or the default schedule without one."""
     if bin_count is None:
         return default_bin_schedule(n)
-    if bin_count < 2:
-        raise ValueError(f"bin count {bin_count} must be at least 2")
+    _check_bin_count(bin_count)
     if n % bin_count != 0:
         raise ValueError(f"bin count {bin_count} does not divide sample count {n}")
     return BinSchedule(n=n, m=bin_count, n_m=n // bin_count)
@@ -387,25 +392,32 @@ def estimate_oracle(
 def _argsort_ties_by_index(x: np.ndarray) -> np.ndarray:
     """``np.argsort(x, kind="stable")`` of a float64 x, from a sort of packed keys.
 
-    Each value's order-preserving uint64 key (all bits flipped when the sign
-    bit is set, else the sign bit) has its low ``ceil(log2 N)`` bits replaced
-    by the row index; the sorted keys' low bits are an order, the only one
-    when the sorted values strictly increase.  Otherwise (values apart only
-    in the dropped bits, equal keys, say from a narrow Uniform far from
-    zero, ±0, or NaN) x is argsorted stably so that ties keep sample order.
+    Each key is x's own bits with the low ``L = ceil(log2 N)`` bits replaced
+    by the row index, sorted as float64; the sorted keys' low bits are an
+    order.  It is taken without reading x when the sorted keys' high parts
+    (low bits cleared, read as floats) are finite and strictly increase.
+    Proof: x lies between its high part h and the next high part away from
+    zero, so high parts h < h' give x < x', for either sign and across
+    zero.  x then strictly increases along the order, which makes it the
+    only one, and a permutation.  Finite high parts mean finite keys, which
+    a sort moves without changing a bit.  Ties, -0 beside +0 (equal as
+    floats), NaN (whose payload, index bits included, the sort may drop)
+    and ±inf (high part ±inf) fail that check.  They fall to the check that
+    x itself strictly increases along the order, then to a stable argsort
+    of x, so that ties keep sample order.
     """
     n = len(x)
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    key = (x.view(np.int64) >> 63).view(np.uint64)
-    key |= np.uint64(1 << 63)
-    key ^= x.view(np.uint64)
-    key &= ~low
+    key = x.view(np.uint64) & ~low
     key |= np.arange(n, dtype=np.uint64)
-    key.sort()
-    key &= low
-    order = key.view(np.int64)
-    keys = x[order]
-    if np.all(keys[1:] > keys[:-1]):
+    key.view(np.float64).sort()
+    order = (key & low).view(np.int64)
+    key &= ~low
+    high = key.view(np.float64)
+    if high[0] > -np.inf and high[-1] < np.inf and np.all(high[1:] > high[:-1]):
+        return order
+    ordered = x[order]
+    if np.all(ordered[1:] > ordered[:-1]):
         return order
     return np.argsort(x, kind="stable")
 

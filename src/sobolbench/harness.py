@@ -16,6 +16,7 @@ log10 eps); the fitted alpha is minus the slope.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +27,9 @@ import numpy as np
 from .estimators import (
     EstimatorKind,
     EvaluationSet,
+    _check_bin_count,
     _check_kinds,
+    _kind_list,
     build_plan,
     cost,
     estimate_main_index,
@@ -78,16 +81,12 @@ class BenchmarkConfig:
     fit_window: str = "upper"
 
     def __post_init__(self):
-        object.__setattr__(self, "test", TestCaseId(self.test))
-        SamplerSpec(self.sampler, self.master_seed)  # checks kind and seed range
+        for f in dataclasses.fields(self):
+            value = _config_field(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+        # Rules between fields come after every field's own.
         if self.p_min > self.p_max:
             raise ValueError("p_min must not exceed p_max")
-        if self.p_min < 1:
-            raise ValueError("p_min must be at least 1")
-        if self.p_max > 62:
-            raise ValueError("p_max must be at most 62 (N is an array length)")
-        if self.k < 2:
-            raise ValueError("K must be at least 2")
         if self.sampler == "QMC":
             # Every lower-rung run lies in a top-rung one, and the last of
             # those ends furthest into the Sobol' sequence.
@@ -98,10 +97,31 @@ class BenchmarkConfig:
                     f"QMC ladder needs Sobol' indices up to {end - 1}, past the "
                     f"generator period of {SOBOL_PERIOD}"
                 )
-        if self.fit_window not in ("upper", "full"):
-            raise ValueError(f"unknown fit window {self.fit_window!r}")
-        kinds = _check_kinds(self.estimators, 1 << self.p_min, self.bin_override)
-        object.__setattr__(self, "estimators", kinds)
+        _check_kinds(self.estimators, 1 << self.p_min, self.bin_override)
+
+
+def _config_field(name: str, value):
+    """``value`` as BenchmarkConfig field ``name`` holds it, refused if the
+    field can hold it in no config; rules between fields are the config's."""
+    if name == "test":
+        return TestCaseId(value)
+    if name == "estimators":
+        return _kind_list(value)
+    if name == "sampler":
+        SamplerSpec(value)
+    elif name == "master_seed":
+        SamplerSpec("MC", value)  # checks the seed range
+    elif name == "p_min" and value < 1:
+        raise ValueError("p_min must be at least 1")
+    elif name == "p_max" and value > 62:
+        raise ValueError("p_max must be at most 62 (N is an array length)")
+    elif name == "k" and value < 2:
+        raise ValueError("K must be at least 2")
+    elif name == "bin_override" and value is not None:
+        _check_bin_count(value)
+    elif name == "fit_window" and value not in ("upper", "full"):
+        raise ValueError(f"unknown fit window {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

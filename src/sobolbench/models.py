@@ -245,16 +245,32 @@ def build_gfunc(a: Sequence[float], name: str) -> InputModel:
     denom = 1.0 + a_arr
     d = a_arr.shape[0]
 
+    # Each factor keeps the closed form's bits with fewer operations.  Adding
+    # a_i = 0 to |4x - 2| >= +0 changes nothing (+0 + 0 = +0).  When 1 + a_i
+    # is a power of two its reciprocal is exact, and dividing by 1 + a_i or
+    # multiplying by the reciprocal rounds the same real number; a
+    # reciprocal of 1 is skipped.  Any other denominator is divided by.
+    steps = []
+    for a_i, denom_i in zip(a_arr, denom):
+        if np.frexp(denom_i)[0] != 0.5:
+            scale = (np.true_divide, denom_i)
+        else:
+            scale = (np.multiply, 1.0 / denom_i) if denom_i != 1.0 else None
+        steps.append((a_i if a_i != 0.0 else None, scale))
+
     def f(x: np.ndarray) -> np.ndarray:
-        # The closed form's operations in its order, a column at a time on
-        # two n-vectors; factors multiply in input order, as in np.prod.
+        # The closed form a column at a time on two n-vectors; factors
+        # multiply in input order, as in np.prod.  x is only read.
         out, t = np.ones(len(x)), np.empty(len(x))
-        for i in range(d):
+        for i, (add, scale) in enumerate(steps):
             np.multiply(x[:, i], 4.0, out=t)
             t -= 2.0
             np.abs(t, out=t)
-            t += a_arr[i]
-            t /= denom[i]
+            if add is not None:
+                t += add
+            if scale is not None:
+                op, value = scale
+                op(t, value, out=t)
             out *= t
         return out
 

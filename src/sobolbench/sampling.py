@@ -2,11 +2,13 @@
 
 Two samplers are provided: pseudo-random (``MC``, PCG64) and the Sobol'
 low-discrepancy sequence (``QMC``, Gray-code construction over the bundled
-direction-number table, read one byte of the Gray-code index at a time through
-lookup tables cached per dimension count).  Unit samples map to model space
-through independent marginals or a Gaussian covariance (Cholesky); normal
-quantiles are ``scipy.special.ndtri``, imported on first use.  Both samplers
-return column-major draws; QMC builds its draw in blocks of rows.
+direction-number table: every 256th element is read one byte of its Gray
+code at a time through lookup tables, and the 255 after it are that element
+XOR a table of the first 256 elements' bits, all cached per dimension count).
+Unit samples map to model space through independent marginals or a Gaussian
+covariance (Cholesky); normal quantiles are ``scipy.special.ndtri``, imported
+on first use.  Both samplers return column-major draws; QMC builds its draw
+in blocks of rows.
 
 Generator conventions
 ---------------------
@@ -51,9 +53,10 @@ __all__ = [
 # Raw Sobol' sequence indices lie in [0, 2^32); index 0 is never returned.
 SOBOL_PERIOD = 1 << MAXBIT
 
-# Rows _sobol_raw builds row-major, scales and copies at a time into its
-# column-major result: one cast-and-transpose ufunc call is 3-4x slower, and
-# the block's temporaries (12 bytes a coordinate) stay small beside the draw.
+# Raw indices _sobol_raw builds row-major, scales and copies at a time into
+# its column-major result, in blocks that start at multiples of it: one
+# cast-and-transpose ufunc call is 3-4x slower, and the block's temporaries
+# (12 bytes a coordinate) stay small beside the draw.
 _SOBOL_BLOCK_ROWS = 2048
 
 
@@ -128,47 +131,58 @@ def _replicate_layout(
 
 
 @functools.cache
-def _gray_byte_tables(dims: int) -> np.ndarray:
-    """The (MAXBIT/8, 256, dims) uint32 tables of _sobol_raw, cached per dims.
+def _gray_byte_tables(dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (MAXBIT/8, 256, dims) and (256, dims) uint32 tables of _sobol_raw,
+    cached per dims.
 
     ``T[c, b]`` is the XOR of the direction vectors ``V[8c + j]`` over the set
     bits ``j`` of the byte value ``b``; each table is filled by doubling,
-    ``T[c, 2^j : 2^(j+1)] = T[c, :2^j] ^ V[8c + j]``.
+    ``T[c, 2^j : 2^(j+1)] = T[c, :2^j] ^ V[8c + j]``.  The second table holds
+    the points of the Gray codes below 256: row ``r`` is ``T[0, gray(r)]``.
     """
     V = direction_vectors(dims)
     tables = np.zeros((MAXBIT // 8, 256, dims), dtype=np.uint32)
     for c in range(MAXBIT // 8):
         for j in range(8):
             tables[c, 1 << j : 2 << j] = tables[c, : 1 << j] ^ V[8 * c + j]
-    return tables
+    r = np.arange(256)
+    return tables, tables[0][r ^ (r >> 1)]
 
 
 def _sobol_raw(start: int, n: int, dims: int) -> np.ndarray:
     """Sobol' elements with raw sequence indices [start, start + n), column-major.
 
     Direct Gray-code construction: element i is the XOR of the direction
-    vectors selected by the set bits of gray(i) = i ^ (i >> 1).  The XOR is
-    taken a byte of gray(i) at a time, as
-    ``T[0][g & 255] ^ T[1][(g >> 8) & 255] ^ T[2][...] ^ T[3][...]`` over the
-    tables of :func:`_gray_byte_tables`, into a uint32 block of
-    ``_SOBOL_BLOCK_ROWS`` rows; a byte that is zero for the whole block
-    contributes nothing and is skipped.  XOR is exact, so the grouping gives
-    the same bits as one pass per direction vector.
+    vectors selected by the set bits of gray(i) = i ^ (i >> 1), so it is
+    linear over XOR in gray(i).  For r < 256, gray(256q + r) =
+    gray(256q) ^ gray(r), so element 256q + r is ``H[q] ^ L[r]``: ``H[q]``
+    is the head element 256q, taken a byte of its Gray code at a time as
+    ``T[0][g & 255] ^ T[1][(g >> 8) & 255] ^ T[2][...] ^ T[3][...]`` (a byte
+    that is zero for every head contributes nothing and is skipped), and
+    ``L`` is the low table; both come from :func:`_gray_byte_tables`.  The
+    draw is built in blocks of ``_SOBOL_BLOCK_ROWS`` raw indices, each the
+    XOR of its heads with ``L`` broadcast, trimmed to the rows asked for.
+    XOR is exact, so the grouping gives the same bits as one pass per
+    direction vector.
     """
     if start + n > SOBOL_PERIOD:
         raise ValueError("sequence index exceeds the 2^32 generator period")
-    tables = _gray_byte_tables(dims)
-    idx = np.arange(start, start + n, dtype=np.uint32)
+    tables, low = _gray_byte_tables(dims)
+    end, q0 = start + n, start >> 8
+    idx = np.arange(q0, ((end - 1) >> 8) + 1, dtype=np.uint32) << np.uint32(8)
     gray = idx ^ (idx >> np.uint32(1))
+    heads = np.zeros((len(gray), dims), dtype=np.uint32)
+    for c, table in enumerate(tables):
+        byte = (gray >> np.uint32(8 * c)) & np.uint32(0xFF)
+        if byte.any():
+            heads ^= np.take(table, byte, axis=0)
     out = np.empty((n, dims), order="F")
-    for lo in range(0, n, _SOBOL_BLOCK_ROWS):
-        g = gray[lo : lo + _SOBOL_BLOCK_ROWS]
-        block = np.zeros((len(g), dims), dtype=np.uint32)
-        for c, table in enumerate(tables):
-            byte = (g >> np.uint32(8 * c)) & np.uint32(0xFF)
-            if byte.any():
-                block ^= np.take(table, byte, axis=0)
-        np.copyto(out[lo : lo + len(g)], block * 2.0**-MAXBIT)
+    for lo in range(start - start % _SOBOL_BLOCK_ROWS, end, _SOBOL_BLOCK_ROWS):
+        first, stop = max(lo, start), min(lo + _SOBOL_BLOCK_ROWS, end)
+        q = first >> 8
+        block = heads[q - q0 : ((stop - 1) >> 8) - q0 + 1, None] ^ low
+        rows = block.reshape(-1, dims)[first - (q << 8) :][: stop - first]
+        np.copyto(out[first - start : stop - start], rows * 2.0**-MAXBIT)
     return out
 
 

@@ -94,6 +94,48 @@ def test_parse_config_optional_keys():
             "master_seed=18446744073709551616\n",
             "outside",
         ),
+        # a refusal of one key's value names that key's line
+        (
+            "test=Linear4\nestimators=sk\nsampler=LHS\np_min=8\np_max=9\n",
+            r"^config line 3: unknown sampler kind 'LHS' \(use MC or QMC\)$",
+        ),
+        (
+            "test=Linear4\nestimators=sk\nsampler=QMC\np_min=8\np_max=9\nfit_window=all\n",
+            r"^config line 6: unknown fit window 'all'$",
+        ),
+        (
+            "test=Linear4\nestimators=sk\nsampler=QMC\nK=1\np_min=8\np_max=9\n",
+            r"^config line 4: K must be at least 2$",
+        ),
+        (
+            "test=Linear4\nestimators=sk\nsampler=MC\np_min=8\np_max=9\nmaster_seed=-1\n",
+            r"^config line 6: seed -1 is outside \[0, 2\^64\)$",
+        ),
+        (
+            "test=Linear4\nestimators=sk\nsampler=QMC\np_min=0\np_max=9\n",
+            r"^config line 4: p_min must be at least 1$",
+        ),
+        (
+            "test=Linear4\nestimators=dlr\nsampler=QMC\np_min=8\np_max=9\nbin_override=1\n",
+            r"^config line 6: bin count 1 must be at least 2$",
+        ),
+        # a rule between keys names no line
+        (
+            "test=Linear4\nestimators=sk\nsampler=QMC\np_min=9\np_max=8\n",
+            r"^config: p_min must not exceed p_max$",
+        ),
+        (
+            "test=Linear4\nestimators=sk\nsampler=QMC\np_min=8\np_max=9\nbin_override=4\n",
+            r"^config: bin count applies only to the dlr estimator$",
+        ),
+        (
+            "test=Linear4\nestimators=dlr\nsampler=QMC\np_min=8\np_max=9\nbin_override=3\n",
+            r"^config: bin count 3 does not divide sample count 256$",
+        ),
+        (
+            "test=Linear4\nestimators=sk\nsampler=QMC\np_min=8\np_max=30\nK=5\n",
+            r"^config: QMC ladder needs Sobol' indices up to \d+, past the generator period",
+        ),
     ],
 )
 def test_parse_config_diagnostics(text, diag):
@@ -315,6 +357,31 @@ def test_name_rules_give_one_message_on_every_path(
     assert main(["estimate", "--test", test, "--estimators", estimators,
                  "--sampler", "QMC", "--n", "64"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_unknown_sampler_gives_one_message_on_every_path(capsys):
+    # SamplerSpec alone owns the sampler names: the config adds its line
+    # number and the command line its exit code, and --help names both
+    message = "unknown sampler kind 'LHS' (use MC or QMC)"
+
+    def refusal(call):
+        with pytest.raises(ValueError) as refused:
+            call()
+        return str(refused.value)
+
+    assert refusal(lambda: SamplerSpec("LHS")) == message
+    assert refusal(
+        lambda: BenchmarkConfig(
+            test="Linear4", estimators=("sk",), sampler="LHS", p_min=8, p_max=9
+        )
+    ) == message
+    text = "test=Linear4\nestimators=sk\nsampler=LHS\np_min=8\np_max=9\n"
+    assert refusal(lambda: parse_config(text)) == f"config line 3: {message}"
+    assert main(["estimate", "--test", "Linear4", "--estimators", "sk",
+                 "--sampler", "LHS", "--n", "64"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["estimate", "--help"]) == 0
+    assert "--sampler SAMPLER MC or QMC" in " ".join(capsys.readouterr().out.split())
 
 
 def test_estimate_incompatible_model_exit_code(capsys):

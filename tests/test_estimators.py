@@ -616,6 +616,44 @@ def test_packed_key_sort_equals_stable_argsort(x):
     assert np.array_equal(_argsort_ties_by_index(x), np.argsort(x, kind="stable"))
 
 
+_LAST_BITS = 1.0 + np.arange(8) * 2.0**-52  # 8 values apart in the 3 index bits
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        _LAST_BITS,
+        _LAST_BITS[::-1],
+        -_LAST_BITS,
+        -_LAST_BITS[::-1],
+        [0.0, -0.0, 1.0, 0.0, -0.0],
+        [-0.0, 0.0, -1.0, -0.0, 0.0],
+        [-0.0, 2.0],
+        [np.inf, 1.0, -np.inf, 2.0],
+        [1.0, 2.0, np.inf],
+        [-np.inf, -2.0, -1.0],
+        [np.nan, -np.nan, 1.0, np.nan, -1.0],
+        [-np.nan, 3.0, 2.0],
+        # NaN whose payload lies in the index bits: its key reads as ±inf
+        [_nan(1, 1), 1.0],
+        [1.0, 2.0, _nan(0, 1)],
+        [5e-324, -5e-324, 1e-310, -1e-310, 2.0**-1022, 0.0],
+        [3.5] * 9,
+        [7.0],
+    ],
+    ids=[
+        "last-bits-up", "last-bits-down", "negative-last-bits-up",
+        "negative-last-bits-down", "zeros-plus-first", "zeros-minus-first",
+        "one-minus-zero", "both-infs", "plus-inf-last", "minus-inf-first",
+        "nans-both-signs", "minus-nan", "minus-nan-low-payload",
+        "nan-low-payload", "subnormals", "all-equal", "one-value",
+    ],
+)
+def test_packed_key_order_on_edge_values(x):
+    x = np.array(x, dtype=float)
+    assert np.array_equal(_argsort_ties_by_index(x), np.argsort(x, kind="stable"))
+
+
 def test_dlr_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         estimate_dlr(np.zeros(8), np.zeros(16), BinSchedule(n=16, m=4, n_m=4))

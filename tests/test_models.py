@@ -8,6 +8,7 @@ from sobolbench.models import (
     TEST_CASE_NAMES,
     TestCaseId as CaseId,
     build,
+    build_gfunc,
     trilinear_exact_moments,
 )
 from sobolbench.sampling import (
@@ -198,6 +199,19 @@ def test_gfunc_equals_closed_form_bit_for_bit(name, kind):
     x_before = x.copy()
     want = np.prod((np.abs(4.0 * x - 2.0) + a) / (1.0 + a), axis=1)
     assert np.array_equal(m.f(x), want)
+    assert np.array_equal(x, x_before)
+
+
+@pytest.mark.parametrize("kind", ["MC", "QMC"])
+def test_gfunc_mixed_denominators_equal_closed_form_bit_for_bit(kind):
+    # a_i = 0 skips the add; 1 + a_i in {2, 4, 8} multiplies by the
+    # reciprocal; 1 + a_i = 1 skips the scaling; 1.5, 2.5 and 3 divide
+    a = np.array([0.0, 1.0, 3.0, 7.0, 0.5, 1.5, 2.0])
+    m = build_gfunc(a, "GFuncMixed")
+    x = generate_uniform(SamplerSpec(kind=kind, seed=11, run_index=2), 1 << 12, m.d).values
+    x_before = x.copy()
+    want = np.prod((np.abs(4.0 * x - 2.0) + a) / (1.0 + a), axis=1)
+    assert np.array_equal(m.f(x).view(np.uint64), want.view(np.uint64))
     assert np.array_equal(x, x_before)
 
 

@@ -154,10 +154,10 @@ def test_qmc_last_block_before_period_matches_reference(dims):
 @pytest.mark.filterwarnings("ignore:The balance properties")
 @pytest.mark.parametrize("dims", [1, 21, 64])
 def test_qmc_draw_across_row_blocks_matches_reference(dims):
-    # The draw is built _SOBOL_BLOCK_ROWS rows at a time: these rows start
-    # off a multiple of the block size, end in a partial block, and cross
-    # 2^16, so the third Gray-code byte is zero over the first block and
-    # skipped there but not in later ones.
+    # The draw is built _SOBOL_BLOCK_ROWS raw indices at a time: these rows
+    # start off a multiple of the block size, end in a partial block, and
+    # cross 2^16, so the third Gray-code byte is zero for some 256-row
+    # heads and not for others.
     qmc_mod = pytest.importorskip("scipy.stats.qmc")
     eng = qmc_mod.Sobol(d=dims, scramble=False, bits=32)
     if getattr(eng, "_sv", None) is None:
@@ -166,6 +166,30 @@ def test_qmc_draw_across_row_blocks_matches_reference(dims):
     got = _sobol_raw(start, n, dims)
     assert got.flags.f_contiguous
     assert np.array_equal(got, _sobol_by_bit(eng._sv.T, start, n) * 2.0**-32)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+@pytest.mark.parametrize("dims", [1, 21])
+@pytest.mark.parametrize(
+    "start,n",
+    [
+        (5 << 8, 300),  # starts on a 256-row head, ends inside a run
+        ((7 << 8) + 1, 100),  # one past a head, fewer than 256 rows
+        ((3 << 8) + 255, 1000),  # the row before a head, not whole runs
+        (255, 2),  # two rows either side of the first head
+        (_SOBOL_BLOCK_ROWS - 1, 2),  # two rows either side of a block edge
+        ((1 << 24) - 700, 1500),  # into the fourth Gray-code byte
+    ],
+)
+def test_qmc_draw_at_256_row_edges_matches_reference(dims, start, n):
+    # Element 256q + r is built from the head 256q and row r of the low
+    # table; these draws start and end on and off those heads.
+    qmc_mod = pytest.importorskip("scipy.stats.qmc")
+    eng = qmc_mod.Sobol(d=dims, scramble=False, bits=32)
+    if getattr(eng, "_sv", None) is None:
+        pytest.skip("this scipy does not expose its direction vectors")
+    want = _sobol_by_bit(eng._sv.T, start, n) * 2.0**-32
+    assert np.array_equal(_sobol_raw(start, n, dims), want)
 
 
 def _run_fresh(code: str) -> str:
