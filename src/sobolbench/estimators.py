@@ -266,10 +266,25 @@ def _outputs(model: InputModel, x: dict[str, np.ndarray], block: str) -> np.ndar
     if len(block) == 1:
         return model.f(x[block])
     donor, base = x[block[0]], x[block[1]]
+    out = np.empty((model.d, len(base)))
+    if model.factors is not None:
+        # One sweep over the columns: after step t, row i < t holds the
+        # product of factors 0..t with factor i from the donor, and ``acc``
+        # the product of the base's factors 0..t.  So each row gets the
+        # multiplies f makes on the base with column i taken from the donor,
+        # on the same operands in the same order.
+        for t, g in enumerate(model.factors):
+            fb = g(base[:, t])
+            out[:t] *= fb
+            if t == 0:
+                out[0], acc = g(donor[:, 0]), fb
+            else:
+                np.multiply(acc, g(donor[:, t]), out=out[t])
+                acc *= fb
+        return out
     # The mixed matrices are the base itself: column i is saved, swapped in
     # from the donor for one call and restored after it, so f must not
     # write to x.
-    out = np.empty((model.d, len(base)))
     saved = np.empty(len(base))
     for i in range(model.d):
         saved[:] = base[:, i]
@@ -343,6 +358,13 @@ def build_plan(
     )
 
 
+def _mean(x: np.ndarray, axis: int = -1):
+    """``x.mean(axis)`` of a float64 x, bit for bit: the same pairwise sum,
+    then the same true division by the count, without ``ndarray.mean``'s
+    Python-level overhead (about 8 us a call)."""
+    return np.add.reduce(x, axis) / x.shape[axis]
+
+
 def estimate_mean_and_variance(
     f_a: np.ndarray, f_b: Optional[np.ndarray] = None
 ) -> tuple[float, float]:
@@ -354,8 +376,8 @@ def estimate_mean_and_variance(
     pooled = f_a if f_b is None else np.concatenate([f_a, f_b])
     if pooled.size == 0:
         raise ValueError("at least one output array must be nonempty")
-    f0_hat = float(pooled.mean())
-    d_hat = float((pooled**2).mean() - f0_hat**2)
+    f0_hat = float(_mean(pooled))
+    d_hat = float(_mean(pooled**2) - f0_hat**2)
     if d_hat <= 0.0:
         raise DegenerateModelError("degenerate model (zero variance)")
     return f0_hat, d_hat
@@ -367,26 +389,31 @@ def estimate_sobol_original(f_a: np.ndarray, f_ab_i: np.ndarray) -> float:
     The subtracted square of the estimated mean is the known weakness of this
     formula: for |f0| >> sqrt(D_i) the cancellation error dominates.
     """
-    return float((f_a * f_ab_i).mean() - f_a.mean() ** 2)
+    return _sobol_original(f_a, f_ab_i, _mean(f_a) ** 2)
+
+
+def _sobol_original(f_a: np.ndarray, f_ab_i: np.ndarray, f0_sq) -> float:
+    """:func:`estimate_sobol_original` given ``f0_sq = mean(fA)^2``."""
+    return float(_mean(f_a * f_ab_i) - f0_sq)
 
 
 def estimate_sk(f_a: np.ndarray, f_b: np.ndarray, f_ab_i: np.ndarray) -> float:
     """D_i_hat = mean(fA * (fAB_i - fB))."""
-    return float((f_a * (f_ab_i - f_b)).mean())
+    return float(_mean(f_a * (f_ab_i - f_b)))
 
 
 def estimate_owen(
     f_a: np.ndarray, f_b: np.ndarray, f_ab_i: np.ndarray, f_ca_i: np.ndarray
 ) -> float:
     """D_i_hat = mean((fA - fCA_i) * (fAB_i - fB))."""
-    return float(((f_a - f_ca_i) * (f_ab_i - f_b)).mean())
+    return float(_mean((f_a - f_ca_i) * (f_ab_i - f_b)))
 
 
 def estimate_oracle(
     f_a: np.ndarray, f_b: np.ndarray, f_ab_i: np.ndarray, f0: float
 ) -> float:
     """D_i_hat = mean((fA - f0) * (fAB_i - fB)) with f0 the exact mean."""
-    return float(((f_a - f0) * (f_ab_i - f_b)).mean())
+    return float(_mean((f_a - f0) * (f_ab_i - f_b)))
 
 
 def _argsort_ties_by_index(x: np.ndarray) -> np.ndarray:
@@ -432,11 +459,16 @@ def estimate_dlr(
     of N_m points, and D_i_hat = (1/M) sum_j m_j^2 - f0_hat^2 with m_j the
     bin means and f0_hat the plain mean of all N outputs.
     """
+    return _dlr(x_i_column, f_a, bins, _mean(f_a) ** 2)
+
+
+def _dlr(x_i_column: np.ndarray, f_a: np.ndarray, bins: BinSchedule, f0_sq) -> float:
+    """:func:`estimate_dlr` given ``f0_sq = mean(fA)^2``."""
     if x_i_column.shape[0] != bins.n or f_a.shape[0] != bins.n:
         raise ValueError("array length does not match the bin schedule")
     order = _argsort_ties_by_index(x_i_column)
-    bin_means = f_a[order].reshape(bins.m, bins.n_m).mean(axis=1)
-    return float((bin_means**2).mean() - f_a.mean() ** 2)
+    bin_means = _mean(f_a[order].reshape(bins.m, bins.n_m))
+    return float(_mean(bin_means**2) - f0_sq)
 
 
 def estimate_main_index(plan: EvaluationPlan) -> np.ndarray:
@@ -449,11 +481,14 @@ def estimate_main_index(plan: EvaluationPlan) -> np.ndarray:
     """
     kind = plan.kind
     _, d_hat = estimate_mean_and_variance(plan.f_a, plan.f_b)
+    # sobol and dlr subtract the same mean(fA)^2 from every input's term
+    if kind in (EstimatorKind.SOBOL, EstimatorKind.DLR):
+        f0_sq = _mean(plan.f_a) ** 2
 
     s = np.empty(plan.x_a.shape[1])
     for i in range(len(s)):
         if kind == EstimatorKind.SOBOL:
-            d_i = estimate_sobol_original(plan.f_a, plan.f_ab[i])
+            d_i = _sobol_original(plan.f_a, plan.f_ab[i], f0_sq)
         elif kind == EstimatorKind.SK:
             d_i = estimate_sk(plan.f_a, plan.f_b, plan.f_ab[i])
         elif kind == EstimatorKind.OWEN:
@@ -461,7 +496,7 @@ def estimate_main_index(plan: EvaluationPlan) -> np.ndarray:
         elif kind == EstimatorKind.ORACLE:
             d_i = estimate_oracle(plan.f_a, plan.f_b, plan.f_ab[i], plan.f0)
         elif kind == EstimatorKind.DLR:
-            d_i = estimate_dlr(plan.x_a[:, i], plan.f_a, plan.bins)
+            d_i = _dlr(plan.x_a[:, i], plan.f_a, plan.bins, f0_sq)
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"no formula for estimator kind {kind!r}")
         s[i] = d_i / d_hat

@@ -223,6 +223,10 @@ class Uniform:
             raise ValueError("Uniform requires b > a")
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
+        # On [0, 1) itself, (1 - 0) * u + 0 changes no bit of a u >= +0, so
+        # u is returned as is.
+        if self.a == 0.0 and self.b == 1.0:
+            return u
         x = (self.b - self.a) * u
         x += self.a
         return x
@@ -332,7 +336,8 @@ def transform_independent(
 
     The result goes into ``out``, which may be ``u.values`` itself, or else
     into a new column-major (Fortran-ordered) array, so each input column a
-    model, a column swap or a sort reads is contiguous.
+    model, a column swap or a sort reads is contiguous.  A marginal whose
+    ``from_unit`` returns its column unchanged costs no copy in place.
     """
     if u.dims != len(marginals):
         raise ValueError(
@@ -341,7 +346,10 @@ def transform_independent(
     if out is None:
         out = np.empty((u.n, u.dims), order="F")
     for j, marg in enumerate(marginals):
-        out[:, j] = marg.from_unit(u.values[:, j])
+        column = u.values[:, j]
+        x = marg.from_unit(column)
+        if x is not column or out is not u.values:
+            out[:, j] = x
     return out
 
 

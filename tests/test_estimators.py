@@ -316,7 +316,8 @@ def test_shared_plans_equal_standalone_plans(name, sampler):
 @pytest.mark.parametrize("name", INDEPENDENT_CASES)
 def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
     # AB_i/CA_i outputs come from the set's own base matrix, a column block
-    # of its column-major draw, whose column i is swapped in and restored;
+    # of its column-major draw, whose column i is swapped in and restored
+    # (or, for a model with factors, from a sweep over its column factors);
     # each must equal the output on a mixed matrix built from a fresh
     # row-major copy (test_set_matrices_equal_fresh_transform_of_own_draw
     # checks that every swapped column was restored)
@@ -333,6 +334,69 @@ def test_column_swap_equals_fresh_mixed_matrices(name, sampler):
         assert np.array_equal(evaluations.f[block], np.array(want))
     for m in "abc":
         assert np.array_equal(evaluations.x[m], base[m])
+
+
+def _assert_sweep_equals_swap_loop(model, n, sampler):
+    """A set of a model with factors has the bits, matrices and outputs, of
+    the same model's set without them, whose AB_i/CA_i blocks come from the
+    column-swap loop calling f."""
+    swept = evaluation_set(model, ALL_KINDS, n, sampler)
+    swapped = evaluation_set(
+        dataclasses.replace(model, factors=None), ALL_KINDS, n, sampler
+    )
+    for m in "abc":
+        assert np.array_equal(swept.x[m].view(np.uint64), swapped.x[m].view(np.uint64))
+    assert swept.f.keys() == swapped.f.keys()
+    for block, outputs in swept.f.items():
+        assert np.array_equal(
+            outputs.view(np.uint64), swapped.f[block].view(np.uint64)
+        ), block
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
+@pytest.mark.parametrize("name", ["GFunc10A", "GFunc10B"])
+def test_factor_sweep_equals_column_swap_bit_for_bit(name, sampler, n):
+    _assert_sweep_equals_swap_loop(build(name), n, sampler)
+
+
+# Factor values of the synthetic product model: zeros of both signs, both
+# infinities, NaN and a few ordinary numbers, so that products meet
+# 0 * inf, inf * -inf, -0 * x and NaN operands.
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -1.5, 3.0, 0.7])
+
+
+def _special_factor(t):
+    def g(column):
+        # a fancy index returns a new array and leaves the column as it was
+        return _SPECIAL[(column * (8 * (t + 1))).astype(np.int64) % 8]
+
+    return g
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
+def test_factor_sweep_keeps_special_value_bits(sampler, n):
+    factors = tuple(_special_factor(t) for t in range(5))
+
+    def f(x):
+        out = factors[0](x[:, 0])
+        for t in range(1, len(factors)):
+            out *= factors[t](x[:, t])
+        return out
+
+    model = InputModel(
+        name="SpecialProduct",
+        d=5,
+        f=f,
+        marginals=(Uniform(0.0, 1.0),) * 5,
+        factors=factors,
+    )
+    ab = evaluation_set(model, ALL_KINDS[:3], n, sampler).f["ab"]
+    for special in (np.isnan(ab), np.isinf(ab), np.signbit(ab) & (ab == 0.0)):
+        assert special.any()
+    _assert_sweep_equals_swap_loop(model, n, sampler)
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])

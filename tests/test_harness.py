@@ -345,20 +345,22 @@ def _one_rung(test, kinds, sampler, p=6, k=2):
 
 @pytest.mark.parametrize("test,sampler", [("GFunc10A", "QMC"), ("ParkAhn7", "MC")])
 def test_cell_evaluates_once_for_all_estimators(counted, test, sampler):
-    # one 3d draw, one transform and 2d + 2 model calls per cell serve all
-    # five estimators under either sampler: 22 calls on GFunc10A (d = 10;
-    # 58 if each ran alone), 16 on ParkAhn7 (d = 7)
+    # one 3d draw, one transform and one block of model calls per cell serve
+    # all five estimators under either sampler: 2 calls (A and B) on the
+    # product model GFunc10A, whose AB_i and CA_i outputs are products of
+    # its column factors, and 2d + 2 = 16 on ParkAhn7 (d = 7)
     d = build(test).d
     run_benchmark(_one_rung(test, tuple(EstimatorKind), sampler))
     assert counted["draws"] == [3 * d] * 2
     assert counted["transformed"] == [64 * 3 * d] * 2
-    assert counted["f"] == 2 * (2 * d + 2)
+    assert counted["f"] == 2 * {"GFunc10A": 2, "ParkAhn7": 16}[test]
 
 
 def test_qmc_ladder_evaluates_only_its_top_rung(counted):
     # every lower-rung QMC cell reduces rows of a top-rung run, so a GFunc10A
     # ladder (d = 10, p = 4..7, K = 3) draws, transforms and evaluates only
-    # its K top runs: K (2d + 2) = 66 model calls of N_top = 128 rows
+    # its K top runs: 2K = 6 model calls (A and B; AB_i and CA_i come from
+    # the model's column factors) of N_top = 128 rows
     cfg = BenchmarkConfig(
         test="GFunc10A", estimators=tuple(EstimatorKind), sampler="QMC",
         p_min=4, p_max=7, k=3,
@@ -366,7 +368,7 @@ def test_qmc_ladder_evaluates_only_its_top_rung(counted):
     run_benchmark(cfg)
     assert counted["draws"] == [30] * 3
     assert counted["transformed"] == [128 * 30] * 3
-    assert counted["rows"] == [128] * 66
+    assert counted["rows"] == [128] * 6
 
 
 def test_mc_ladder_evaluates_every_cell(counted):

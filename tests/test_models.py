@@ -215,6 +215,35 @@ def test_gfunc_mixed_denominators_equal_closed_form_bit_for_bit(kind):
     assert np.array_equal(x, x_before)
 
 
+@pytest.mark.parametrize("name", sorted(GFUNC_A) + ["GFuncMixed"])
+def test_gfunc_f_is_product_of_its_factors(name):
+    # f is factors[0](x[:, 0]) * factors[1](x[:, 1]) * ... left to right,
+    # bit for bit, on any layout an evaluation set hands it; factors return
+    # new arrays and leave their column as it was
+    if name == "GFuncMixed":
+        m = build_gfunc([0.0, 1.0, 3.0, 7.0, 0.5, 1.5, 2.0], name)
+    else:
+        m = build(name)
+    assert len(m.factors) == m.d
+    x = generate_uniform(SamplerSpec(kind="QMC", run_index=1), 1 << 10, m.d).values
+    want = m.factors[0](x[:, 0])
+    for t in range(1, m.d):
+        want = want * m.factors[t](x[:, t])
+    column_blocks = np.empty((len(x), 3 * m.d), order="F")
+    column_blocks[:, m.d : 2 * m.d] = x
+    layouts = [
+        np.ascontiguousarray(x),
+        np.asfortranarray(x),
+        column_blocks[:, m.d : 2 * m.d],
+    ]
+    for arr in layouts:
+        before = arr.copy()
+        assert np.array_equal(m.f(arr).view(np.uint64), want.view(np.uint64))
+        for t, g in enumerate(m.factors):
+            assert not np.shares_memory(g(arr[:, t]), arr)
+        assert np.array_equal(arr, before)
+
+
 def test_gfunc_strong_interactions():
     # equally important inputs with tiny main effects: sum far below 1
     m = build("GFunc10B")
@@ -348,6 +377,8 @@ def test_input_model_validation():
         InputModel(
             name="bad", d=1, f=f, marginals=(Uniform(0, 1),), analytic_main=[1.5]
         )
+    with pytest.raises(ValueError, match="factor count"):
+        InputModel(name="bad", d=2, f=f, marginals=(Uniform(0, 1),) * 2, factors=(f,))
 
 
 def test_main_effects_within_unit_interval():

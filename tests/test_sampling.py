@@ -517,6 +517,29 @@ def test_transform_independent_in_place(kind):
     assert np.array_equal(in_place.view(np.uint64), pure.view(np.uint64))
 
 
+@pytest.mark.parametrize("kind", ["QMC", "MC"])
+def test_unit_uniform_is_the_identity(kind):
+    # Uniform(0, 1) maps every u >= +0 to itself bit for bit, so from_unit
+    # returns its column as is; the transform still returns a new array
+    # without out, and in place it leaves those columns of the draw alone
+    u = generate_uniform(SamplerSpec(kind=kind, seed=3), 64, 3)
+    unit = Uniform(0.0, 1.0)
+    column = u.values[:, 1]
+    assert unit.from_unit(column) is column
+    assert np.array_equal(
+        _closed_form(unit, column).view(np.uint64), column.view(np.uint64)
+    )
+    marginals = (unit, Normal(5.0, 2.0), unit)
+    before = u.values.copy()
+    pure = transform_independent(u, marginals)
+    assert not np.shares_memory(pure, u.values)
+    assert np.array_equal(u.values, before)
+    in_place = transform_independent(u, marginals, u.values)
+    assert in_place is u.values
+    assert np.array_equal(in_place.view(np.uint64), pure.view(np.uint64))
+    assert np.array_equal(in_place[:, 0::2], before[:, 0::2])
+
+
 def test_correlated_diagonal_equals_independent():
     u = qmc(256, 3)
     mean = np.array([1.0, -2.0, 0.5])
