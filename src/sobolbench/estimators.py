@@ -1,7 +1,7 @@
 """Main-effect index estimators and the evaluation sets they reduce.
 
-Five estimators of the partial variance D_i are provided, all dividing by a
-shared estimate of the total variance D to give S_i = D_i / D:
+Five estimators of the partial variance D_i are provided, each dividing by
+an estimate of the total variance D to give S_i = D_i / D:
 
 * ``sobol``  : mean(fA * fAB_i) - mean(fA)^2            (two sample sets)
 * ``sk``     : mean(fA * (fAB_i - fB))                  (two sample sets)
@@ -15,9 +15,9 @@ outputs at A, B, AB_i and CA_i, all evaluated when the set is drawn.  One
 set per (N, run) cell, drawn at the widest width its estimators need and
 transformed once, serves all of them under either sampler.  A shorter run
 inside a longer one is a row slice of its set, outputs included (see
-:meth:`EvaluationSet.rows`).  Each estimator is a pure reduction over the
-blocks of the set it reads (:func:`sobolbench.harness.estimate_cell` runs
-all of a cell's estimators).
+:meth:`EvaluationSet.rows`).  A cell's estimators are one plan
+(:func:`build_plan`) and one pure reduction over the blocks it holds
+(:func:`estimate_main_index`), which computes each shared D_hat once.
 
 What each estimator needs is stated here alone: the blocks it reads and
 so its cost (:func:`cost`), and which estimator lists, bin counts and
@@ -128,18 +128,18 @@ def bin_schedule(n: int, bin_count: Optional[int] = None) -> BinSchedule:
 
 @dataclass(frozen=True)
 class EvaluationPlan:
-    """The blocks of an evaluation set that one estimator reduces.
+    """The blocks of an evaluation set that a cell's estimators reduce.
 
     ``f_ab[i]`` holds outputs at B with column i replaced from A (the point
     that shares coordinate i with A); ``f_ca[i]`` holds outputs at A with
-    column i replaced from C (Owen's third set).  Blocks the estimator does
-    not read are None.  ``bins`` is the cell's DLR bin schedule, read by
-    DLR alone; ``f0`` is the model's exact mean, read by the oracle alone.
-    No estimator reads outputs at C alone, so ``f_c`` is always None; it
-    stays for the benchmark tracer (``perfbench/spans.py``), which reads it.
+    column i replaced from C (Owen's third set).  Blocks none of ``kinds``
+    reads are None.  ``bins``, the cell's DLR bin schedule, is set only with
+    DLR, and ``f0``, the model's exact mean, only with the oracle.  No
+    estimator reads outputs at C alone, so ``f_c`` is always None; it stays
+    for the benchmark tracer (``perfbench/spans.py``), which reads it.
     """
 
-    kind: EstimatorKind
+    kinds: tuple[EstimatorKind, ...]
     x_a: np.ndarray
     f_a: np.ndarray
     f_b: Optional[np.ndarray] = None
@@ -178,7 +178,9 @@ def cost(kind: EstimatorKind, d: int, n: int) -> tuple[int, int]:
 
 
 def _kind_list(names: Iterable[EstimatorKind | str]) -> tuple[EstimatorKind, ...]:
-    """``names`` as estimator kinds, refused if empty or with a repeat."""
+    """``names`` as estimator kinds, refused if a string, empty or with a repeat."""
+    if isinstance(names, str):
+        raise ValueError(f"estimators must be a list, not the string {names!r}")
     kinds = tuple(EstimatorKind(name) for name in names)
     if not kinds:
         raise ValueError("at least one estimator is required")
@@ -326,35 +328,36 @@ def evaluation_set(
 
 
 def build_plan(
-    kind: EstimatorKind,
+    kinds: Sequence[EstimatorKind],
     evaluations: EvaluationSet,
     bin_count: Optional[int] = None,
 ) -> EvaluationPlan:
-    """The blocks of ``evaluations`` that ``kind`` reads, for all d inputs.
+    """The one plan of a cell: the blocks of ``evaluations`` that ``kinds`` read.
 
-    The set must hold every block ``kind`` reads.  DLR's bin schedule is
-    ``bin_count`` bins of the set's rows, or the default schedule without
-    one.  The caller checks ``kind`` against the set's model and the bin
-    count first (see :func:`_check_kinds`).
+    The set must hold every block each of ``kinds`` reads.  DLR's bin
+    schedule is ``bin_count`` bins of the set's rows, or the default
+    schedule without one.  The caller checks ``kinds`` against the set's
+    model and the bin count first (see :func:`_check_kinds`).
     """
-    missing = [b for b in _OUTPUT_BLOCKS[kind] if b not in evaluations.f]
-    if missing:
-        raise ValueError(
-            f"estimator {kind.value!r} reads block(s) {', '.join(missing)} "
-            "that the evaluation set lacks"
-        )
-    outputs = {b: evaluations.f[b] for b in _OUTPUT_BLOCKS[kind]}
+    for kind in kinds:
+        missing = [b for b in _OUTPUT_BLOCKS[kind] if b not in evaluations.f]
+        if missing:
+            raise ValueError(
+                f"estimator {kind.value!r} reads block(s) {', '.join(missing)} "
+                "that the evaluation set lacks"
+            )
+    f = {b: evaluations.f[b] for kind in kinds for b in _OUTPUT_BLOCKS[kind]}
     return EvaluationPlan(
-        kind=kind,
+        kinds=tuple(kinds),
         x_a=evaluations.x["a"],
-        f_a=outputs["a"],
-        f_b=outputs.get("b"),
-        f_ab=outputs.get("ab"),
-        f_ca=outputs.get("ca"),
-        bins=bin_schedule(len(outputs["a"]), bin_count)
-        if kind == EstimatorKind.DLR
+        f_a=f["a"],
+        f_b=f.get("b"),
+        f_ab=f.get("ab"),
+        f_ca=f.get("ca"),
+        bins=bin_schedule(len(f["a"]), bin_count)
+        if EstimatorKind.DLR in kinds
         else None,
-        f0=evaluations.model.analytic_f0 if kind == EstimatorKind.ORACLE else None,
+        f0=evaluations.model.analytic_f0 if EstimatorKind.ORACLE in kinds else None,
     )
 
 
@@ -471,33 +474,34 @@ def _dlr(x_i_column: np.ndarray, f_a: np.ndarray, bins: BinSchedule, f0_sq) -> f
     return float(_mean(bin_means**2) - f0_sq)
 
 
-def estimate_main_index(plan: EvaluationPlan) -> np.ndarray:
-    """The d main-effect estimates S_i of the plan's estimator, in input order.
+def estimate_main_index(plan: EvaluationPlan) -> dict[EstimatorKind, np.ndarray]:
+    """Each of the plan's kinds' d main-effect estimates S_i, in input order.
 
-    Every input divides by the same pooled D_hat (from fA and fB when the
-    plan has a B set, else fA alone) so indices are comparable across inputs.
-    Negative D_i_hat values, possible at small N for near-zero indices, are
-    reported as-is.
+    A kind that reads B divides by D_hat pooled over fA and fB, sobol and
+    dlr by D_hat of fA alone.  Each D_hat, and the mean(fA)^2 sobol and dlr
+    subtract, is computed once for all kinds and inputs.  Negative D_i_hat
+    values, possible at small N for near-zero indices, are reported as-is.
     """
-    kind = plan.kind
-    _, d_hat = estimate_mean_and_variance(plan.f_a, plan.f_b)
-    # sobol and dlr subtract the same mean(fA)^2 from every input's term
-    if kind in (EstimatorKind.SOBOL, EstimatorKind.DLR):
+    if plan.f_b is not None:
+        _, d_pooled = estimate_mean_and_variance(plan.f_a, plan.f_b)
+    if {EstimatorKind.SOBOL, EstimatorKind.DLR} & set(plan.kinds):
+        _, d_a = estimate_mean_and_variance(plan.f_a)
         f0_sq = _mean(plan.f_a) ** 2
 
-    s = np.empty(plan.x_a.shape[1])
-    for i in range(len(s)):
-        if kind == EstimatorKind.SOBOL:
-            d_i = _sobol_original(plan.f_a, plan.f_ab[i], f0_sq)
-        elif kind == EstimatorKind.SK:
-            d_i = estimate_sk(plan.f_a, plan.f_b, plan.f_ab[i])
-        elif kind == EstimatorKind.OWEN:
-            d_i = estimate_owen(plan.f_a, plan.f_b, plan.f_ab[i], plan.f_ca[i])
-        elif kind == EstimatorKind.ORACLE:
-            d_i = estimate_oracle(plan.f_a, plan.f_b, plan.f_ab[i], plan.f0)
-        elif kind == EstimatorKind.DLR:
-            d_i = _dlr(plan.x_a[:, i], plan.f_a, plan.bins, f0_sq)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"no formula for estimator kind {kind!r}")
-        s[i] = d_i / d_hat
-    return s
+    estimates = {}
+    for kind in plan.kinds:
+        d_hat = d_pooled if "b" in _OUTPUT_BLOCKS[kind] else d_a
+        s = estimates[kind] = np.empty(plan.x_a.shape[1])
+        for i in range(len(s)):
+            if kind == EstimatorKind.SOBOL:
+                d_i = _sobol_original(plan.f_a, plan.f_ab[i], f0_sq)
+            elif kind == EstimatorKind.SK:
+                d_i = estimate_sk(plan.f_a, plan.f_b, plan.f_ab[i])
+            elif kind == EstimatorKind.OWEN:
+                d_i = estimate_owen(plan.f_a, plan.f_b, plan.f_ab[i], plan.f_ca[i])
+            elif kind == EstimatorKind.ORACLE:
+                d_i = estimate_oracle(plan.f_a, plan.f_b, plan.f_ab[i], plan.f0)
+            else:
+                d_i = _dlr(plan.x_a[:, i], plan.f_a, plan.bins, f0_sq)
+            s[i] = d_i / d_hat
+    return estimates

@@ -17,6 +17,7 @@ log10 eps); the fitted alpha is minus the slope.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ import numpy as np
 
 from .estimators import (
     EstimatorKind,
-    EvaluationSet,
     _check_bin_count,
     _check_kinds,
     _kind_list,
@@ -103,6 +103,14 @@ class BenchmarkConfig:
 def _config_field(name: str, value):
     """``value`` as BenchmarkConfig field ``name`` holds it, refused if the
     field can hold it in no config; rules between fields are the config's."""
+    if name in ("p_min", "p_max", "k", "master_seed") or (
+        name == "bin_override" and value is not None
+    ):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            label = "K" if name == "k" else name
+            raise ValueError(f"{label} must be an integer, got {value!r}") from None
     if name == "test":
         return TestCaseId(value)
     if name == "estimators":
@@ -176,20 +184,6 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     return threads
 
 
-def _estimates(
-    evaluations: EvaluationSet,
-    kinds: Sequence[EstimatorKind],
-    bin_count: Optional[int],
-) -> dict[EstimatorKind, np.ndarray]:
-    """Each of ``kinds``' d estimates S_i from one set, the kinds and DLR's
-    ``bin_count`` already checked; ``build_plan`` and ``estimate_main_index``
-    are looked up at call time, where the benchmark's tracer rebinds them."""
-    return {
-        kind: estimate_main_index(build_plan(kind, evaluations, bin_count))
-        for kind in kinds
-    }
-
-
 def estimate_cell(
     model: InputModel,
     kinds: Sequence[EstimatorKind],
@@ -200,12 +194,13 @@ def estimate_cell(
     """Every estimator's d main-effect estimates S_i from one (N, run) draw.
 
     Every kind is checked before anything is drawn (see
-    :func:`sobolbench.estimators._check_kinds`).  The estimators then reduce
-    one evaluation set drawn and evaluated for the cell, so each output is
-    computed once for all.
+    :func:`sobolbench.estimators._check_kinds`).  One set drawn for the cell
+    is then reduced as one plan; ``build_plan`` and ``estimate_main_index``
+    are looked up at call time, where the benchmark's tracer rebinds them.
     """
     kinds = _check_kinds(kinds, n, bin_count, model)
-    return _estimates(evaluation_set(model, kinds, n, sampler), kinds, bin_count)
+    evaluations = evaluation_set(model, kinds, n, sampler)
+    return estimate_main_index(build_plan(kinds, evaluations, bin_count))
 
 
 def _draw_groups(cfg: BenchmarkConfig) -> list[list[tuple[int, int, int]]]:
@@ -232,14 +227,15 @@ def _run_group(
 
     The top-rung run is drawn, transformed and evaluated in full once,
     before any cell is reduced, and each cell reduces a row slice of its
-    outputs (see :meth:`sobolbench.estimators.EvaluationSet.rows`) with
-    DLR's bin schedule at its N.  The set is dropped on return.
+    outputs (see :meth:`sobolbench.estimators.EvaluationSet.rows`) as one
+    plan, with DLR's bin schedule at its N.  The set is dropped on return.
     """
     n_top, top, _ = cells[0]
     spec = SamplerSpec(cfg.sampler, cfg.master_seed, top)
-    evaluations = evaluation_set(model, cfg.estimators, n_top, spec)
+    kinds, bins = cfg.estimators, cfg.bin_override
+    evaluations = evaluation_set(model, kinds, n_top, spec)
     return {
-        (n, k): _estimates(evaluations.rows(row, n), cfg.estimators, cfg.bin_override)
+        (n, k): estimate_main_index(build_plan(kinds, evaluations.rows(row, n), bins))
         for n, k, row in cells
     }
 

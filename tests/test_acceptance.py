@@ -416,7 +416,8 @@ def test_c7_cost_accounting():
     )
     plans_ok = True
     for kind in ALL_KINDS:
-        plan = build_plan(kind, evaluation_set(build("Ishigami"), (kind,), 256, QMC))
+        evaluations = evaluation_set(build("Ishigami"), (kind,), 256, QMC)
+        plan = build_plan((kind,), evaluations)
         outputs = (plan.f_a, plan.f_b, plan.f_ab, plan.f_ca, plan.f_c)
         populated = sum(f.size for f in outputs if f is not None)
         plans_ok = plans_ok and populated == cost(kind, 3, 256)[0]

@@ -83,6 +83,10 @@ def test_parse_config_optional_keys():
         ("test=Nope\nestimators=sk\nsampler=QMC\np_min=8\np_max=9\n", "unknown test"),
         ("test=Linear4\nestimators=sk,magic\nsampler=QMC\np_min=8\np_max=9\n", "unknown estimator"),
         ("test=Linear4\nestimators=sk\nsampler=QMC\np_min=eight\np_max=9\n", "integer"),
+        (
+            "test=Linear4\nestimators=sk\nsampler=QMC\np_min=8\np_max=9\nK=2.5\n",
+            r"^config line 6: K must be an integer, got '2.5'$",
+        ),
         ("test=Linear4\ntest=Ishigami\nestimators=sk\nsampler=QMC\np_min=8\np_max=9\n", "duplicate"),
         ("test=Linear4\nestimators=\nsampler=QMC\np_min=8\np_max=9\n", "empty value"),
         (

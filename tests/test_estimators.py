@@ -1,6 +1,7 @@
 """Estimator formulas: exact identities, plan construction, convergence."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -54,7 +55,15 @@ DIRECT_KINDS = (
 
 def _plan(model, kind, n, sampler=QMC, bin_count=None):
     """The plan of one estimator on a set drawn for it alone."""
-    return build_plan(kind, evaluation_set(model, (kind,), n, sampler), bin_count)
+    return build_plan((kind,), evaluation_set(model, (kind,), n, sampler), bin_count)
+
+
+def _valid_kinds(model):
+    """Every kind the model accepts, in enum order."""
+    return [
+        k for k in ALL_KINDS
+        if k == EstimatorKind.DLR or not model.has_dependent_inputs
+    ]
 
 
 def _populated(plan):
@@ -241,7 +250,7 @@ def test_plan_shapes_and_eval_counts():
     m = build("Ishigami")
     n = 256
     plan = _plan(m, EstimatorKind.SOBOL, n)
-    assert plan.kind is EstimatorKind.SOBOL and plan.f0 is None
+    assert plan.kinds == (EstimatorKind.SOBOL,) and plan.f0 is None
     assert plan.f_b is None and plan.f_ca is None
     assert plan.f_ab.shape == (3, n)
     assert _populated(plan) == n * 4
@@ -287,29 +296,79 @@ def test_eval_count_table_matches_plans_and_cost():
     assert widths == [6, 6, 9, 6, 3]
 
 
-def _assert_same_plan(shared, alone):
-    for name in PLAN_ARRAYS:
-        a, b = getattr(shared, name), getattr(alone, name)
-        assert (a is None) == (b is None), name
-        assert a is None or np.array_equal(a, b), name
-    assert (shared.kind, shared.bins, shared.f0) == (alone.kind, alone.bins, alone.f0)
+def test_cell_plan_holds_what_its_kinds_read():
+    # one plan per cell: a block none of its kinds reads is None, bins come
+    # with dlr alone and f0 with the oracle alone
+    m = build("Ishigami")
+    evaluations = evaluation_set(m, ALL_KINDS, 64, QMC)
+    plan = build_plan((EstimatorKind.DLR, EstimatorKind.SOBOL), evaluations)
+    assert plan.kinds == (EstimatorKind.DLR, EstimatorKind.SOBOL)
+    assert plan.f_b is None and plan.f_ca is None and plan.f_c is None
+    assert plan.f_ab.shape == (3, 64) and plan.f0 is None
+    assert plan.bins == BinSchedule(n=64, m=8, n_m=8)
+    plan = build_plan((EstimatorKind.ORACLE, EstimatorKind.SK), evaluations)
+    assert plan.f_ca is None and plan.bins is None and plan.f0 == m.analytic_f0
+    assert _populated(plan) == 64 * 5
+    plan = build_plan(ALL_KINDS, evaluations)
+    assert _populated(plan) == 64 * 8 and plan.f_c is None
+    estimates = estimate_main_index(plan)
+    assert list(estimates) == list(ALL_KINDS)
+    assert all(s.shape == (3,) for s in estimates.values())
+
+
+def _bits(s):
+    return s.view(np.uint64)
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
 @pytest.mark.parametrize("name", TEST_CASE_NAMES)
 def test_shared_plans_equal_standalone_plans(name, sampler):
-    # every estimator reduces the same bits whether its plan comes from a
-    # set shared with the others or from a draw of its own
+    # every estimator reduces the same bits from the cell's one plan, shared
+    # with the others, as from a plan of its own on a draw of its own
     model = build(name)
-    kinds = [
-        k for k in ALL_KINDS
-        if k == EstimatorKind.DLR or not model.has_dependent_inputs
-    ]
+    kinds = _valid_kinds(model)
     n = 64
-    evaluations = evaluation_set(model, kinds, n, sampler)
+    shared = build_plan(kinds, evaluation_set(model, kinds, n, sampler))
+    cell = estimate_main_index(shared)
+    assert list(cell) == kinds
     for kind in kinds:
-        alone = build_plan(kind, evaluation_set(model, (kind,), n, sampler))
-        _assert_same_plan(build_plan(kind, evaluations), alone)
+        alone = build_plan((kind,), evaluation_set(model, (kind,), n, sampler))
+        for attr in PLAN_ARRAYS:  # the blocks the kind reads
+            a = getattr(alone, attr)
+            assert a is None or np.array_equal(getattr(shared, attr), a), (kind, attr)
+        for attr in ("bins", "f0"):
+            assert getattr(alone, attr) in (None, getattr(shared, attr)), (kind, attr)
+        (s,) = estimate_main_index(alone).values()
+        assert np.array_equal(_bits(cell[kind]), _bits(s)), kind
+
+
+@functools.lru_cache(maxsize=None)
+def _all_kinds_cell(name, sampler):
+    """The model, evaluation set and all-kinds S_i of a cell at N = 64."""
+    model = build(name)
+    evaluations = evaluation_set(model, _valid_kinds(model), 64, sampler)
+    cell = estimate_main_index(build_plan(_valid_kinds(model), evaluations))
+    return model, evaluations, cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(TEST_CASE_NAMES),
+    sampler=st.sampled_from([QMC, MC]),
+    data=st.data(),
+)
+def test_any_kind_subset_reduces_to_the_all_kinds_bits(name, sampler, data):
+    # a kind's S_i do not depend on which other kinds share its cell: each
+    # divides by its own D_hat (pooled or of fA alone) whatever the plan holds
+    model, evaluations, cell = _all_kinds_cell(name, sampler)
+    order = data.draw(st.permutations(_valid_kinds(model)))
+    subset = order[: data.draw(st.integers(1, len(order)))]
+    own = estimate_cell(model, subset, 64, sampler)
+    shared = estimate_main_index(build_plan(subset, evaluations))
+    assert list(own) == list(shared) == subset
+    for kind in subset:
+        assert np.array_equal(_bits(own[kind]), _bits(cell[kind])), kind
+        assert np.array_equal(_bits(shared[kind]), _bits(cell[kind])), kind
 
 
 @pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
@@ -528,7 +587,10 @@ def test_evaluation_set_rejects_mismatched_use():
     m = build("Ishigami")
     evaluations = evaluation_set(m, (EstimatorKind.SK,), 64, QMC)
     with pytest.raises(ValueError, match="'owen' reads block.s. ca that the"):
-        build_plan(EstimatorKind.OWEN, evaluations)
+        build_plan((EstimatorKind.OWEN,), evaluations)
+    # each kind of a cell's plan is checked, not only the first
+    with pytest.raises(ValueError, match="'owen' reads block.s. ca that the"):
+        build_plan((EstimatorKind.SK, EstimatorKind.OWEN), evaluations)
     with pytest.raises(ValueError, match="rows 32..96 lie outside a set of 64"):
         evaluations.rows(32, 64)
 
@@ -573,7 +635,9 @@ def test_dlr_bin_override():
     cell = estimate_cell(m, dlr, 1 << 10, QMC, bin_count=64)
     plan = _plan(m, EstimatorKind.DLR, 1 << 10, bin_count=64)
     assert plan.bins == BinSchedule(n=1024, m=64, n_m=16)
-    assert np.array_equal(cell[EstimatorKind.DLR], estimate_main_index(plan))
+    reduced = estimate_main_index(plan)
+    assert list(reduced) == list(dlr)
+    assert np.array_equal(cell[EstimatorKind.DLR], reduced[EstimatorKind.DLR])
     with pytest.raises(ValueError, match="divide"):
         estimate_cell(m, dlr, 1 << 10, QMC, bin_count=100)
     with pytest.raises(ValueError, match="bin count 0 must be at least 2"):
@@ -750,7 +814,8 @@ def test_oracle_gfunc10a_uses_analytic_mean():
     assert m.analytic_f0 == 1.0
     plan = _plan(m, EstimatorKind.ORACLE, 1 << 14)
     assert plan.f0 == m.analytic_f0 and plan.f_c is None
-    assert estimate_main_index(plan)[0] == pytest.approx(0.3040, abs=0.01)
+    (s,) = estimate_main_index(plan).values()
+    assert s[0] == pytest.approx(0.3040, abs=0.01)
 
 
 def test_dlr_ishigami_vanishing_input():

@@ -1,6 +1,7 @@
 """Benchmark protocol: replicate RMSE, rate fitting, cost accounting."""
 
 import dataclasses
+import re
 import weakref
 
 import numpy as np
@@ -165,6 +166,45 @@ def test_config_coerces_names():
         BenchmarkConfig(
             test="Linear4", estimators=("bogus",), sampler="QMC", p_min=8, p_max=10
         )
+
+
+@pytest.mark.parametrize("name", ["dlr", "sk"])
+def test_estimator_string_is_refused_not_split(name):
+    # a bare string is not a list of names: the config and a standalone cell
+    # refuse it with one message, never one letter at a time
+    with pytest.raises(ValueError) as from_config:
+        BenchmarkConfig(
+            test="Linear4", estimators=name, sampler="QMC", p_min=8, p_max=10
+        )
+    with pytest.raises(ValueError) as from_cell:
+        estimate_cell(build("Linear4"), name, 64, SamplerSpec("QMC"))
+    want = f"estimators must be a list, not the string {name!r}"
+    assert str(from_config.value) == str(from_cell.value) == want
+
+
+@pytest.mark.parametrize(
+    "field,label,good",
+    [
+        ("p_min", "p_min", 4),
+        ("p_max", "p_max", 6),
+        ("k", "K", 3),
+        ("master_seed", "master_seed", 7),
+        ("bin_override", "bin_override", 4),
+    ],
+)
+def test_config_refuses_non_integer_counts(field, label, good):
+    # a float, integral or not, a numeral string or None (bin_override
+    # alone may be None) is refused by field name when the config is made,
+    # not later in the ladder; numpy integers are held as Python ints
+    base = dict(test="Linear4", estimators=("dlr",), sampler="QMC", p_min=4, p_max=6)
+    assert BenchmarkConfig(**base, bin_override=None).bin_override is None
+    required = field != "bin_override"
+    for bad in (2.5, float(good), str(good)) + ((None,) if required else ()):
+        want = f"{label} must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            BenchmarkConfig(**{**base, field: bad})
+    value = getattr(BenchmarkConfig(**{**base, field: np.int64(good)}), field)
+    assert type(value) is int and value == good
 
 
 def test_resolve_threads(monkeypatch):
@@ -386,8 +426,9 @@ def test_mc_ladder_evaluates_every_cell(counted):
 def test_mc_lower_cells_make_no_model_call(monkeypatch):
     # in a ParkAhn7 MC ladder (p = 4..7, K = 3) only the K top-rung sets
     # call the model, each in full before its first cell, so no cell's
-    # reduction calls it; every cell's S_i equal, bit for bit, those of a
-    # standalone cell that draws and evaluates its own (N, k) run
+    # reduction calls it; each cell is one reduction of all its kinds, and
+    # every cell's S_i equal, bit for bit, those of a standalone cell that
+    # draws and evaluates its own (N, k) run
     base = build("ParkAhn7")
     calls, sets, reduced = [], [], []
 
@@ -414,17 +455,18 @@ def test_mc_lower_cells_make_no_model_call(monkeypatch):
     )
     run_benchmark(cfg, threads=1)
     assert calls == [128] * 3 * 16
-    # one thread reduces the groups in order, each cell's kinds in config order
+    # one thread reduces the groups in order, one call per cell, each
+    # cell's kinds in config order
     cells = [(n, k) for group in harness._draw_groups(cfg) for n, k, _ in group]
     assert sorted(cells) == [(1 << p, k) for p in range(4, 8) for k in range(3)]
-    assert len(reduced) == len(cells) * len(kinds)
+    assert len(reduced) == len(cells)
     monkeypatch.undo()
-    for i, (n, k) in enumerate(cells):
+    for (n, k), (rows, made, s) in zip(cells, reduced):
+        assert (rows, made) == (n, 0), (n, k)
+        assert list(s) == list(kinds), (n, k)
         alone = estimate_cell(base, kinds, n, SamplerSpec("MC", cfg.master_seed, k))
-        for j, kind in enumerate(kinds):
-            rows, made, s = reduced[i * len(kinds) + j]
-            assert (rows, made) == (n, 0), (n, k, kind)
-            assert np.array_equal(s, alone[kind]), (n, k, kind)
+        for kind in kinds:
+            assert np.array_equal(s[kind], alone[kind]), (n, k, kind)
 
 
 @pytest.mark.parametrize(
