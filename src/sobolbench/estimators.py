@@ -15,9 +15,13 @@ outputs at A, B, AB_i and CA_i, all evaluated when the set is drawn.  One
 set per (N, run) cell, drawn at the widest width its estimators need and
 transformed once, serves all of them under either sampler.  A shorter run
 inside a longer one is a row slice of its set, outputs included (see
-:meth:`EvaluationSet.rows`).  A cell's estimators are one plan
+:meth:`EvaluationSet.rows`).  A set's estimators are one plan
 (:func:`build_plan`) and one pure reduction over the blocks it holds
-(:func:`estimate_main_index`), which computes each shared D_hat once.
+(:func:`estimate_main_index`).  The reduction takes the set, not a cell,
+as its unit: each direct formula's per-row term is formed once over all of
+the set's rows, and every cell the set holds, a lower rung's included,
+sums its aligned block of that term; the moments behind each D_hat come
+from the same block sums.
 
 What each estimator needs is stated here alone: the blocks it reads and
 so its cost (:func:`cost`), and which estimator lists, bin counts and
@@ -128,15 +132,16 @@ def bin_schedule(n: int, bin_count: Optional[int] = None) -> BinSchedule:
 
 @dataclass(frozen=True)
 class EvaluationPlan:
-    """The blocks of an evaluation set that a cell's estimators reduce.
+    """The blocks of an evaluation set that its estimators reduce.
 
     ``f_ab[i]`` holds outputs at B with column i replaced from A (the point
     that shares coordinate i with A); ``f_ca[i]`` holds outputs at A with
     column i replaced from C (Owen's third set).  Blocks none of ``kinds``
-    reads are None.  ``bins``, the cell's DLR bin schedule, is set only with
-    DLR, and ``f0``, the model's exact mean, only with the oracle.  No
-    estimator reads outputs at C alone, so ``f_c`` is always None; it stays
-    for the benchmark tracer (``perfbench/spans.py``), which reads it.
+    reads are None.  ``bin_count``, DLR's bin count (None for the default
+    schedule of each cell's N), is set only with DLR, and ``f0``, the
+    model's exact mean, only with the oracle.  No estimator reads outputs at
+    C alone, so ``f_c`` is always None; it stays for the benchmark tracer
+    (``perfbench/spans.py``), which reads it.
     """
 
     kinds: tuple[EstimatorKind, ...]
@@ -146,8 +151,15 @@ class EvaluationPlan:
     f_ab: Optional[np.ndarray] = None
     f_ca: Optional[np.ndarray] = None
     f_c: Optional[np.ndarray] = None
-    bins: Optional[BinSchedule] = None
+    bin_count: Optional[int] = None
     f0: Optional[float] = None
+
+    @property
+    def bins(self) -> Optional[BinSchedule]:
+        """DLR's bin schedule of the set's rows as one cell; None without DLR."""
+        if EstimatorKind.DLR not in self.kinds:
+            return None
+        return bin_schedule(len(self.f_a), self.bin_count)
 
 
 # Output blocks each estimator reduces, in evaluation order: "a" and "b" are
@@ -332,12 +344,14 @@ def build_plan(
     evaluations: EvaluationSet,
     bin_count: Optional[int] = None,
 ) -> EvaluationPlan:
-    """The one plan of a cell: the blocks of ``evaluations`` that ``kinds`` read.
+    """The one plan of a set: the blocks of ``evaluations`` that ``kinds`` read.
 
-    The set must hold every block each of ``kinds`` reads.  DLR's bin
-    schedule is ``bin_count`` bins of the set's rows, or the default
-    schedule without one.  The caller checks ``kinds`` against the set's
-    model and the bin count first (see :func:`_check_kinds`).
+    The set must hold every block each of ``kinds`` reads.  The plan covers
+    all of the set's rows, so one plan serves every cell the set holds (see
+    :func:`estimate_main_index`).  DLR bins each cell of N rows into
+    ``bin_count`` bins, or by the default schedule of N without one.  The
+    caller checks ``kinds`` against the set's model and the bin count first
+    (see :func:`_check_kinds`).
     """
     for kind in kinds:
         missing = [b for b in _OUTPUT_BLOCKS[kind] if b not in evaluations.f]
@@ -354,9 +368,7 @@ def build_plan(
         f_b=f.get("b"),
         f_ab=f.get("ab"),
         f_ca=f.get("ca"),
-        bins=bin_schedule(len(f["a"]), bin_count)
-        if EstimatorKind.DLR in kinds
-        else None,
+        bin_count=bin_count if EstimatorKind.DLR in kinds else None,
         f0=evaluations.model.analytic_f0 if EstimatorKind.ORACLE in kinds else None,
     )
 
@@ -368,22 +380,47 @@ def _mean(x: np.ndarray, axis: int = -1):
     return np.add.reduce(x, axis) / x.shape[axis]
 
 
-def estimate_mean_and_variance(
-    f_a: np.ndarray, f_b: Optional[np.ndarray] = None
-) -> tuple[float, float]:
-    """Pooled (f0_hat, D_hat) over all provided outputs.
+def _moments(s1, s2, m: int) -> tuple[float, float]:
+    """(f0_hat, D_hat) of m outputs from their sum ``s1`` and sum of squares ``s2``.
 
     D_hat = mean of squares - f0_hat^2; a non-positive value aborts
-    estimation since S_i = D_i / D is then undefined.
+    estimation since S_i = D_i / D is then undefined.  f0_hat is squared as
+    a Python float (libm ``pow``, which is not always ``x * x``).
     """
-    pooled = f_a if f_b is None else np.concatenate([f_a, f_b])
-    if pooled.size == 0:
-        raise ValueError("at least one output array must be nonempty")
-    f0_hat = float(_mean(pooled))
-    d_hat = float(_mean(pooled**2) - f0_hat**2)
+    f0_hat = float(s1 / m)
+    d_hat = float(s2 / m - f0_hat**2)
     if d_hat <= 0.0:
         raise DegenerateModelError("degenerate model (zero variance)")
     return f0_hat, d_hat
+
+
+def estimate_mean_and_variance(
+    f_a: np.ndarray, f_b: Optional[np.ndarray] = None
+) -> tuple[float, float]:
+    """Pooled (f0_hat, D_hat) over all provided outputs (see :func:`_moments`)."""
+    pooled = f_a if f_b is None else np.concatenate([f_a, f_b])
+    if pooled.size == 0:
+        raise ValueError("at least one output array must be nonempty")
+    return _moments(np.add.reduce(pooled), np.add.reduce(pooled**2), pooled.size)
+
+
+def _row_term(
+    kind: EstimatorKind,
+    f_a: np.ndarray,
+    f_ab_i: np.ndarray,
+    diff_i: Optional[np.ndarray],
+    f_ca_i: Optional[np.ndarray] = None,
+    f0: Optional[float] = None,
+) -> np.ndarray:
+    """The per-row term whose mean is ``kind``'s D_i_hat, with ``diff_i =
+    fAB_i - fB``; sobol subtracts mean(fA)^2 from its mean."""
+    if kind == EstimatorKind.SOBOL:
+        return f_a * f_ab_i
+    if kind == EstimatorKind.SK:
+        return f_a * diff_i
+    term = f_a - f_ca_i if kind == EstimatorKind.OWEN else f_a - f0
+    term *= diff_i
+    return term
 
 
 def estimate_sobol_original(f_a: np.ndarray, f_ab_i: np.ndarray) -> float:
@@ -392,31 +429,29 @@ def estimate_sobol_original(f_a: np.ndarray, f_ab_i: np.ndarray) -> float:
     The subtracted square of the estimated mean is the known weakness of this
     formula: for |f0| >> sqrt(D_i) the cancellation error dominates.
     """
-    return _sobol_original(f_a, f_ab_i, _mean(f_a) ** 2)
-
-
-def _sobol_original(f_a: np.ndarray, f_ab_i: np.ndarray, f0_sq) -> float:
-    """:func:`estimate_sobol_original` given ``f0_sq = mean(fA)^2``."""
-    return float(_mean(f_a * f_ab_i) - f0_sq)
+    term = _row_term(EstimatorKind.SOBOL, f_a, f_ab_i, None)
+    return float(_mean(term) - _mean(f_a) ** 2)
 
 
 def estimate_sk(f_a: np.ndarray, f_b: np.ndarray, f_ab_i: np.ndarray) -> float:
     """D_i_hat = mean(fA * (fAB_i - fB))."""
-    return float(_mean(f_a * (f_ab_i - f_b)))
+    return float(_mean(_row_term(EstimatorKind.SK, f_a, f_ab_i, f_ab_i - f_b)))
 
 
 def estimate_owen(
     f_a: np.ndarray, f_b: np.ndarray, f_ab_i: np.ndarray, f_ca_i: np.ndarray
 ) -> float:
     """D_i_hat = mean((fA - fCA_i) * (fAB_i - fB))."""
-    return float(_mean((f_a - f_ca_i) * (f_ab_i - f_b)))
+    term = _row_term(EstimatorKind.OWEN, f_a, f_ab_i, f_ab_i - f_b, f_ca_i)
+    return float(_mean(term))
 
 
 def estimate_oracle(
     f_a: np.ndarray, f_b: np.ndarray, f_ab_i: np.ndarray, f0: float
 ) -> float:
     """D_i_hat = mean((fA - f0) * (fAB_i - fB)) with f0 the exact mean."""
-    return float(_mean((f_a - f0) * (f_ab_i - f_b)))
+    term = _row_term(EstimatorKind.ORACLE, f_a, f_ab_i, f_ab_i - f_b, f0=f0)
+    return float(_mean(term))
 
 
 def _argsort_ties_by_index(x: np.ndarray) -> np.ndarray:
@@ -474,34 +509,118 @@ def _dlr(x_i_column: np.ndarray, f_a: np.ndarray, bins: BinSchedule, f0_sq) -> f
     return float(_mean(bin_means**2) - f0_sq)
 
 
-def estimate_main_index(plan: EvaluationPlan) -> dict[EstimatorKind, np.ndarray]:
+def _block_sums(blocks: dict[int, int], x: np.ndarray) -> dict[int, np.ndarray]:
+    """Per cell length n, the sums of x's ``c = blocks[n]`` leading n-row blocks.
+
+    Each is numpy's pairwise sum of one aligned block, bit for bit the sum
+    of that block alone, since a reduction over the last axis of the
+    ``(c, n)`` reshape sums each row as a 1-D array.
+    """
+    return {n: np.add.reduce(x[: c * n].reshape(c, n), -1) for n, c in blocks.items()}
+
+
+def _block_moments(
+    blocks: dict[int, int], *xs: np.ndarray
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per cell length n, the sums of values and of squares of each leading cell.
+
+    Cell j's values are block j of each of ``xs`` in turn, joined into one
+    row as :func:`estimate_mean_and_variance` joins a lone cell's fA and fB:
+    numpy sums up to 128 values in 8 interleaved accumulators, so for
+    n <= 64 the pooled sum over fA and fB is not the sum of their sums.
+    One buffer holds every length's joined blocks, squared in place after
+    their sum.
+    """
+    w = len(xs)
+    buffer = np.empty(w * max(c * n for n, c in blocks.items()))
+    sums = {}
+    for n, c in blocks.items():
+        joined = buffer[: w * c * n].reshape(c, w * n)
+        np.concatenate([x[: c * n].reshape(c, n) for x in xs], 1, out=joined)
+        s1 = np.add.reduce(joined, -1)
+        sums[n] = s1, np.add.reduce(np.square(joined, out=joined), -1)
+    return sums
+
+
+def estimate_main_index(
+    plan: EvaluationPlan, cells: Optional[Sequence[tuple[int, int]]] = None
+) -> dict:
     """Each of the plan's kinds' d main-effect estimates S_i, in input order.
 
-    A kind that reads B divides by D_hat pooled over fA and fB, sobol and
-    dlr by D_hat of fA alone.  Each D_hat, and the mean(fA)^2 sobol and dlr
-    subtract, is computed once for all kinds and inputs.  Negative D_i_hat
-    values, possible at small N for near-zero indices, are reported as-is.
-    """
-    if plan.f_b is not None:
-        _, d_pooled = estimate_mean_and_variance(plan.f_a, plan.f_b)
-    if {EstimatorKind.SOBOL, EstimatorKind.DLR} & set(plan.kinds):
-        _, d_a = estimate_mean_and_variance(plan.f_a)
-        f0_sq = _mean(plan.f_a) ** 2
+    Without ``cells`` the plan's rows are one cell, and the result maps each
+    kind to its S_i.  ``cells`` lists (n, row) pairs, each the n rows from
+    ``row`` of the plan's set, with ``row`` a multiple of n (the layout of
+    :func:`sobolbench.sampling._replicate_layout`); the result then maps
+    each pair to its cell's kinds and S_i.
 
-    estimates = {}
-    for kind in plan.kinds:
-        d_hat = d_pooled if "b" in _OUTPUT_BLOCKS[kind] else d_a
-        s = estimates[kind] = np.empty(plan.x_a.shape[1])
-        for i in range(len(s)):
+    The set is reduced once for all of its cells.  Each direct formula's
+    per-row term (:func:`_row_term`) is formed once per input over the
+    set's rows, and so is ``fAB_i - fB``; every cell takes the sum of its
+    aligned block (:func:`_block_sums`), the same bits as reducing the cell
+    alone.  A kind that reads B divides by D_hat pooled over fA and fB,
+    sobol and dlr by D_hat of fA alone, and those moments and the
+    mean(fA)^2 that sobol and dlr subtract come from block sums too.  DLR
+    sorts and bins each cell on its own.  Negative D_i_hat values, possible
+    at small N for near-zero indices, are reported as-is.
+    """
+    n_set, d = plan.x_a.shape
+    one = cells is None
+    if one:
+        cells = ((n_set, 0),)
+    blocks: dict[int, int] = {}
+    for n, row in cells:
+        if n < 1 or row < 0 or row % n or row + n > n_set:
+            raise ValueError(
+                f"cell of {n} rows from row {row} is not an aligned block "
+                f"of a set of {n_set}"
+            )
+        blocks[n] = max(blocks.get(n, 0), row // n + 1)
+
+    def d_hat(sums, w):
+        """D_hat of each cell, from the sums of its blocks of w arrays."""
+        return {
+            n: np.array([_moments(a, b, w * n)[1] for a, b in zip(*sums[n])])
+            for n in blocks
+        }
+
+    if plan.f_b is not None:
+        # each cell pools its fA and fB blocks as one array: for n <= 64 that
+        # sum is not the sum of the two blocks' sums (see _block_moments)
+        d_pooled = d_hat(_block_moments(blocks, plan.f_a, plan.f_b), 2)
+    if {EstimatorKind.SOBOL, EstimatorKind.DLR} & set(plan.kinds):
+        sums_a = _block_moments(blocks, plan.f_a)
+        d_a = d_hat(sums_a, 1)
+        # mean(fA)^2 squared as a numpy scalar, as a cell's own mean is
+        f0_sq = {n: np.array([(s / n) ** 2 for s in sums_a[n][0]]) for n in blocks}
+
+    estimates = {
+        kind: {n: np.empty((c, d)) for n, c in blocks.items()} for kind in plan.kinds
+    }
+    direct = [kind for kind in plan.kinds if kind != EstimatorKind.DLR]
+    for i in range(d):
+        diff_i = None if plan.f_b is None else plan.f_ab[i] - plan.f_b
+        f_ca_i = None if plan.f_ca is None else plan.f_ca[i]
+        for kind in direct:
+            term = _row_term(kind, plan.f_a, plan.f_ab[i], diff_i, f_ca_i, plan.f0)
+            for n, sums in _block_sums(blocks, term).items():
+                estimates[kind][n][:, i] = sums
+    for kind in direct:
+        for n, s in estimates[kind].items():
+            s /= n
             if kind == EstimatorKind.SOBOL:
-                d_i = _sobol_original(plan.f_a, plan.f_ab[i], f0_sq)
-            elif kind == EstimatorKind.SK:
-                d_i = estimate_sk(plan.f_a, plan.f_b, plan.f_ab[i])
-            elif kind == EstimatorKind.OWEN:
-                d_i = estimate_owen(plan.f_a, plan.f_b, plan.f_ab[i], plan.f_ca[i])
-            elif kind == EstimatorKind.ORACLE:
-                d_i = estimate_oracle(plan.f_a, plan.f_b, plan.f_ab[i], plan.f0)
-            else:
-                d_i = _dlr(plan.x_a[:, i], plan.f_a, plan.bins, f0_sq)
-            s[i] = d_i / d_hat
-    return estimates
+                s -= f0_sq[n][:, None]
+            s /= (d_pooled if "b" in _OUTPUT_BLOCKS[kind] else d_a)[n][:, None]
+    if EstimatorKind.DLR in plan.kinds:
+        for n, row in cells:
+            j, rows = row // n, slice(row, row + n)
+            bins, f_a = bin_schedule(n, plan.bin_count), plan.f_a[rows]
+            s = estimates[EstimatorKind.DLR][n][j]
+            for i in range(d):
+                s[i] = _dlr(plan.x_a[rows, i], f_a, bins, f0_sq[n][j])
+            s /= d_a[n][j]
+
+    reduced = {
+        (n, row): {kind: estimates[kind][n][row // n] for kind in plan.kinds}
+        for n, row in cells
+    }
+    return reduced[n_set, 0] if one else reduced

@@ -5,7 +5,8 @@ For each sample count N = 2^p on a ladder, K replicate runs are performed
 run evaluates the model once and every estimator reduces the shared
 outputs.  Each run at N is a row block of a top-rung run, drawn once per
 ladder (see :func:`sobolbench.sampling._replicate_layout`), so a ladder
-evaluates only its top rung.  The root-mean-square error of each
+evaluates only its top rung, and each top-rung set is reduced once, as one
+plan, for every cell it holds.  The root-mean-square error of each
 estimator's S_i against the model's analytic value is recorded:
 
     eps_i(N) = sqrt( (1/K) * sum_k (S_i_hat[k] - S_i_analytic)^2 )
@@ -170,7 +171,11 @@ def rmse_against(estimates: np.ndarray, analytic: np.ndarray) -> np.ndarray:
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Explicit argument wins; else the environment variable; else 1."""
+    """Explicit argument wins; else the environment variable; else 1.
+
+    An explicit count must be an integer by ``operator.index``, as the
+    config's integer fields must, so 2.5 is refused rather than run.
+    """
     if threads is None:
         raw = os.environ.get(THREADS_ENV_VAR, "1")
         try:
@@ -179,6 +184,10 @@ def resolve_threads(threads: Optional[int] = None) -> int:
             raise ValueError(
                 f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
             ) from None
+    try:
+        threads = operator.index(threads)
+    except TypeError:
+        raise ValueError(f"thread count must be an integer, got {threads!r}") from None
     if threads < 1:
         raise ValueError("thread count must be at least 1")
     return threads
@@ -195,8 +204,11 @@ def estimate_cell(
 
     Every kind is checked before anything is drawn (see
     :func:`sobolbench.estimators._check_kinds`).  One set drawn for the cell
-    is then reduced as one plan; ``build_plan`` and ``estimate_main_index``
-    are looked up at call time, where the benchmark's tracer rebinds them.
+    is then reduced as one plan, through the same set reduction a ladder
+    gives its top-rung sets, with the whole set as the one cell; so a
+    standalone cell has the bits of that cell of a ladder.
+    ``build_plan`` and ``estimate_main_index`` are looked up at call time,
+    where the benchmark's tracer rebinds them.
     """
     kinds = _check_kinds(kinds, n, bin_count, model)
     evaluations = evaluation_set(model, kinds, n, sampler)
@@ -226,18 +238,18 @@ def _run_group(
     """S_i estimates of every configured estimator at each cell of one group.
 
     The top-rung run is drawn, transformed and evaluated in full once,
-    before any cell is reduced, and each cell reduces a row slice of its
-    outputs (see :meth:`sobolbench.estimators.EvaluationSet.rows`) as one
-    plan, with DLR's bin schedule at its N.  The set is dropped on return.
+    before any cell is reduced.  The set is then one plan and one reduction
+    for all of its cells: each cell is an aligned row block of the set, and
+    the reduction forms each formula's per-row terms once over the set (see
+    :func:`sobolbench.estimators.estimate_main_index`).  The set is dropped
+    on return.
     """
     n_top, top, _ = cells[0]
     spec = SamplerSpec(cfg.sampler, cfg.master_seed, top)
-    kinds, bins = cfg.estimators, cfg.bin_override
-    evaluations = evaluation_set(model, kinds, n_top, spec)
-    return {
-        (n, k): estimate_main_index(build_plan(kinds, evaluations.rows(row, n), bins))
-        for n, k, row in cells
-    }
+    evaluations = evaluation_set(model, cfg.estimators, n_top, spec)
+    plan = build_plan(cfg.estimators, evaluations, cfg.bin_override)
+    reduced = estimate_main_index(plan, [(n, row) for n, _, row in cells])
+    return {(n, k): reduced[n, row] for n, k, row in cells}
 
 
 def run_benchmark(

@@ -342,6 +342,36 @@ def test_shared_plans_equal_standalone_plans(name, sampler):
         assert np.array_equal(_bits(cell[kind]), _bits(s)), kind
 
 
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+@pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
+@pytest.mark.parametrize("name", ["Ishigami", "GFunc10B"])
+def test_cell_reduction_equals_public_formulas(name, sampler, n):
+    # a cell's S_i are its D_i_hat from the one-input formulas over its
+    # D_hat, pooled over fA and fB for the kinds that read B, bit for bit;
+    # at n <= 64 the pooled sums are not the sums of fA's and fB's
+    model = build(name)
+    plan = build_plan(ALL_KINDS, evaluation_set(model, ALL_KINDS, n, sampler))
+    cell = estimate_main_index(plan)
+    a, b, ab, ca = plan.f_a, plan.f_b, plan.f_ab, plan.f_ca
+    _, d_pooled = estimate_mean_and_variance(a, b)
+    _, d_a = estimate_mean_and_variance(a)
+    want = {
+        EstimatorKind.SOBOL: [estimate_sobol_original(a, x) / d_a for x in ab],
+        EstimatorKind.SK: [estimate_sk(a, b, x) / d_pooled for x in ab],
+        EstimatorKind.OWEN: [
+            estimate_owen(a, b, x, y) / d_pooled for x, y in zip(ab, ca)
+        ],
+        EstimatorKind.ORACLE: [
+            estimate_oracle(a, b, x, model.analytic_f0) / d_pooled for x in ab
+        ],
+        EstimatorKind.DLR: [
+            estimate_dlr(x, a, plan.bins) / d_a for x in plan.x_a.T
+        ],
+    }
+    for kind in ALL_KINDS:
+        assert np.array_equal(_bits(cell[kind]), _bits(np.array(want[kind]))), kind
+
+
 @functools.lru_cache(maxsize=None)
 def _all_kinds_cell(name, sampler):
     """The model, evaluation set and all-kinds S_i of a cell at N = 64."""

@@ -2,8 +2,10 @@
 
 Every model runs every estimator that applies to it (DLR alone on the
 dependent-input models) on a small ladder, p = 4..7 with K = 3 on one
-thread, under both samplers.  A change that alters any byte of the records
-fails here and has to update the pinned hash on purpose, with its argument.
+thread, under both samplers.  Two longer ladders, p = 6..9, reduce cells of
+more than 128 rows, where numpy's pairwise sum splits a cell in halves.  A
+change that alters any byte of the records fails here and has to update
+the pinned hash on purpose, with its argument.
 The hashes hold for the numpy and scipy versions pinned below; under others
 the last digits of the transforms may differ, so the test is skipped.
 """
@@ -66,11 +68,32 @@ GOLDEN = {
     ),
 }
 
+# All five estimators, p = 6..9, K = 3.
+GOLDEN_LONG = {
+    ("GFunc10A", "QMC"): (
+        "71e02d9c31c567f5008fda7880a7893e8850fa0b1e34e7ed36b029cbf662737b"
+    ),
+    ("ParkAhn7", "MC"): (
+        "d10f0bb40a30e2cc979c96e79d14a954e7993abbff5863ad5ef110535359c1c9"
+    ),
+}
 
-@pytest.mark.skipif(
+pinned = pytest.mark.skipif(
     (np.__version__, scipy.__version__) != PINNED_VERSIONS,
     reason=f"golden hashes are pinned for numpy, scipy {PINNED_VERSIONS}",
 )
+
+
+def _records_sha256(tmp_path, test, kinds, sampler, p_min, p_max):
+    cfg = BenchmarkConfig(
+        test=test, estimators=kinds, sampler=sampler, p_min=p_min, p_max=p_max, k=3
+    )
+    path = tmp_path / "records.csv"
+    write_records_csv(path, run_benchmark(cfg, threads=1))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pinned
 @pytest.mark.parametrize("sampler", ["MC", "QMC"])
 @pytest.mark.parametrize("test", TEST_CASE_NAMES)
 def test_records_match_golden_hash(tmp_path, test, sampler):
@@ -78,9 +101,12 @@ def test_records_match_golden_hash(tmp_path, test, sampler):
     kinds = (
         (EstimatorKind.DLR,) if model.has_dependent_inputs else tuple(EstimatorKind)
     )
-    cfg = BenchmarkConfig(
-        test=test, estimators=kinds, sampler=sampler, p_min=4, p_max=7, k=3
-    )
-    path = tmp_path / "records.csv"
-    write_records_csv(path, run_benchmark(cfg, threads=1))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(test, sampler)]
+    digest = _records_sha256(tmp_path, test, kinds, sampler, 4, 7)
+    assert digest == GOLDEN[(test, sampler)]
+
+
+@pinned
+@pytest.mark.parametrize("test,sampler", sorted(GOLDEN_LONG))
+def test_long_ladder_records_match_golden_hash(tmp_path, test, sampler):
+    digest = _records_sha256(tmp_path, test, tuple(EstimatorKind), sampler, 6, 9)
+    assert digest == GOLDEN_LONG[(test, sampler)]

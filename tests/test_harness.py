@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import sobolbench.estimators as estimators
 import sobolbench.harness as harness
-from sobolbench.estimators import EstimatorKind
+from sobolbench.estimators import DegenerateModelError, EstimatorKind
 from sobolbench.harness import (
     BenchmarkConfig,
     ConvergenceRecord,
@@ -216,6 +216,12 @@ def test_resolve_threads(monkeypatch):
     assert resolve_threads(2) == 2  # explicit argument wins
     with pytest.raises(ValueError):
         resolve_threads(0)
+    # a count operator.index refuses is refused, not run as a fractional pool
+    for bad in (2.5, 2.0, "2"):
+        msg = f"thread count must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            resolve_threads(bad)
+    assert resolve_threads(np.int64(2)) == 2
     for bad in ("abc", ""):
         monkeypatch.setenv("SOBOLBENCH_THREADS", bad)
         with pytest.raises(ValueError, match=f"SOBOLBENCH_THREADS.*{bad!r}"):
@@ -425,8 +431,8 @@ def test_mc_ladder_evaluates_every_cell(counted):
 
 def test_mc_lower_cells_make_no_model_call(monkeypatch):
     # in a ParkAhn7 MC ladder (p = 4..7, K = 3) only the K top-rung sets
-    # call the model, each in full before its first cell, so no cell's
-    # reduction calls it; each cell is one reduction of all its kinds, and
+    # call the model, each in full before its first cell, so no reduction
+    # calls it; each set is one reduction of all its cells and kinds, and
     # every cell's S_i equal, bit for bit, those of a standalone cell that
     # draws and evaluates its own (N, k) run
     base = build("ParkAhn7")
@@ -441,8 +447,8 @@ def test_mc_lower_cells_make_no_model_call(monkeypatch):
         sets.append(len(calls))
         return evaluations
 
-    def counted_reduce(plan):
-        s = estimators.estimate_main_index(plan)
+    def counted_reduce(plan, cells):
+        s = estimators.estimate_main_index(plan, cells)
         reduced.append((len(plan.f_a), len(calls) - sets[-1], s))
         return s
 
@@ -455,18 +461,67 @@ def test_mc_lower_cells_make_no_model_call(monkeypatch):
     )
     run_benchmark(cfg, threads=1)
     assert calls == [128] * 3 * 16
-    # one thread reduces the groups in order, one call per cell, each
-    # cell's kinds in config order
-    cells = [(n, k) for group in harness._draw_groups(cfg) for n, k, _ in group]
+    # one thread reduces the groups in order, one call per top-rung set,
+    # each cell's kinds in config order
+    groups = harness._draw_groups(cfg)
+    cells = [(n, k) for group in groups for n, k, _ in group]
     assert sorted(cells) == [(1 << p, k) for p in range(4, 8) for k in range(3)]
-    assert len(reduced) == len(cells)
+    assert len(reduced) == len(groups) == cfg.k
     monkeypatch.undo()
-    for (n, k), (rows, made, s) in zip(cells, reduced):
-        assert (rows, made) == (n, 0), (n, k)
-        assert list(s) == list(kinds), (n, k)
-        alone = estimate_cell(base, kinds, n, SamplerSpec("MC", cfg.master_seed, k))
-        for kind in kinds:
-            assert np.array_equal(s[kind], alone[kind]), (n, k, kind)
+    for group, (rows, made, s) in zip(groups, reduced):
+        assert (rows, made) == (128, 0)
+        assert sorted(s) == sorted((n, row) for n, _, row in group)
+        for n, k, row in group:
+            assert list(s[n, row]) == list(kinds), (n, k)
+            alone = estimate_cell(base, kinds, n, SamplerSpec("MC", cfg.master_seed, k))
+            for kind in kinds:
+                assert np.array_equal(s[n, row][kind], alone[kind]), (n, k, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    test=st.sampled_from([t.value for t in CaseId]),
+    sampler=st.sampled_from(["MC", "QMC"]),
+    data=st.data(),
+)
+def test_set_reduction_equals_each_cell_alone(test, sampler, data):
+    # a set's one reduction gives every ladder cell it holds, lower rungs and
+    # cells of <= 64 rows (whose pooled D_hat is not the sum of fA's and
+    # fB's) included, the bits of that cell drawn and reduced alone
+    model = build(test)
+    valid = [
+        k for k in EstimatorKind
+        if k == EstimatorKind.DLR or not model.has_dependent_inputs
+    ]
+    order = data.draw(st.permutations(valid))
+    kinds = tuple(order[: data.draw(st.integers(1, len(order)))])
+    dlr = EstimatorKind.DLR in kinds
+    p_min = data.draw(st.integers(2 if dlr else 1, 8))
+    p_max = data.draw(st.integers(p_min, 10))
+    bins = data.draw(st.sampled_from([None, 2, 1 << (p_min - 1)])) if dlr else None
+    cfg = BenchmarkConfig(
+        test=test, estimators=kinds, sampler=sampler, p_min=p_min, p_max=p_max,
+        k=data.draw(st.integers(2, 5)), master_seed=data.draw(st.integers(0, 99)),
+        bin_override=bins,
+    )
+    for cells in harness._draw_groups(cfg):
+        alone = {}
+        for n, k, _ in cells:
+            spec = SamplerSpec(sampler, cfg.master_seed, k)
+            try:
+                alone[n, k] = estimate_cell(model, kinds, n, spec, bins)
+            except DegenerateModelError:  # a tiny cell of equal outputs
+                with pytest.raises(DegenerateModelError):
+                    harness._run_group(model, cfg, cells)
+                break
+        else:
+            reduced = harness._run_group(model, cfg, cells)
+            assert reduced.keys() == alone.keys()
+            for cell, s in reduced.items():
+                assert list(s) == list(kinds)
+                for kind in kinds:
+                    want = alone[cell][kind].view(np.uint64)
+                    assert np.array_equal(s[kind].view(np.uint64), want), (cell, kind)
 
 
 @pytest.mark.parametrize(
