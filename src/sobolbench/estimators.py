@@ -14,13 +14,13 @@ Model outputs live in an evaluation set: one unit point set of dimension d,
 outputs at A, B, AB_i and CA_i, all evaluated when the set is drawn.  One
 set per (N, run) cell, drawn at the widest width its estimators need and
 transformed once, serves all of them under either sampler.  A shorter run
-inside a longer one is a row slice of its set, outputs included (see
-:meth:`EvaluationSet.rows`).  A set's estimators are one plan
-(:func:`build_plan`) and one pure reduction over the blocks it holds
-(:func:`estimate_main_index`).  The reduction takes the set, not a cell,
-as its unit: each direct formula's per-row term is formed once over all of
-the set's rows, and every cell the set holds, a lower rung's included,
-sums its aligned block of that term; the moments behind each D_hat come
+inside a longer one is a block of the longer set's rows, outputs included.
+A set's estimators are one plan (:func:`build_plan`) and one pure
+reduction over the blocks it holds (:func:`estimate_main_index`).  The
+reduction takes the set, not a cell, as its unit: the set's cells are its
+leading ``{N: count}`` blocks, each direct formula's per-row term is
+formed once over all of the set's rows, and every cell, a lower rung's
+included, sums its block of that term; the moments behind each D_hat come
 from the same block sums.
 
 What each estimator needs is stated here alone: the blocks it reads and
@@ -154,13 +154,6 @@ class EvaluationPlan:
     bin_count: Optional[int] = None
     f0: Optional[float] = None
 
-    @property
-    def bins(self) -> Optional[BinSchedule]:
-        """DLR's bin schedule of the set's rows as one cell; None without DLR."""
-        if EstimatorKind.DLR not in self.kinds:
-            return None
-        return bin_schedule(len(self.f_a), self.bin_count)
-
 
 # Output blocks each estimator reduces, in evaluation order: "a" and "b" are
 # the outputs at the base matrices A and B, one block of N evaluations each;
@@ -256,23 +249,6 @@ class EvaluationSet:
     model: InputModel
     x: dict[str, np.ndarray]
     f: dict[str, np.ndarray]
-
-    def rows(self, start: int, n: int) -> EvaluationSet:
-        """Rows ``start`` to ``start + n`` of this set, matrices and outputs as views.
-
-        Runs nest across n in every matrix and so in every output, and the
-        caller vouches that those rows are the run it reduces them as (see
-        :func:`sobolbench.sampling._replicate_layout`).
-        """
-        total = len(self.x["a"])
-        if start < 0 or n <= 0 or start + n > total:
-            raise ValueError(f"rows {start}..{start + n} lie outside a set of {total}")
-        rows = slice(start, start + n)
-        return EvaluationSet(
-            self.model,
-            {m: x[rows] for m, x in self.x.items()},
-            {b: f[..., rows] for b, f in self.f.items()},
-        )
 
 
 def _outputs(model: InputModel, x: dict[str, np.ndarray], block: str) -> np.ndarray:
@@ -543,38 +519,32 @@ def _block_moments(
 
 
 def estimate_main_index(
-    plan: EvaluationPlan, cells: Optional[Sequence[tuple[int, int]]] = None
-) -> dict:
-    """Each of the plan's kinds' d main-effect estimates S_i, in input order.
+    plan: EvaluationPlan, blocks: Optional[dict[int, int]] = None
+) -> dict[EstimatorKind, dict[int, np.ndarray]]:
+    """Each of the plan's kinds' d main-effect estimates S_i at every cell of its set.
 
-    Without ``cells`` the plan's rows are one cell, and the result maps each
-    kind to its S_i.  ``cells`` lists (n, row) pairs, each the n rows from
-    ``row`` of the plan's set, with ``row`` a multiple of n (the layout of
-    :func:`sobolbench.sampling._replicate_layout`); the result then maps
-    each pair to its cell's kinds and S_i.
+    The set's cells are its leading blocks: ``blocks`` maps a cell length n
+    to a count c, the first c blocks of n rows, which are c runs in order
+    (the layout of :func:`sobolbench.sampling._replicate_layout`).  Without
+    ``blocks`` the set's rows are one cell.  The result maps each kind to
+    each n's (c, d) array, whose row j holds the S_i of rows j n to (j + 1) n.
 
     The set is reduced once for all of its cells.  Each direct formula's
     per-row term (:func:`_row_term`) is formed once per input over the
     set's rows, and so is ``fAB_i - fB``; every cell takes the sum of its
-    aligned block (:func:`_block_sums`), the same bits as reducing the cell
-    alone.  A kind that reads B divides by D_hat pooled over fA and fB,
-    sobol and dlr by D_hat of fA alone, and those moments and the
-    mean(fA)^2 that sobol and dlr subtract come from block sums too.  DLR
-    sorts and bins each cell on its own.  Negative D_i_hat values, possible
-    at small N for near-zero indices, are reported as-is.
+    block (:func:`_block_sums`), the same bits as reducing the cell alone.
+    A kind that reads B divides by D_hat pooled over fA and fB, sobol and
+    dlr by D_hat of fA alone, and those moments and the mean(fA)^2 that
+    sobol and dlr subtract come from block sums too.  DLR sorts and bins
+    each cell on its own.  Negative D_i_hat values, possible at small N for
+    near-zero indices, are reported as-is.
     """
     n_set, d = plan.x_a.shape
-    one = cells is None
-    if one:
-        cells = ((n_set, 0),)
-    blocks: dict[int, int] = {}
-    for n, row in cells:
-        if n < 1 or row < 0 or row % n or row + n > n_set:
-            raise ValueError(
-                f"cell of {n} rows from row {row} is not an aligned block "
-                f"of a set of {n_set}"
-            )
-        blocks[n] = max(blocks.get(n, 0), row // n + 1)
+    if blocks is None:
+        blocks = {n_set: 1}
+    for n, c in blocks.items():
+        if n < 1 or c < 1 or c * n > n_set:
+            raise ValueError(f"{c} blocks of {n} rows do not fit a set of {n_set}")
 
     def d_hat(sums, w):
         """D_hat of each cell, from the sums of its blocks of w arrays."""
@@ -611,16 +581,12 @@ def estimate_main_index(
                 s -= f0_sq[n][:, None]
             s /= (d_pooled if "b" in _OUTPUT_BLOCKS[kind] else d_a)[n][:, None]
     if EstimatorKind.DLR in plan.kinds:
-        for n, row in cells:
-            j, rows = row // n, slice(row, row + n)
-            bins, f_a = bin_schedule(n, plan.bin_count), plan.f_a[rows]
-            s = estimates[EstimatorKind.DLR][n][j]
-            for i in range(d):
-                s[i] = _dlr(plan.x_a[rows, i], f_a, bins, f0_sq[n][j])
-            s /= d_a[n][j]
-
-    reduced = {
-        (n, row): {kind: estimates[kind][n][row // n] for kind in plan.kinds}
-        for n, row in cells
-    }
-    return reduced[n_set, 0] if one else reduced
+        for n, s in estimates[EstimatorKind.DLR].items():
+            bins = bin_schedule(n, plan.bin_count)
+            for j in range(blocks[n]):
+                rows = slice(j * n, (j + 1) * n)
+                x_a, f_a = plan.x_a[rows], plan.f_a[rows]
+                for i in range(d):
+                    s[j, i] = _dlr(x_a[:, i], f_a, bins, f0_sq[n][j])
+            s /= d_a[n][:, None]
+    return estimates

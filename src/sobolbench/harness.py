@@ -18,6 +18,7 @@ log10 eps); the fitted alpha is minus the slope.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -212,44 +213,44 @@ def estimate_cell(
     """
     kinds = _check_kinds(kinds, n, bin_count, model)
     evaluations = evaluation_set(model, kinds, n, sampler)
-    return estimate_main_index(build_plan(kinds, evaluations, bin_count))
+    estimates = estimate_main_index(build_plan(kinds, evaluations, bin_count))
+    return {kind: s[n][0] for kind, s in estimates.items()}
 
 
-def _draw_groups(cfg: BenchmarkConfig) -> list[list[tuple[int, int, int]]]:
-    """The ladder's (N, run index) cells, one group per top-rung run.
+def _draw_groups(cfg: BenchmarkConfig) -> list[dict[int, int]]:
+    """The ladder's (N, run index) cells as one ``{N: c}`` dict per top-rung run.
 
-    A group lists its cells as (n, k, row), its top-rung cell first: cell
-    (n, k) is the n rows from ``row`` of the top cell's evaluated set, as
-    :func:`sobolbench.sampling._replicate_layout` places it.
+    Group ``top`` holds, at each N, the c runs that
+    :func:`sobolbench.sampling._replicate_layout` places in top-rung run
+    ``top``: under either sampler they are its first c blocks of N rows,
+    in run order, and the groups in turn hold runs 0..K-1 in order.
     """
     n_top = 1 << cfg.p_max
-    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(cfg.k)]
+    groups: list[dict[int, int]] = [{} for _ in range(cfg.k)]
     for p in range(cfg.p_max, cfg.p_min - 1, -1):
         n = 1 << p
         for k in range(cfg.k):
-            _, top, row = _replicate_layout(cfg.sampler, k, n, n_top)
-            groups[top].append((n, k, row))
+            top = _replicate_layout(cfg.sampler, k, n, n_top)[1]
+            groups[top][n] = groups[top].get(n, 0) + 1
     return groups
 
 
 def _run_group(
-    model: InputModel, cfg: BenchmarkConfig, cells: Sequence[tuple[int, int, int]]
-) -> dict[tuple[int, int], dict[EstimatorKind, np.ndarray]]:
-    """S_i estimates of every configured estimator at each cell of one group.
+    model: InputModel, cfg: BenchmarkConfig, top: int, blocks: dict[int, int]
+) -> dict[EstimatorKind, dict[int, np.ndarray]]:
+    """S_i of every configured estimator at each cell of top-rung run ``top``.
 
-    The top-rung run is drawn, transformed and evaluated in full once,
-    before any cell is reduced.  The set is then one plan and one reduction
-    for all of its cells: each cell is an aligned row block of the set, and
-    the reduction forms each formula's per-row terms once over the set (see
-    :func:`sobolbench.estimators.estimate_main_index`).  The set is dropped
-    on return.
+    The run is drawn, transformed and evaluated in full once, then reduced
+    as one plan for all of its cells, the leading ``blocks`` of
+    :func:`_draw_groups` (see
+    :func:`sobolbench.estimators.estimate_main_index`), which gives each
+    kind a (c, d) array per N.  The set is dropped when the reduction
+    returns.
     """
-    n_top, top, _ = cells[0]
     spec = SamplerSpec(cfg.sampler, cfg.master_seed, top)
-    evaluations = evaluation_set(model, cfg.estimators, n_top, spec)
+    evaluations = evaluation_set(model, cfg.estimators, 1 << cfg.p_max, spec)
     plan = build_plan(cfg.estimators, evaluations, cfg.bin_override)
-    reduced = estimate_main_index(plan, [(n, row) for n, _, row in cells])
-    return {(n, k): reduced[n, row] for n, k, row in cells}
+    return estimate_main_index(plan, blocks)
 
 
 def run_benchmark(
@@ -262,32 +263,30 @@ def run_benchmark(
     drawn once, at the top rung, for its group of cells (see
     :func:`_draw_groups`), after every kind is checked against the model.
     Groups fan out over a thread pool when ``threads`` (or the
-    SOBOLBENCH_THREADS variable) exceeds one; every cell is a pure function
-    of its (N, run index) pair and results are merged in a fixed order, so
-    the output is identical regardless of parallelism.
+    SOBOLBENCH_THREADS variable) exceeds one.  Their results are kept in
+    group order, and joining the groups' (c, d) blocks at each N gives runs
+    0..K-1 in order; every cell is a pure function of its (N, run index)
+    pair, so the output is identical regardless of parallelism.
     """
     model = build(cfg.test)
     n_threads = resolve_threads(threads)
     _check_kinds(cfg.estimators, 1 << cfg.p_min, cfg.bin_override, model)
 
     groups = _draw_groups(cfg)
-    results: dict[tuple[int, int], dict[EstimatorKind, np.ndarray]] = {}
+    run_group = functools.partial(_run_group, model, cfg)
     # One thread runs the groups inline: a one-worker pool gives the same
     # records but raised peak RSS by about 2 MB on a GFunc10A ladder.
     if n_threads == 1:
-        for cells in groups:
-            results.update(_run_group(model, cfg, cells))
+        results = list(map(run_group, range(cfg.k), groups))
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [pool.submit(_run_group, model, cfg, cells) for cells in groups]
-        for fut in futures:
-            results.update(fut.result())
+            results = list(pool.map(run_group, range(cfg.k), groups))
 
     records = []
     for kind in cfg.estimators:
         for p in range(cfg.p_min, cfg.p_max + 1):
             n = 1 << p
-            block = np.stack([results[(n, k)][kind] for k in range(cfg.k)])
+            block = np.concatenate([r[kind][n] for r in results if n in r[kind]])
             rmse = rmse_against(block, model.analytic_main)
             mean_est = block.mean(axis=0)
             actual, table1 = cost(kind, model.d, n)

@@ -23,7 +23,7 @@ from sobolbench.harness import (
     run_benchmark,
 )
 from sobolbench.models import TestCaseId as CaseId, build
-from sobolbench.sampling import SOBOL_PERIOD, SamplerSpec
+from sobolbench.sampling import SOBOL_PERIOD, SamplerSpec, _replicate_layout
 
 import test_acceptance
 
@@ -319,29 +319,49 @@ def test_dependent_model_rejects_direct_estimator():
     sampler=st.sampled_from(["MC", "QMC"]),
 )
 def test_draw_groups_place_each_cell_once_in_its_top_run(k, p_range, sampler):
-    # every (N, k) cell of the ladder is listed once, as rows of the top
-    # run that holds it: QMC run k at N is the Sobol' block from k N, MC run
-    # k at N the leading rows of top run k; each group leads with its top cell
+    # each group is the {N: count} blocks of one top-rung run: at every N the
+    # counts sum to K, and group top's block j at N is the run that
+    # _replicate_layout places at rows j N of top run top, in run order
+    # (QMC run k at N is the Sobol' block from k N, MC run k at N the
+    # leading rows of top run k)
     p_min, p_max = p_range
     cfg = BenchmarkConfig(
         test="Linear4", estimators=(EstimatorKind.SK,), sampler=sampler,
         p_min=p_min, p_max=p_max, k=k,
     )
     n_top = 1 << p_max
+    ladder = [1 << p for p in range(p_min, p_max + 1)]
     groups = harness._draw_groups(cfg)
-    cells = [(n, run) for group in groups for n, run, _ in group]
-    assert sorted(cells) == sorted(
-        (1 << p, run) for p in range(p_min, p_max + 1) for run in range(k)
-    )
     assert len(groups) == k
-    for top, group in enumerate(groups):
-        assert group[0] == (n_top, top, 0)
-        for n, run, start in group:
-            assert start + n <= n_top
-            if sampler == "QMC":
-                assert top * n_top + start == run * n
-            else:
-                assert (top, start) == (run, 0)
+    assert all(set(blocks) <= set(ladder) for blocks in groups)
+    for n in ladder:
+        assert sum(blocks.get(n, 0) for blocks in groups) == k
+        placed = [
+            (top, j * n)
+            for top, blocks in enumerate(groups)
+            for j in range(blocks.get(n, 0))
+        ]
+        assert placed == [
+            _replicate_layout(sampler, run, n, n_top)[1:] for run in range(k)
+        ]
+
+
+def _cells(groups):
+    """Each group's cells as (n, j, k): its block j of n rows is run k.
+
+    Groups hold the runs of each N in run order (see
+    test_draw_groups_place_each_cell_once_in_its_top_run), so run k is the
+    number of blocks of n rows before it.
+    """
+    runs = {}
+    cells = []
+    for blocks in groups:
+        cells.append([])
+        for n, c in blocks.items():
+            for j in range(c):
+                cells[-1].append((n, j, runs.get(n, 0)))
+                runs[n] = runs.get(n, 0) + 1
+    return cells
 
 
 @pytest.fixture()
@@ -447,8 +467,8 @@ def test_mc_lower_cells_make_no_model_call(monkeypatch):
         sets.append(len(calls))
         return evaluations
 
-    def counted_reduce(plan, cells):
-        s = estimators.estimate_main_index(plan, cells)
+    def counted_reduce(plan, blocks):
+        s = estimators.estimate_main_index(plan, blocks)
         reduced.append((len(plan.f_a), len(calls) - sets[-1], s))
         return s
 
@@ -462,20 +482,24 @@ def test_mc_lower_cells_make_no_model_call(monkeypatch):
     run_benchmark(cfg, threads=1)
     assert calls == [128] * 3 * 16
     # one thread reduces the groups in order, one call per top-rung set,
-    # each cell's kinds in config order
+    # its kinds in config order, each with a (count, d) block per N
     groups = harness._draw_groups(cfg)
-    cells = [(n, k) for group in groups for n, k, _ in group]
-    assert sorted(cells) == [(1 << p, k) for p in range(4, 8) for k in range(3)]
+    cells = _cells(groups)
+    runs = sorted((n, k) for group in cells for n, _, k in group)
+    assert runs == [(1 << p, k) for p in range(4, 8) for k in range(3)]
     assert len(reduced) == len(groups) == cfg.k
     monkeypatch.undo()
-    for group, (rows, made, s) in zip(groups, reduced):
+    for blocks, group, (rows, made, s) in zip(groups, cells, reduced):
         assert (rows, made) == (128, 0)
-        assert sorted(s) == sorted((n, row) for n, _, row in group)
-        for n, k, row in group:
-            assert list(s[n, row]) == list(kinds), (n, k)
+        assert list(s) == list(kinds)
+        for kind in kinds:
+            assert {n: a.shape for n, a in s[kind].items()} == {
+                n: (c, base.d) for n, c in blocks.items()
+            }
+        for n, j, k in group:
             alone = estimate_cell(base, kinds, n, SamplerSpec("MC", cfg.master_seed, k))
             for kind in kinds:
-                assert np.array_equal(s[n, row][kind], alone[kind]), (n, k, kind)
+                assert np.array_equal(s[kind][n][j], alone[kind]), (n, k, kind)
 
 
 @settings(max_examples=60, deadline=None)
@@ -504,24 +528,26 @@ def test_set_reduction_equals_each_cell_alone(test, sampler, data):
         k=data.draw(st.integers(2, 5)), master_seed=data.draw(st.integers(0, 99)),
         bin_override=bins,
     )
-    for cells in harness._draw_groups(cfg):
+    groups = harness._draw_groups(cfg)
+    for top, (blocks, cells) in enumerate(zip(groups, _cells(groups))):
         alone = {}
-        for n, k, _ in cells:
+        for n, j, k in cells:
             spec = SamplerSpec(sampler, cfg.master_seed, k)
             try:
-                alone[n, k] = estimate_cell(model, kinds, n, spec, bins)
+                alone[n, j] = estimate_cell(model, kinds, n, spec, bins)
             except DegenerateModelError:  # a tiny cell of equal outputs
                 with pytest.raises(DegenerateModelError):
-                    harness._run_group(model, cfg, cells)
+                    harness._run_group(model, cfg, top, blocks)
                 break
         else:
-            reduced = harness._run_group(model, cfg, cells)
-            assert reduced.keys() == alone.keys()
-            for cell, s in reduced.items():
-                assert list(s) == list(kinds)
-                for kind in kinds:
-                    want = alone[cell][kind].view(np.uint64)
-                    assert np.array_equal(s[kind].view(np.uint64), want), (cell, kind)
+            reduced = harness._run_group(model, cfg, top, blocks)
+            assert list(reduced) == list(kinds)
+            for kind in kinds:
+                assert {n: len(s) for n, s in reduced[kind].items()} == blocks
+                for (n, j), cell in alone.items():
+                    got = reduced[kind][n][j].view(np.uint64)
+                    want = cell[kind].view(np.uint64)
+                    assert np.array_equal(got, want), (n, j, kind)
 
 
 @pytest.mark.parametrize(
