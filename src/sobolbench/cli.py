@@ -243,6 +243,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "threads": threads,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        # the SIMD targets numpy dispatches to on this CPU: some loops (exp,
+        # power) differ in the last bit between them, and so may records
+        "numpy_simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"],
         "scipy": scipy.__version__,
         "artifacts": {"records": records_path.name, "rates": rates_path.name},
     }

@@ -13,15 +13,18 @@ Model outputs live in an evaluation set: one unit point set of dimension d,
 2d, or 3d, whose coordinate blocks form the base matrices A, B, C, and the
 outputs at A, B, AB_i and CA_i, all evaluated when the set is drawn.  One
 set per (N, run) cell, drawn at the widest width its estimators need and
-transformed once, serves all of them under either sampler.  A shorter run
-inside a longer one is a block of the longer set's rows, outputs included.
-A set's estimators are one plan (:func:`build_plan`) and one pure
-reduction over the blocks it holds (:func:`estimate_main_index`).  The
-reduction takes the set, not a cell, as its unit: the set's cells are its
+transformed once, serves all of them under either sampler.  A set holds a
+row range of its run, so a run is evaluated a chunk of rows at a time;
+the chunks join to the whole run bit for bit, since draws are row-range
+stable and model outputs row-wise.  A shorter run inside a longer one is
+a block of the longer run's rows, outputs included.  A chunk's estimators
+are one plan (:func:`build_plan`), and a run's are one pure reduction
+over its chunks' plans in row order (:func:`estimate_main_index`).  The
+reduction takes the run, not a cell, as its unit: the run's cells are its
 leading ``{N: count}`` blocks, each direct formula's per-row term is
-formed once over all of the set's rows, and every cell, a lower rung's
-included, sums its block of that term; the moments behind each D_hat come
-from the same block sums.
+formed once over each chunk's rows, and every cell, a lower rung's
+included, sums its block of that term, or adds its chunks' sums; the
+moments behind each D_hat come from the same sums.
 
 What each estimator needs is stated here alone: the blocks it reads and
 so its cost (:func:`cost`), and which estimator lists, bin counts and
@@ -289,24 +292,30 @@ def evaluation_set(
     kinds: Sequence[EstimatorKind],
     n: int,
     sampler: SamplerSpec,
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> EvaluationSet:
     """The evaluated set that gives each of ``kinds`` the bits it would draw alone.
 
-    The run is drawn once, as ``W * d`` column-major unit columns where W is
-    the number of base matrices the blocks of ``kinds`` read, and
-    transformed in place in one call: matrix j is columns ``j * d`` to
-    ``(j + 1) * d`` of the unit draw's own buffer.  Draws of either sampler
-    are prefix-stable in their columns (see :mod:`sobolbench.sampling`), so
-    a narrower draw of the run has the same A and B, and one set serves
-    every estimator of a cell.  Every block any of ``kinds`` reads is
-    evaluated before the set is returned.  Dependent inputs take width 1
-    alone: a wider draw fails ``transform_correlated_normal``'s dims check.
+    The set holds rows ``start`` to ``stop`` (default n) of the n-point run:
+    a whole run, or one chunk of it, since a row range of a draw is those
+    rows of the whole draw (see :func:`sobolbench.sampling.generate_uniform`)
+    and every model output row depends on its own input row alone.  The rows
+    are drawn once, as ``W * d`` column-major unit columns where W is the
+    number of base matrices the blocks of ``kinds`` read, and transformed in
+    place in one call: matrix j is columns ``j * d`` to ``(j + 1) * d`` of
+    the unit draw's own buffer.  Draws of either sampler are prefix-stable
+    in their columns (see :mod:`sobolbench.sampling`), so a narrower draw of
+    the run has the same A and B, and one set serves every estimator of a
+    cell.  Every block any of ``kinds`` reads is evaluated before the set is
+    returned.  Dependent inputs take width 1 alone: a wider draw fails
+    ``transform_correlated_normal``'s dims check.
     """
     d = model.d
     blocks = dict.fromkeys(b for kind in kinds for b in _OUTPUT_BLOCKS[kind])
     matrices = sorted(set("".join(blocks)))
     width = len(matrices)
-    u = generate_uniform(sampler, n, width * d)
+    u = generate_uniform(sampler, n, width * d, start, stop)
     if model.covariance is not None:
         draw = transform_correlated_normal(u, model.covariance)
     else:
@@ -383,20 +392,24 @@ def estimate_mean_and_variance(
 def _row_term(
     kind: EstimatorKind,
     f_a: np.ndarray,
-    f_ab_i: np.ndarray,
-    diff_i: Optional[np.ndarray],
-    f_ca_i: Optional[np.ndarray] = None,
+    f_ab: np.ndarray,
+    diff: Optional[np.ndarray],
+    f_ca: Optional[np.ndarray] = None,
     f0: Optional[float] = None,
 ) -> np.ndarray:
-    """The per-row term whose mean is ``kind``'s D_i_hat, with ``diff_i =
-    fAB_i - fB``; sobol subtracts mean(fA)^2 from its mean."""
+    """The per-row term whose mean is ``kind``'s D_i_hat, with ``diff =
+    fAB - fB``; sobol subtracts mean(fA)^2 from its mean.  ``f_ab``,
+    ``diff`` and ``f_ca`` are one input's (n,) rows or all inputs' (d, n)
+    blocks, which give each input's row of terms, bit for bit."""
     if kind == EstimatorKind.SOBOL:
-        return f_a * f_ab_i
+        return f_a * f_ab
     if kind == EstimatorKind.SK:
-        return f_a * diff_i
-    term = f_a - f_ca_i if kind == EstimatorKind.OWEN else f_a - f0
-    term *= diff_i
-    return term
+        return f_a * diff
+    if kind == EstimatorKind.OWEN:
+        term = f_a - f_ca
+        term *= diff
+        return term
+    return (f_a - f0) * diff
 
 
 def estimate_sobol_original(f_a: np.ndarray, f_ab_i: np.ndarray) -> float:
@@ -485,14 +498,27 @@ def _dlr(x_i_column: np.ndarray, f_a: np.ndarray, bins: BinSchedule, f0_sq) -> f
     return float(_mean(bin_means**2) - f0_sq)
 
 
+def _dlr_cell(x_a: np.ndarray, f_a: np.ndarray, bins: BinSchedule, s1) -> np.ndarray:
+    """DLR's d D_i_hat of one cell, before the division by D_hat, given the
+    sum ``s1`` of its fA (whose mean is squared as a numpy scalar, as a
+    cell's own mean is)."""
+    f0_sq = (s1 / bins.n) ** 2
+    return np.array([_dlr(x_a[:, i], f_a, bins, f0_sq) for i in range(x_a.shape[1])])
+
+
 def _block_sums(blocks: dict[int, int], x: np.ndarray) -> dict[int, np.ndarray]:
-    """Per cell length n, the sums of x's ``c = blocks[n]`` leading n-row blocks.
+    """Per cell length n, the sums along x's last axis of its ``c = blocks[n]``
+    leading n-row blocks, of shape ``x.shape[:-1] + (c,)``.
 
     Each is numpy's pairwise sum of one aligned block, bit for bit the sum
     of that block alone, since a reduction over the last axis of the
-    ``(c, n)`` reshape sums each row as a 1-D array.
+    ``(..., c, n)`` reshape sums each block as a 1-D array.
     """
-    return {n: np.add.reduce(x[: c * n].reshape(c, n), -1) for n, c in blocks.items()}
+    lead = x.shape[:-1]
+    return {
+        n: np.add.reduce(x[..., : c * n].reshape(*lead, c, n), -1)
+        for n, c in blocks.items()
+    }
 
 
 def _block_moments(
@@ -518,75 +544,162 @@ def _block_moments(
     return sums
 
 
-def estimate_main_index(
-    plan: EvaluationPlan, blocks: Optional[dict[int, int]] = None
-) -> dict[EstimatorKind, dict[int, np.ndarray]]:
-    """Each of the plan's kinds' d main-effect estimates S_i at every cell of its set.
+def _tree_sums(chunk_sums: list[np.ndarray], m: int, c: int) -> np.ndarray:
+    """The sums of c cells of m chunks each, from each chunk's sum in row order.
 
+    numpy sums a run of 2^k values, 2^k > 128, as the sum of its two halves,
+    so a cell of m = 2^j chunks of 2^k >= 128 rows each sums, bit for bit,
+    to the pairwise tree of its chunks' sums.
+    """
+    s = np.array(chunk_sums[: c * m])
+    s = s.reshape(c, m, *s.shape[1:])
+    while s.shape[1] > 1:
+        s = s[:, 0::2] + s[:, 1::2]
+    return s[:, 0]
+
+
+def estimate_main_index(
+    plans: EvaluationPlan | Iterable[EvaluationPlan],
+    blocks: Optional[dict[int, int]] = None,
+) -> dict[EstimatorKind, dict[int, np.ndarray]]:
+    """The plans' kinds' d main-effect estimates S_i at every cell of their set.
+
+    ``plans`` is one plan of a whole set, or the plans of the set's chunks,
+    each of the same number of rows, in row order.  They are consumed one at
+    a time: each chunk is reduced, and dropped, before the next is drawn.
     The set's cells are its leading blocks: ``blocks`` maps a cell length n
     to a count c, the first c blocks of n rows, which are c runs in order
-    (the layout of :func:`sobolbench.sampling._replicate_layout`).  Without
-    ``blocks`` the set's rows are one cell.  The result maps each kind to
-    each n's (c, d) array, whose row j holds the S_i of rows j n to (j + 1) n.
+    (the layout of :func:`sobolbench.sampling._replicate_layout`).  A cell
+    lies within one chunk, or spans 2^j whole chunks of 2^k >= 128 rows.
+    Without ``blocks`` one plan's rows are one cell.  The result maps each
+    kind to each n's (c, d) array, whose row j holds the S_i of rows j n to
+    (j + 1) n.
 
     The set is reduced once for all of its cells.  Each direct formula's
-    per-row term (:func:`_row_term`) is formed once per input over the
-    set's rows, and so is ``fAB_i - fB``; every cell takes the sum of its
-    block (:func:`_block_sums`), the same bits as reducing the cell alone.
-    A kind that reads B divides by D_hat pooled over fA and fB, sobol and
-    dlr by D_hat of fA alone, and those moments and the mean(fA)^2 that
-    sobol and dlr subtract come from block sums too.  DLR sorts and bins
-    each cell on its own.  Negative D_i_hat values, possible at small N for
-    near-zero indices, are reported as-is.
+    per-row term (:func:`_row_term`) is formed once per chunk for all d
+    inputs, and so is ``fAB - fB``; every cell within a chunk takes the sum
+    of its block (:func:`_block_sums`), the same bits as reducing the cell
+    alone, and a longer cell adds its chunks' sums in the tree numpy's
+    pairwise sum makes of them (:func:`_tree_sums`).  A kind that reads B
+    divides by D_hat pooled over fA and fB, sobol and dlr by D_hat of fA
+    alone, and those moments and the mean(fA)^2 that sobol and dlr subtract
+    come from the same sums.  DLR sorts and bins each cell on its own; for
+    a cell longer than a chunk it reads copies of A's columns and fA, the
+    only rows kept beyond their chunk.  Negative D_i_hat values, possible
+    at small N for near-zero indices, are reported as-is.
     """
-    n_set, d = plan.x_a.shape
+    chunks = iter((plans,) if isinstance(plans, EvaluationPlan) else plans)
+    plan = next(chunks)
+    kinds, f0, bin_count = plan.kinds, plan.f0, plan.bin_count
+    size, d = plan.x_a.shape
     if blocks is None:
-        blocks = {n_set: 1}
-    for n, c in blocks.items():
-        if n < 1 or c < 1 or c * n > n_set:
-            raise ValueError(f"{c} blocks of {n} rows do not fit a set of {n_set}")
+        blocks = {size: 1}
 
-    def d_hat(sums, w):
+    def summable(n, c):
+        """Whether c cells of n rows can lie within chunks or span whole ones."""
+        m = n // size
+        tree = size >= 128 and not size & (size - 1) and not m & (m - 1)
+        return n >= 1 and c >= 1 and (n <= size or (n % size == 0 and tree))
+
+    cells = {n: c for n, c in blocks.items() if summable(n, c)}
+    outer = {n: c for n, c in cells.items() if n > size}
+    direct = [kind for kind in kinds if kind != EstimatorKind.DLR]
+    dlr = EstimatorKind.DLR in kinds
+    pooled = plan.f_b is not None
+    alone = dlr or EstimatorKind.SOBOL in kinds
+    # Per cell length n: each direct kind's (c, d) term sums, DLR's (c, d)
+    # D_i_hat before the division by D_hat, and the (2, c) sums of values
+    # and of squares of fA alone ("a") and of fA and fB pooled ("ab").
+    sums = {key: {n: np.empty((c, d)) for n, c in cells.items()} for key in kinds}
+    moments = {key: {n: np.empty((2, c)) for n, c in cells.items()} for key in ("a", "ab")}
+    bins = {n: bin_schedule(n, bin_count) for n in cells} if dlr else {}
+    # The sums of each chunk in turn, which the cells longer than a chunk add.
+    chunk_sums = {key: [] for key in (*direct, "a", "b")}
+    keep = max((c * n for n, c in outer.items()), default=0) if dlr else 0
+    x_keep, f_keep = np.empty((keep, d), order="F"), np.empty(keep)
+
+    def add(plan, start):
+        """Reduce the chunk of rows ``start`` onward into the cells' sums."""
+        if plan.x_a.shape != (size, d):
+            raise ValueError("the chunks of a set must have the same number of rows")
+        here = {}  # the cells within this chunk: n -> (first cell, count)
+        for n, c in cells.items():
+            if n <= size and start // n < c:
+                here[n] = start // n, min(size // n, c - start // n)
+        inner = {n: k for n, (_, k) in here.items()}
+        local = {**inner, size: 1} if outer else inner
+        f_a, f_b = plan.f_a, plan.f_b
+        diff = None if f_b is None else plan.f_ab - f_b
+        for kind in direct:
+            # no local holds a kind's terms, so one kind's are alive at a time
+            got = _block_sums(local, _row_term(kind, f_a, plan.f_ab, diff, plan.f_ca, f0))
+            for n, (j, k) in here.items():
+                sums[kind][n][j : j + k] = got[n].T
+            if outer:
+                chunk_sums[kind].append(got[size][:, 0])
+        if outer:
+            for key, f in (("a", f_a), ("b", f_b)):
+                if f is not None:
+                    chunk_sums[key].append(
+                        np.array([np.add.reduce(f), np.add.reduce(np.square(f))])
+                    )
+        if start < keep:
+            x_keep[start : start + size] = plan.x_a
+            f_keep[start : start + size] = f_a
+        if not here:
+            return
+        for key, fs, wanted in (("ab", (f_a, f_b), pooled), ("a", (f_a,), alone)):
+            if wanted:
+                got = _block_moments(inner, *fs)
+                for n, (j, k) in here.items():
+                    moments[key][n][:, j : j + k] = got[n]
+        if dlr:
+            for n, (j, k) in here.items():
+                for jj, s1 in enumerate(moments["a"][n][0, j : j + k]):
+                    cell = slice(jj * n, (jj + 1) * n)
+                    sums[EstimatorKind.DLR][n][j + jj] = _dlr_cell(
+                        plan.x_a[cell], f_a[cell], bins[n], s1
+                    )
+
+    rows = 0
+    while plan is not None:
+        add(plan, rows)
+        rows += size
+        plan = None  # drop the chunk's arrays before the next chunk is drawn
+        plan = next(chunks, None)
+    for n, c in blocks.items():
+        if n not in cells or c * n > rows or (n <= size < rows and size % n):
+            raise ValueError(f"{c} blocks of {n} rows do not fit a set of {rows}")
+
+    for n, c in outer.items():
+        m = n // size
+        for kind in direct:
+            sums[kind][n][:] = _tree_sums(chunk_sums[kind], m, c)
+        moments["a"][n][:] = _tree_sums(chunk_sums["a"], m, c).T
+        if pooled:
+            moments["ab"][n][:] = moments["a"][n] + _tree_sums(chunk_sums["b"], m, c).T
+        if dlr:
+            for j, s1 in enumerate(moments["a"][n][0]):
+                cell = slice(j * n, (j + 1) * n)
+                sums[EstimatorKind.DLR][n][j] = _dlr_cell(
+                    x_keep[cell], f_keep[cell], bins[n], s1
+                )
+
+    def d_hat(key, w):
         """D_hat of each cell, from the sums of its blocks of w arrays."""
         return {
-            n: np.array([_moments(a, b, w * n)[1] for a, b in zip(*sums[n])])
-            for n in blocks
+            n: np.array([_moments(a, b, w * n)[1] for a, b in zip(*s)])
+            for n, s in moments[key].items()
         }
 
-    if plan.f_b is not None:
-        # each cell pools its fA and fB blocks as one array: for n <= 64 that
-        # sum is not the sum of the two blocks' sums (see _block_moments)
-        d_pooled = d_hat(_block_moments(blocks, plan.f_a, plan.f_b), 2)
-    if {EstimatorKind.SOBOL, EstimatorKind.DLR} & set(plan.kinds):
-        sums_a = _block_moments(blocks, plan.f_a)
-        d_a = d_hat(sums_a, 1)
-        # mean(fA)^2 squared as a numpy scalar, as a cell's own mean is
-        f0_sq = {n: np.array([(s / n) ** 2 for s in sums_a[n][0]]) for n in blocks}
-
-    estimates = {
-        kind: {n: np.empty((c, d)) for n, c in blocks.items()} for kind in plan.kinds
-    }
-    direct = [kind for kind in plan.kinds if kind != EstimatorKind.DLR]
-    for i in range(d):
-        diff_i = None if plan.f_b is None else plan.f_ab[i] - plan.f_b
-        f_ca_i = None if plan.f_ca is None else plan.f_ca[i]
-        for kind in direct:
-            term = _row_term(kind, plan.f_a, plan.f_ab[i], diff_i, f_ca_i, plan.f0)
-            for n, sums in _block_sums(blocks, term).items():
-                estimates[kind][n][:, i] = sums
-    for kind in direct:
-        for n, s in estimates[kind].items():
-            s /= n
+    d_a = d_hat("a", 1) if alone else None
+    d_pooled = d_hat("ab", 2) if pooled else None
+    for kind, estimates in sums.items():
+        for n, s in estimates.items():
+            if kind != EstimatorKind.DLR:
+                s /= n
             if kind == EstimatorKind.SOBOL:
-                s -= f0_sq[n][:, None]
+                # mean(fA)^2 squared as a numpy scalar, as a cell's own mean is
+                s -= np.array([(s1 / n) ** 2 for s1 in moments["a"][n][0]])[:, None]
             s /= (d_pooled if "b" in _OUTPUT_BLOCKS[kind] else d_a)[n][:, None]
-    if EstimatorKind.DLR in plan.kinds:
-        for n, s in estimates[EstimatorKind.DLR].items():
-            bins = bin_schedule(n, plan.bin_count)
-            for j in range(blocks[n]):
-                rows = slice(j * n, (j + 1) * n)
-                x_a, f_a = plan.x_a[rows], plan.f_a[rows]
-                for i in range(d):
-                    s[j, i] = _dlr(x_a[:, i], f_a, bins, f0_sq[n][j])
-            s /= d_a[n][:, None]
-    return estimates
+    return sums

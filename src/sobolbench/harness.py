@@ -5,8 +5,10 @@ For each sample count N = 2^p on a ladder, K replicate runs are performed
 run evaluates the model once and every estimator reduces the shared
 outputs.  Each run at N is a row block of a top-rung run, drawn once per
 ladder (see :func:`sobolbench.sampling._replicate_layout`), so a ladder
-evaluates only its top rung, and each top-rung set is reduced once, as one
-plan, for every cell it holds.  The root-mean-square error of each
+evaluates only its top rung, and each top-rung set is reduced once for
+every cell it holds.  A set is drawn, transformed, evaluated and reduced
+in chunks of ``_CHUNK_ROWS`` rows, one chunk at a time, so its memory is
+set by the chunk, not by N_top.  The root-mean-square error of each
 estimator's S_i against the model's analytic value is recorded:
 
     eps_i(N) = sqrt( (1/K) * sum_k (S_i_hat[k] - S_i_analytic)^2 )
@@ -23,12 +25,13 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .estimators import (
     EstimatorKind,
+    EvaluationPlan,
     _check_bin_count,
     _check_kinds,
     _kind_list,
@@ -62,6 +65,25 @@ THREADS_ENV_VAR = "SOBOLBENCH_THREADS"
 # Points with RMSE below this are indistinguishable from machine noise
 # (exact-zero analytic indices can produce them) and are dropped from fits.
 MIN_FIT_RMSE = 1e-14
+
+# Rows of a set drawn, transformed, evaluated and reduced at a time: a
+# power of two of at least 128 (see estimators.estimate_main_index), so a
+# set's memory is set by the chunk, not by its length.  Measured on the
+# ParkAhn7 MC (2 threads) and GFunc10A QMC ladders of perfbench/: 2^13
+# held 7 and 4 MB less at peak but took 3-17% longer on ParkAhn7, and
+# 2^12 took longer again on both; one chunk of 2^15 rows or more faults
+# its pages in again (see below).
+_CHUNK_ROWS = 1 << 14
+
+# glibc's malloc hands the free top of its heap back to the system once it
+# exceeds twice the largest mmapped block freed so far, and serves blocks
+# above that largest size by mmap.  A chunk frees up to about 9 MB of
+# arrays, over twice its largest one (the 4 MB draw), so without a larger
+# block freed first every chunk faulted its pages in again: about 30,000
+# minor faults and 20% of the time of a GFunc10A QMC ladder.  Freeing one
+# 8 MB block raises both thresholds for the process; other allocators
+# ignore it.
+np.empty(1 << 20)
 
 
 class _TooFewPoints(ValueError):
@@ -204,17 +226,41 @@ def estimate_cell(
     """Every estimator's d main-effect estimates S_i from one (N, run) draw.
 
     Every kind is checked before anything is drawn (see
-    :func:`sobolbench.estimators._check_kinds`).  One set drawn for the cell
-    is then reduced as one plan, through the same set reduction a ladder
+    :func:`sobolbench.estimators._check_kinds`).  The cell's set is then
+    drawn and reduced in chunks, through the same set reduction a ladder
     gives its top-rung sets, with the whole set as the one cell; so a
     standalone cell has the bits of that cell of a ladder.
     ``build_plan`` and ``estimate_main_index`` are looked up at call time,
     where the benchmark's tracer rebinds them.
     """
     kinds = _check_kinds(kinds, n, bin_count, model)
-    evaluations = evaluation_set(model, kinds, n, sampler)
-    estimates = estimate_main_index(build_plan(kinds, evaluations, bin_count))
+    estimates = estimate_main_index(
+        _set_plans(model, kinds, n, sampler, bin_count), {n: 1}
+    )
     return {kind: s[n][0] for kind, s in estimates.items()}
+
+
+def _set_plans(
+    model: InputModel,
+    kinds: Sequence[EstimatorKind],
+    n: int,
+    sampler: SamplerSpec,
+    bin_count: Optional[int],
+) -> Iterator[EvaluationPlan]:
+    """The plans of the n-point run's set, one per chunk of rows, in row order.
+
+    Each chunk is drawn, transformed and evaluated (see
+    :func:`sobolbench.estimators.evaluation_set`) only when the reduction
+    asks for it.  A power-of-two run is cut into chunks of ``_CHUNK_ROWS``
+    rows; a shorter run, or one of another length, is one chunk.
+    """
+    rows = min(n, _CHUNK_ROWS) if n & (n - 1) == 0 else n
+    for start in range(0, n, rows):
+        # No local holds the chunk's set, so its arrays are freed once the
+        # reduction drops its plan, before the next chunk is drawn.
+        yield build_plan(
+            kinds, evaluation_set(model, kinds, n, sampler, start, start + rows), bin_count
+        )
 
 
 def _draw_groups(cfg: BenchmarkConfig) -> list[dict[int, int]]:
@@ -240,17 +286,15 @@ def _run_group(
 ) -> dict[EstimatorKind, dict[int, np.ndarray]]:
     """S_i of every configured estimator at each cell of top-rung run ``top``.
 
-    The run is drawn, transformed and evaluated in full once, then reduced
-    as one plan for all of its cells, the leading ``blocks`` of
-    :func:`_draw_groups` (see
+    The run is drawn, transformed and evaluated once, a chunk of rows at a
+    time (:func:`_set_plans`), and reduced in one call for all of its
+    cells, the leading ``blocks`` of :func:`_draw_groups` (see
     :func:`sobolbench.estimators.estimate_main_index`), which gives each
-    kind a (c, d) array per N.  The set is dropped when the reduction
-    returns.
+    kind a (c, d) array per N.  Each chunk is dropped once it is reduced.
     """
     spec = SamplerSpec(cfg.sampler, cfg.master_seed, top)
-    evaluations = evaluation_set(model, cfg.estimators, 1 << cfg.p_max, spec)
-    plan = build_plan(cfg.estimators, evaluations, cfg.bin_override)
-    return estimate_main_index(plan, blocks)
+    plans = _set_plans(model, cfg.estimators, 1 << cfg.p_max, spec, cfg.bin_override)
+    return estimate_main_index(plans, blocks)
 
 
 def run_benchmark(

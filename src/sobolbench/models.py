@@ -33,22 +33,25 @@ class InputModel:
     Exactly one of ``marginals`` / ``covariance`` is set.  The analytic
     fields are None when no closed form is available.
 
-    ``f`` maps an (n, d) array to n outputs, row by row.  It may receive a
-    column-major array (sample matrices are kept column-major so each input
-    column is contiguous).  It must not write to its input: AB_i and CA_i
-    outputs of a model without ``factors`` come from the evaluation set's
-    own base matrix, whose column i is swapped in for the call and restored
-    after it; a write corrupts the set.  Its result must not depend on
-    memory order; ``x.sum(axis=1)`` with d >= 8, for one, does (pairwise
-    along contiguous rows, one column at a time otherwise).
+    ``f`` maps an (n, d) array to n outputs, row by row: output row j
+    depends on input row j alone, bit for bit, since a set is evaluated a
+    chunk of rows at a time and its chunks' outputs must join to those of
+    the whole set.  It may receive a column-major array (sample matrices
+    are kept column-major so each input column is contiguous).  It must not
+    write to its input: AB_i and CA_i outputs of a model without
+    ``factors`` come from the evaluation set's own base matrix, whose
+    column i is swapped in for the call and restored after it; a write
+    corrupts the set.  Its result must not depend on memory order;
+    ``x.sum(axis=1)`` with d >= 8, for one, does (pairwise along contiguous
+    rows, one column at a time otherwise).
 
     ``factors``, when set, holds d functions, each mapping one input column
-    (n,) to a new array of n factors without writing to the column, such
-    that ``f(x)`` is ``factors[0](x[:, 0]) * factors[1](x[:, 1]) * ...``
-    multiplied left to right, bit for bit.  A set's AB_i and CA_i outputs
-    are then products of per-column factors (see
-    :func:`sobolbench.estimators._outputs`), and ``f`` is called only on
-    the base matrices: 2 model calls per set in place of 2d + 2.  A copy
+    (n,) to a new array of n factors, value by value, without writing to
+    the column, such that ``f(x)`` is ``factors[0](x[:, 0]) *
+    factors[1](x[:, 1]) * ...`` multiplied left to right, bit for bit.  A
+    set's AB_i and CA_i outputs are then products of per-column factors
+    (see :func:`sobolbench.estimators._outputs`), and ``f`` is called only
+    on the base matrices: 2 model calls per set in place of 2d + 2.  A copy
     made with ``dataclasses.replace(model, f=g)`` keeps the factors, so
     ``g`` must return ``f``'s outputs.
     """

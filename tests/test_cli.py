@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -483,7 +486,35 @@ def test_bench_writes_artifacts(tmp_path, capsys, monkeypatch):
     assert manifest["threads"] == 1
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
+    assert manifest["numpy_simd"] == NUMPY_SIMD
     assert manifest["scipy"] == scipy.__version__
+
+
+NUMPY_SIMD = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.mark.skipif("X86_V3" not in NUMPY_SIMD, reason="needs an x86-64-v3 CPU")
+def test_manifest_records_numpy_simd_dispatch(tmp_path):
+    # records are reproducible for one numpy, scipy and SIMD dispatch level,
+    # so the manifest names the level: with numpy's AVX-512 targets turned
+    # off for one process it reads what an AVX2-only CPU reads
+    cfg_path = write_config(tmp_path)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(src),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512),
+    }
+    subprocess.run(
+        [sys.executable, "-m", "sobolbench", "bench", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        env=env, check=True, capture_output=True,
+    )
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["numpy_simd"] == [f for f in NUMPY_SIMD if f not in AVX512]
+    if "X86_V4" in NUMPY_SIMD:
+        assert manifest["numpy_simd"] == ["X86_V3"]
 
 
 def test_bench_reruns_byte_identical(tmp_path, capsys):

@@ -14,6 +14,7 @@ from sobolbench.estimators import (
     EstimatorKind,
     IncompatibleModelError,
     _argsort_ties_by_index,
+    _tree_sums,
     bin_schedule,
     build_plan,
     cost,
@@ -703,6 +704,22 @@ def test_evaluation_set_rejects_mismatched_use():
         build_plan((EstimatorKind.SK, EstimatorKind.OWEN), evaluations)
 
 
+@pytest.mark.parametrize("p", range(8, 17))
+def test_chunk_sum_tree_equals_numpy_sum(p):
+    # a cell longer than a chunk adds its chunks' sums in a pairwise tree,
+    # which for 2^p values in chunks of 2^k >= 128 is numpy's own sum, bit
+    # for bit: of one cell, and of each of 4 cells side by side
+    rng = np.random.default_rng(p)
+    n = 1 << p
+    x = rng.standard_normal(4 * n) * 10.0 ** rng.uniform(-8, 8, 4 * n) + 3.0
+    want = np.add.reduce(x.reshape(4, n), -1).view(np.uint64)
+    for leaf in (1 << k for k in range(7, min(p, 13) + 1)):
+        chunk_sums = list(np.add.reduce(x.reshape(-1, leaf), -1))
+        assert _tree_sums(chunk_sums, n // leaf, 1).view(np.uint64) == want[0], leaf
+        got = _tree_sums(chunk_sums, n // leaf, 4).view(np.uint64)
+        assert np.array_equal(got, want), leaf
+
+
 def test_set_reduction_refuses_blocks_that_do_not_fit():
     # a set's cells are its leading {N: count} blocks; a cell length below 1,
     # a count below 1 or more blocks than the set's rows hold is refused
@@ -713,6 +730,61 @@ def test_set_reduction_refuses_blocks_that_do_not_fit():
             estimate_main_index(plan, blocks)
     fits = estimate_main_index(plan, {64: 1, 16: 4})
     assert all(s[16].shape == (4, 3) for s in fits.values())
+
+
+def _chunk_plans(model, n, rows, bin_count=8):
+    """The plans of every kind on an n-point QMC set drawn ``rows`` at a
+    time, DLR at ``bin_count`` bins, as a list that can be reduced twice."""
+    return [
+        build_plan(
+            ALL_KINDS, evaluation_set(model, ALL_KINDS, n, QMC, a, a + rows), bin_count
+        )
+        for a in range(0, n, rows)
+    ]
+
+
+def test_chunked_set_reduction_refuses_cells_it_cannot_sum():
+    # a cell must lie within a chunk or span whole chunks of 2^k >= 128
+    # rows, which a pairwise tree adds as numpy sums the cell; chunks of one
+    # set have one length
+    model = build("Ishigami")
+    halves = _chunk_plans(model, 128, 64)
+    fits = estimate_main_index(halves, {64: 2, 32: 4})
+    whole = estimate_main_index(_chunk_plans(model, 128, 128), {64: 2, 32: 4})
+    for kind in ALL_KINDS:
+        for n in (64, 32):
+            assert np.array_equal(_bits(fits[kind][n]), _bits(whole[kind][n]))
+    for blocks in ({128: 1}, {48: 2}, {64: 3}):
+        with pytest.raises(ValueError, match="do not fit a set of 128"):
+            estimate_main_index(halves, blocks)
+    uneven = [_chunk_plans(model, 128, 64)[0], _chunk_plans(model, 128, 128)[0]]
+    with pytest.raises(ValueError, match="same number of rows"):
+        estimate_main_index(uneven, {32: 1})
+
+
+@pytest.mark.parametrize("sampler", [QMC, MC], ids=["QMC", "MC"])
+def test_set_reduction_over_chunks_equals_one_plan(sampler):
+    # a 1024-row set of every model in chunks of 128 or 256 rows reduces to
+    # the bits of the set as one plan, at every leading cell length
+    blocks = {1024: 1, 512: 2, 256: 3, 128: 8, 64: 5, 16: 64, 4: 1}
+    for name in TEST_CASE_NAMES:
+        model = build(name)
+        kinds = _valid_kinds(model)
+
+        def plans(rows):
+            return (
+                build_plan(kinds, evaluation_set(model, kinds, 1024, sampler, a, a + rows))
+                for a in range(0, 1024, rows)
+            )
+
+        want = estimate_main_index(plans(1024), blocks)
+        for rows in (128, 256):
+            got = estimate_main_index(plans(rows), blocks)
+            for kind in kinds:
+                for n in blocks:
+                    assert np.array_equal(_bits(got[kind][n]), _bits(want[kind][n])), (
+                        name, rows, kind, n,
+                    )
 
 
 def test_dependent_model_rejects_direct_formulas():

@@ -3,11 +3,13 @@
 Every model runs every estimator that applies to it (DLR alone on the
 dependent-input models) on a small ladder, p = 4..7 with K = 3 on one
 thread, under both samplers.  Two longer ladders, p = 6..9, reduce cells of
-more than 128 rows, where numpy's pairwise sum splits a cell in halves.  A
-change that alters any byte of the records fails here and has to update
-the pinned hash on purpose, with its argument.
-The hashes hold for the numpy and scipy versions pinned below; under others
-the last digits of the transforms may differ, so the test is skipped.
+more than 128 rows, where numpy's pairwise sum splits a cell in halves;
+they run again in chunks of 128 rows, so that their longer cells span
+several chunks.  A change that alters any byte of the records fails here
+and has to update the pinned hash on purpose, with its argument.
+The hashes hold for the numpy and scipy versions pinned below, and for
+numpy's SIMD dispatch on the CPU (see README); under other versions the
+last digits of the transforms may differ, so the test is skipped.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 import scipy
 
+from sobolbench import harness
 from sobolbench.cli import write_records_csv
 from sobolbench.estimators import EstimatorKind
 from sobolbench.harness import BenchmarkConfig, run_benchmark
@@ -108,5 +111,18 @@ def test_records_match_golden_hash(tmp_path, test, sampler):
 @pinned
 @pytest.mark.parametrize("test,sampler", sorted(GOLDEN_LONG))
 def test_long_ladder_records_match_golden_hash(tmp_path, test, sampler):
+    digest = _records_sha256(tmp_path, test, tuple(EstimatorKind), sampler, 6, 9)
+    assert digest == GOLDEN_LONG[(test, sampler)]
+
+
+@pinned
+@pytest.mark.parametrize("test,sampler", sorted(GOLDEN_LONG))
+def test_long_ladder_in_chunks_of_128_rows_matches_golden_hash(
+    tmp_path, monkeypatch, test, sampler
+):
+    # each 512-row top-rung set drawn, evaluated and reduced in 4 chunks,
+    # its cells of 256 and 512 rows summed from their chunks' sums (and
+    # DLR's from copies of A and fA), writes the same records
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
     digest = _records_sha256(tmp_path, test, tuple(EstimatorKind), sampler, 6, 9)
     assert digest == GOLDEN_LONG[(test, sampler)]

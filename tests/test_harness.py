@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -367,13 +368,14 @@ def _cells(groups):
 @pytest.fixture()
 def counted(monkeypatch):
     """Counts run_benchmark's model calls and records the rows of each, its
-    unit-draw widths and the number of unit values each transform call maps."""
+    unit draws as (run index, first row, end row, width) and the number of
+    unit values each transform call maps."""
     work = {"f": 0, "rows": [], "draws": [], "transformed": []}
     draw = estimators.generate_uniform
 
-    def counted_draw(spec, n, dims):
-        work["draws"].append(dims)
-        return draw(spec, n, dims)
+    def counted_draw(spec, n, dims, start=0, stop=None):
+        work["draws"].append((spec.run_index, start, n if stop is None else stop, dims))
+        return draw(spec, n, dims, start, stop)
 
     def counted_transform(transform):
         def counted(u, *args):
@@ -409,6 +411,16 @@ def _one_rung(test, kinds, sampler, p=6, k=2):
     )
 
 
+def _chunk_draws(k, n_top, chunk, width):
+    """The draws of K top-rung runs of n_top rows cut into chunks: run by
+    run, each chunk's rows once, in row order."""
+    return [
+        (run, start, start + chunk, width)
+        for run in range(k)
+        for start in range(0, n_top, chunk)
+    ]
+
+
 @pytest.mark.parametrize("test,sampler", [("GFunc10A", "QMC"), ("ParkAhn7", "MC")])
 def test_cell_evaluates_once_for_all_estimators(counted, test, sampler):
     # one 3d draw, one transform and one block of model calls per cell serve
@@ -417,80 +429,99 @@ def test_cell_evaluates_once_for_all_estimators(counted, test, sampler):
     # its column factors, and 2d + 2 = 16 on ParkAhn7 (d = 7)
     d = build(test).d
     run_benchmark(_one_rung(test, tuple(EstimatorKind), sampler))
-    assert counted["draws"] == [3 * d] * 2
+    assert counted["draws"] == _chunk_draws(2, 64, 64, 3 * d)
     assert counted["transformed"] == [64 * 3 * d] * 2
     assert counted["f"] == 2 * {"GFunc10A": 2, "ParkAhn7": 16}[test]
 
 
-def test_qmc_ladder_evaluates_only_its_top_rung(counted):
+def test_qmc_ladder_evaluates_only_its_top_rung(counted, monkeypatch):
     # every lower-rung QMC cell reduces rows of a top-rung run, so a GFunc10A
-    # ladder (d = 10, p = 4..7, K = 3) draws, transforms and evaluates only
-    # its K top runs: 2K = 6 model calls (A and B; AB_i and CA_i come from
-    # the model's column factors) of N_top = 128 rows
+    # ladder (d = 10, p = 4..8, K = 3) in chunks of 128 rows draws,
+    # transforms and evaluates only its K top runs, each row once: 2 model
+    # calls (A and B; AB_i and CA_i come from the model's column factors)
+    # per chunk, 2 chunks per run of N_top = 256 rows
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
     cfg = BenchmarkConfig(
         test="GFunc10A", estimators=tuple(EstimatorKind), sampler="QMC",
-        p_min=4, p_max=7, k=3,
+        p_min=4, p_max=8, k=3,
     )
     run_benchmark(cfg)
-    assert counted["draws"] == [30] * 3
-    assert counted["transformed"] == [128 * 30] * 3
-    assert counted["rows"] == [128] * 6
+    assert counted["draws"] == _chunk_draws(3, 256, 128, 30)
+    assert counted["transformed"] == [128 * 30] * 6
+    assert counted["rows"] == [128] * 12
 
 
-def test_mc_ladder_evaluates_every_cell(counted):
+def test_mc_ladder_evaluates_every_cell(counted, monkeypatch):
     # every MC cell is the leading rows of its replicate's top-rung run, so
     # a ParkAhn7 ladder (d = 7, p = 4..7, K = 3) evaluates every cell through
-    # its K top runs alone: K (2d + 2) = 48 model calls of N_top = 128 rows
+    # its K top runs alone: K (2d + 2) = 48 model calls of N_top = 128 rows,
+    # or in chunks of 128 rows at p = 4..8, 2d + 2 calls per chunk, each
+    # row of each of the K runs of N_top = 256 once
     cfg = BenchmarkConfig(
         test="ParkAhn7", estimators=tuple(EstimatorKind), sampler="MC",
         p_min=4, p_max=7, k=3,
     )
     run_benchmark(cfg)
     assert counted["rows"] == [128] * 3 * 16
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
+    counted["rows"].clear(), counted["draws"].clear()
+    run_benchmark(dataclasses.replace(cfg, p_max=8))
+    assert counted["rows"] == [128] * 3 * 2 * 16
+    assert counted["draws"] == _chunk_draws(3, 256, 128, 21)
 
 
 def test_mc_lower_cells_make_no_model_call(monkeypatch):
-    # in a ParkAhn7 MC ladder (p = 4..7, K = 3) only the K top-rung sets
-    # call the model, each in full before its first cell, so no reduction
-    # calls it; each set is one reduction of all its cells and kinds, and
-    # every cell's S_i equal, bit for bit, those of a standalone cell that
-    # draws and evaluates its own (N, k) run
+    # in a ParkAhn7 MC ladder (p = 4..8, K = 3) in chunks of 128 rows only
+    # the chunks of the K top-rung sets call the model, each chunk in full
+    # when it is drawn, so no reduction calls it outside a draw; each set is
+    # one reduction of all its cells and kinds over its two chunks in row
+    # order, and every cell's S_i equal, bit for bit, those of a standalone
+    # cell that draws and evaluates its own (N, k) run in one chunk
     base = build("ParkAhn7")
-    calls, sets, reduced = [], [], []
+    calls, drawing, reduced = [], [], []
 
     def f(x):
-        calls.append(len(x))
+        calls.append((len(x), bool(drawing)))
         return base.f(x)
 
     def counted_set(*args):
+        drawing.append(args[4:])
         evaluations = estimators.evaluation_set(*args)
-        sets.append(len(calls))
+        drawing.pop()
         return evaluations
 
-    def counted_reduce(plan, blocks):
-        s = estimators.estimate_main_index(plan, blocks)
-        reduced.append((len(plan.f_a), len(calls) - sets[-1], s))
+    def counted_reduce(plans, blocks):
+        chunks = []
+
+        def each(plans):
+            for plan in plans:
+                chunks.append(len(plan.f_a))
+                yield plan
+
+        s = estimators.estimate_main_index(each(plans), blocks)
+        reduced.append((chunks, s))
         return s
 
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
     monkeypatch.setattr(harness, "build", lambda test: dataclasses.replace(base, f=f))
     monkeypatch.setattr(harness, "evaluation_set", counted_set)
     monkeypatch.setattr(harness, "estimate_main_index", counted_reduce)
     kinds = tuple(EstimatorKind)
     cfg = BenchmarkConfig(
-        test="ParkAhn7", estimators=kinds, sampler="MC", p_min=4, p_max=7, k=3
+        test="ParkAhn7", estimators=kinds, sampler="MC", p_min=4, p_max=8, k=3
     )
     run_benchmark(cfg, threads=1)
-    assert calls == [128] * 3 * 16
+    assert calls == [(128, True)] * 3 * 2 * 16
     # one thread reduces the groups in order, one call per top-rung set,
     # its kinds in config order, each with a (count, d) block per N
     groups = harness._draw_groups(cfg)
     cells = _cells(groups)
     runs = sorted((n, k) for group in cells for n, _, k in group)
-    assert runs == [(1 << p, k) for p in range(4, 8) for k in range(3)]
+    assert runs == [(1 << p, k) for p in range(4, 9) for k in range(3)]
     assert len(reduced) == len(groups) == cfg.k
     monkeypatch.undo()
-    for blocks, group, (rows, made, s) in zip(groups, cells, reduced):
-        assert (rows, made) == (128, 0)
+    for blocks, group, (chunks, s) in zip(groups, cells, reduced):
+        assert chunks == [128, 128]
         assert list(s) == list(kinds)
         for kind in kinds:
             assert {n: a.shape for n, a in s[kind].items()} == {
@@ -540,31 +571,42 @@ def test_set_reduction_equals_each_cell_alone(test, sampler, data):
                     harness._run_group(model, cfg, top, blocks)
                 break
         else:
-            reduced = harness._run_group(model, cfg, top, blocks)
-            assert list(reduced) == list(kinds)
-            for kind in kinds:
-                assert {n: len(s) for n, s in reduced[kind].items()} == blocks
-                for (n, j), cell in alone.items():
-                    got = reduced[kind][n][j].view(np.uint64)
-                    want = cell[kind].view(np.uint64)
-                    assert np.array_equal(got, want), (n, j, kind)
+            # the set in one chunk, and in chunks of 128 rows: a standalone
+            # cell (one chunk) has the bits of its cell either way
+            for chunk in (harness._CHUNK_ROWS, 128):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(harness, "_CHUNK_ROWS", chunk)
+                    reduced = harness._run_group(model, cfg, top, blocks)
+                assert list(reduced) == list(kinds)
+                for kind in kinds:
+                    assert {n: len(s) for n, s in reduced[kind].items()} == blocks
+                    for (n, j), cell in alone.items():
+                        got = reduced[kind][n][j].view(np.uint64)
+                        want = cell[kind].view(np.uint64)
+                        assert np.array_equal(got, want), (n, j, kind, chunk)
 
 
 @pytest.mark.parametrize(
     "test,kinds,width",
     [("ParkAhn7", tuple(EstimatorKind), 21), ("DepQuad4", (EstimatorKind.DLR,), 4)],
 )
-def test_mc_ladder_draws_each_run_once(counted, test, kinds, width):
-    # an MC run's draw at N is a row prefix of its draw at N_top = 128, so
-    # a ladder (p = 4..7, K = 3) draws and transforms each replicate once,
-    # at the top rung: 3d = 21 columns for ParkAhn7 all-five, d = 4 for
-    # DepQuad4 dlr
+def test_mc_ladder_draws_each_run_once(counted, test, kinds, width, monkeypatch):
+    # an MC run's draw at N is a row prefix of its draw at N_top, so a
+    # ladder (p = 4..7, K = 3) draws and transforms each row of each
+    # replicate once, at the top rung: 3d = 21 columns for ParkAhn7
+    # all-five, d = 4 for DepQuad4 dlr; in one chunk at N_top = 128, and in
+    # chunks of 128 rows at N_top = 512
     cfg = BenchmarkConfig(
         test=test, estimators=kinds, sampler="MC", p_min=4, p_max=7, k=3
     )
     run_benchmark(cfg)
-    assert counted["draws"] == [width] * 3
+    assert counted["draws"] == _chunk_draws(3, 128, 128, width)
     assert counted["transformed"] == [128 * width] * 3
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
+    counted["draws"].clear(), counted["transformed"].clear()
+    run_benchmark(dataclasses.replace(cfg, p_max=9))
+    assert counted["draws"] == _chunk_draws(3, 512, 128, width)
+    assert counted["transformed"] == [128 * width] * 3 * 4
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -614,11 +656,17 @@ def test_oracle_without_exact_mean_draws_nothing(
     assert counted["f"] == 0
 
 
-def test_qmc_dlr_only_draws_d_columns(counted):
+def test_qmc_dlr_only_draws_d_columns(counted, monkeypatch):
+    # a DLR-only set is A alone: d = 4 columns, in one chunk of 256 rows or
+    # in two of 128
     run_benchmark(_one_rung("DepQuad4", (EstimatorKind.DLR,), "QMC", p=8, k=3))
-    assert counted["draws"] == [4, 4, 4]
+    assert counted["draws"] == _chunk_draws(3, 256, 256, 4)
     assert counted["transformed"] == [256 * 4] * 3
     assert counted["f"] == 3
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
+    run_benchmark(_one_rung("DepQuad4", (EstimatorKind.DLR,), "QMC", p=8, k=3))
+    assert counted["draws"][3:] == _chunk_draws(3, 256, 128, 4)
+    assert counted["f"] == 3 + 6
 
 
 @pytest.fixture()
@@ -679,10 +727,12 @@ def test_cell_fills_one_set_of_outputs_at_a_time(tracked):
 
 
 def test_mc_ladder_keeps_one_cell_of_outputs_alive(tracked, monkeypatch):
-    # the cells of an MC replicate reduce row slices of its one top-rung
-    # set, and none of its outputs outlive the run: over a ParkAhn7 ladder
+    # the cells of an MC replicate reduce row slices of its top-rung set,
+    # and none of its outputs outlive the run: over a ParkAhn7 ladder
     # (p = 4..6, K = 2) on one thread at most one replicate's top-rung
-    # outputs are alive at any model call, so the peak is one top cell
+    # outputs are alive at any model call, so the peak is one top cell.
+    # Cut into chunks of 128 rows (p = 4..9), a chunk's outputs are dropped
+    # before the next chunk is drawn, so the peak is one chunk's.
     live, handed_out = tracked
     sets_alive = []
     model = _with_sets_alive(build("ParkAhn7"), handed_out, sets_alive)
@@ -697,6 +747,56 @@ def test_mc_ladder_keeps_one_cell_of_outputs_alive(tracked, monkeypatch):
     assert sum(bool(refs) for refs in handed_out) == 2  # one set per replicate
     assert len(live) == 0
     assert all(r() is None for refs in handed_out for r in refs)
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
+    sets_alive.clear(), handed_out.clear()
+    run_benchmark(dataclasses.replace(cfg, p_max=9), threads=1)
+    assert len(sets_alive) == 2 * 4 * 16
+    assert max(sets_alive) == 1
+    assert sum(bool(refs) for refs in handed_out) == 2 * 4  # one set per chunk
+    assert len(live) == 0
+    assert all(r() is None for refs in handed_out for r in refs)
+
+
+def _set_peak_bytes(test, sampler, kinds, p_max):
+    """tracemalloc's peak over one reduction of top-rung set 0 of a K = 2
+    ladder (p = 8..p_max), after one untraced run fills imports and caches.
+    numpy reports its allocations to tracemalloc, so the peak does not
+    depend on the C allocator."""
+    model = build(test)
+    cfg = BenchmarkConfig(
+        test=test, estimators=kinds, sampler=sampler, p_min=8, p_max=p_max, k=2
+    )
+    blocks = harness._draw_groups(cfg)[0]
+    harness._run_group(model, cfg, 0, blocks)
+    tracemalloc.start()
+    try:
+        harness._run_group(model, cfg, 0, blocks)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_set_peak_memory_is_set_by_the_chunk():
+    # a 2^16-row ParkAhn7 MC all-five set (d = 7) holds at once one chunk's
+    # 3d-column draw, its outputs (fA, fB and the d rows each of AB_i and
+    # CA_i) and the reduction's d rows each of fAB_i - fB and of one
+    # formula's terms, beside the copies of A's columns and fA that its DLR
+    # cells longer than a chunk read: 8 N (d + 1) bytes
+    n, d, rows = 1 << 16, 7, harness._CHUNK_ROWS
+    assert rows < n
+    chunk = 8 * rows * (3 * d + 2 + 2 * d + 2 * d)
+    peak = _set_peak_bytes("ParkAhn7", "MC", tuple(EstimatorKind), 16)
+    assert peak < 1.2 * (8 * n * (d + 1) + chunk)
+
+
+@pytest.mark.parametrize("test,sampler", [("ParkAhn7", "MC"), ("GFunc10A", "QMC")])
+def test_set_without_dlr_peak_memory_does_not_grow_with_n(test, sampler):
+    # without DLR nothing is kept beyond its chunk, so an sk + owen set of
+    # 2^16 rows peaks within 10% of one of 2^14 rows, at most one chunk
+    kinds = (EstimatorKind.SK, EstimatorKind.OWEN)
+    assert harness._CHUNK_ROWS <= 1 << 14
+    small = _set_peak_bytes(test, sampler, kinds, 14)
+    assert _set_peak_bytes(test, sampler, kinds, 16) <= 1.1 * small
 
 
 def _assert_cells_match_standalone_plans(

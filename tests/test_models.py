@@ -365,6 +365,33 @@ def test_model_output_does_not_depend_on_memory_order(name, kind):
         assert np.array_equal(arr, before)
 
 
+def _chunks(x, first=64, rows=128):
+    """x's rows cut into a leading ``first`` rows and then ``rows`` at a time,
+    so no cut but the first falls on a multiple of 2048."""
+    edges = [0, *range(first, len(x), rows), len(x)]
+    return [x[a:b] for a, b in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("kind", ["MC", "QMC"])
+@pytest.mark.parametrize("name", TEST_CASE_NAMES)
+def test_model_rows_depend_on_their_own_input_rows_alone(name, kind):
+    # A set is drawn and evaluated a chunk of rows at a time, so output row
+    # j must depend on input row j alone: f over 128-row chunks (as
+    # column-major copies, as a chunk's set holds them, and as views) joins
+    # to f of the whole column-major draw, bit for bit, and so does each
+    # factor of a product model over the chunks of its column.
+    m = build(name)
+    x = np.asfortranarray(_model_space(m, SamplerSpec(kind=kind, seed=5, run_index=1)))
+    want = m.f(x).view(np.uint64)
+    for copy in (np.asfortranarray, lambda chunk: chunk):
+        joined = np.concatenate([m.f(copy(chunk)) for chunk in _chunks(x)])
+        assert np.array_equal(joined.view(np.uint64), want)
+    for i, g in enumerate(m.factors or ()):
+        column = x[:, i]
+        joined = np.concatenate([g(chunk) for chunk in _chunks(column)])
+        assert np.array_equal(joined.view(np.uint64), g(column).view(np.uint64)), i
+
+
 def test_input_model_validation():
     def f(x):
         return x[:, 0]

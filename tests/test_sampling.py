@@ -324,6 +324,54 @@ def test_mc_narrow_draw_is_leading_chunks_of_wider(width, seed, run_index, d):
     assert np.array_equal(wide[:n, : width * d], narrow)
 
 
+@pytest.mark.parametrize("kind", ["MC", "QMC"])
+@pytest.mark.parametrize(
+    "start,stop",
+    [
+        (0, 128),  # the first chunk
+        (1984, 2240),  # across raw index 26624, a 2048-row Sobol' block edge
+        (8192 - 128, 8192),  # the last chunk
+        (0, 8192),  # the whole run
+    ],
+)
+def test_row_range_is_those_rows_of_the_whole_draw(kind, start, stop):
+    # a run can be drawn in chunks: rows [start, stop) of QMC run 3 of 8192
+    # points (raw indices from 24577) or of an MC run, drawn alone, are
+    # those rows of the whole draw, bit for bit, column-major
+    n, dims = 8192, 21
+    spec = SamplerSpec(kind, seed=2**64 - 5, run_index=3)
+    whole = generate_uniform(spec, n, dims).values
+    part = generate_uniform(spec, n, dims, start, stop)
+    assert (part.n, part.dims) == (stop - start, dims)
+    assert part.values.flags.f_contiguous
+    assert np.array_equal(part.values.view(np.uint64), whole[start:stop].view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["MC", "QMC"]),
+    p=st.integers(0, 13),
+    data=st.data(),
+    dims=st.integers(1, 8),
+    run=st.integers(0, 50),
+)
+def test_chunked_run_joins_to_the_whole_draw(kind, p, data, dims, run):
+    # any cut of a run into row ranges joins back to its whole draw
+    n = 1 << p
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6)) if n > 1 else ())
+    edges = [0, *cuts, n]
+    spec = SamplerSpec(kind, seed=17, run_index=run)
+    parts = [generate_uniform(spec, n, dims, a, b).values for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate(parts), generate_uniform(spec, n, dims).values)
+
+
+@pytest.mark.parametrize("start,stop", [(-1, 4), (0, 9), (4, 4), (5, 3)])
+def test_row_range_outside_the_run_is_refused(start, stop):
+    for kind in ("MC", "QMC"):
+        with pytest.raises(ValueError, match="not a range of a run of 8"):
+            generate_uniform(SamplerSpec(kind), 8, 2, start, stop)
+
+
 def test_mc_column_is_its_own_jumped_stream():
     # column c of run k is the leading n values of PCG64(mix_seed(seed, k))
     # jumped c times
