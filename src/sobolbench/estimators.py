@@ -23,8 +23,9 @@ over its chunks' plans in row order (:func:`estimate_main_index`).  The
 reduction takes the run, not a cell, as its unit: the run's cells are its
 leading ``{N: count}`` blocks, each direct formula's per-row term is
 formed once over each chunk's rows, and every cell, a lower rung's
-included, sums its block of that term, or adds its chunks' sums; the
-moments behind each D_hat come from the same sums.
+included, is reduced one way: as leaves of min(N, chunk) rows, whose sums
+of that term and of the outputs (behind each D_hat) add up in one pairwise
+tree.  DLR sorts every cell from copies of A's columns and fA.
 
 What each estimator needs is stated here alone: the blocks it reads and
 so its cost (:func:`cost`), and which estimator lists, bin counts and
@@ -498,14 +499,6 @@ def _dlr(x_i_column: np.ndarray, f_a: np.ndarray, bins: BinSchedule, f0_sq) -> f
     return float(_mean(bin_means**2) - f0_sq)
 
 
-def _dlr_cell(x_a: np.ndarray, f_a: np.ndarray, bins: BinSchedule, s1) -> np.ndarray:
-    """DLR's d D_i_hat of one cell, before the division by D_hat, given the
-    sum ``s1`` of its fA (whose mean is squared as a numpy scalar, as a
-    cell's own mean is)."""
-    f0_sq = (s1 / bins.n) ** 2
-    return np.array([_dlr(x_a[:, i], f_a, bins, f0_sq) for i in range(x_a.shape[1])])
-
-
 def _block_sums(blocks: dict[int, int], x: np.ndarray) -> dict[int, np.ndarray]:
     """Per cell length n, the sums along x's last axis of its ``c = blocks[n]``
     leading n-row blocks, of shape ``x.shape[:-1] + (c,)``.
@@ -521,38 +514,14 @@ def _block_sums(blocks: dict[int, int], x: np.ndarray) -> dict[int, np.ndarray]:
     }
 
 
-def _block_moments(
-    blocks: dict[int, int], *xs: np.ndarray
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per cell length n, the sums of values and of squares of each leading cell.
-
-    Cell j's values are block j of each of ``xs`` in turn, joined into one
-    row as :func:`estimate_mean_and_variance` joins a lone cell's fA and fB:
-    numpy sums up to 128 values in 8 interleaved accumulators, so for
-    n <= 64 the pooled sum over fA and fB is not the sum of their sums.
-    One buffer holds every length's joined blocks, squared in place after
-    their sum.
-    """
-    w = len(xs)
-    buffer = np.empty(w * max(c * n for n, c in blocks.items()))
-    sums = {}
-    for n, c in blocks.items():
-        joined = buffer[: w * c * n].reshape(c, w * n)
-        np.concatenate([x[: c * n].reshape(c, n) for x in xs], 1, out=joined)
-        s1 = np.add.reduce(joined, -1)
-        sums[n] = s1, np.add.reduce(np.square(joined, out=joined), -1)
-    return sums
-
-
-def _tree_sums(chunk_sums: list[np.ndarray], m: int, c: int) -> np.ndarray:
-    """The sums of c cells of m chunks each, from each chunk's sum in row order.
+def _tree_sums(leaves: np.ndarray, m: int, c: int) -> np.ndarray:
+    """The sums of c cells of m leaves each, from the leaves' sums, leaf first.
 
     numpy sums a run of 2^k values, 2^k > 128, as the sum of its two halves,
-    so a cell of m = 2^j chunks of 2^k >= 128 rows each sums, bit for bit,
-    to the pairwise tree of its chunks' sums.
+    so a cell of m = 2^j leaves of 2^k >= 128 rows each sums, bit for bit,
+    to the pairwise tree of its leaves' sums; a cell of one leaf is its sum.
     """
-    s = np.array(chunk_sums[: c * m])
-    s = s.reshape(c, m, *s.shape[1:])
+    s = leaves[: c * m].reshape(c, m, *leaves.shape[1:])
     while s.shape[1] > 1:
         s = s[:, 0::2] + s[:, 1::2]
     return s[:, 0]
@@ -572,21 +541,24 @@ def estimate_main_index(
     (the layout of :func:`sobolbench.sampling._replicate_layout`).  A cell
     lies within one chunk, or spans 2^j whole chunks of 2^k >= 128 rows.
     Without ``blocks`` one plan's rows are one cell.  The result maps each
-    kind to each n's (c, d) array, whose row j holds the S_i of rows j n to
-    (j + 1) n.
+    kind to each n's C-ordered (c, d) array, whose row j holds the S_i of
+    rows j n to (j + 1) n.
 
-    The set is reduced once for all of its cells.  Each direct formula's
-    per-row term (:func:`_row_term`) is formed once per chunk for all d
-    inputs, and so is ``fAB - fB``; every cell within a chunk takes the sum
-    of its block (:func:`_block_sums`), the same bits as reducing the cell
-    alone, and a longer cell adds its chunks' sums in the tree numpy's
-    pairwise sum makes of them (:func:`_tree_sums`).  A kind that reads B
-    divides by D_hat pooled over fA and fB, sobol and dlr by D_hat of fA
-    alone, and those moments and the mean(fA)^2 that sobol and dlr subtract
-    come from the same sums.  DLR sorts and bins each cell on its own; for
-    a cell longer than a chunk it reads copies of A's columns and fA, the
-    only rows kept beyond their chunk.  Negative D_i_hat values, possible
-    at small N for near-zero indices, are reported as-is.
+    Every cell is reduced one way, as n / L leaves of L = min(n, chunk)
+    rows.  Each chunk sums each of its leaves (:func:`_block_sums`): each
+    direct formula's per-row term (:func:`_row_term`, formed once per chunk
+    for all d inputs, as is ``fAB - fB``), and the values and squares of fA
+    and fB.  A cell's sums are the pairwise tree numpy's own sum makes of
+    its leaves' (:func:`_tree_sums`), the bits of reducing the cell alone.
+    A kind that reads B divides by D_hat pooled over fA and fB, sobol and
+    dlr by D_hat of fA alone, formed only for them; those moments and the
+    mean(fA)^2 that sobol and dlr subtract come from the same sums.  numpy
+    sums the 2n pooled values as fA's n then fB's only for n a multiple of
+    8 above 64, so other cells sum fA and fB joined into one row.
+    DLR sorts and bins each cell on its own once the last chunk is reduced,
+    from copies of A's columns and fA, the only rows kept beyond their
+    chunk.  Negative D_i_hat values, possible at small N for near-zero
+    indices, are reported as-is.
     """
     chunks = iter((plans,) if isinstance(plans, EvaluationPlan) else plans)
     plan = next(chunks)
@@ -602,64 +574,60 @@ def estimate_main_index(
         return n >= 1 and c >= 1 and (n <= size or (n % size == 0 and tree))
 
     cells = {n: c for n, c in blocks.items() if summable(n, c)}
-    outer = {n: c for n, c in cells.items() if n > size}
     direct = [kind for kind in kinds if kind != EstimatorKind.DLR]
     dlr = EstimatorKind.DLR in kinds
     pooled = plan.f_b is not None
-    alone = dlr or EstimatorKind.SOBOL in kinds
-    # Per cell length n: each direct kind's (c, d) term sums, DLR's (c, d)
-    # D_i_hat before the division by D_hat, and the (2, c) sums of values
-    # and of squares of fA alone ("a") and of fA and fB pooled ("ab").
-    sums = {key: {n: np.empty((c, d)) for n, c in cells.items()} for key in kinds}
-    moments = {key: {n: np.empty((2, c)) for n, c in cells.items()} for key in ("a", "ab")}
     bins = {n: bin_schedule(n, bin_count) for n in cells} if dlr else {}
-    # The sums of each chunk in turn, which the cells longer than a chunk add.
-    chunk_sums = {key: [] for key in (*direct, "a", "b")}
-    keep = max((c * n for n, c in outer.items()), default=0) if dlr else 0
+    # Per leaf length L, the number of leading leaves the cells cover, and
+    # the sums of each, leaf first: each direct kind's d term sums, and
+    # those of fA, fA^2 and, with B, fB, fB^2 (key "f").
+    leaves = {}
+    for n, c in cells.items():
+        L = min(n, size)
+        leaves[L] = max(leaves.get(L, 0), c * n // L)
+    widths = {**dict.fromkeys(direct, d), "f": 4 if pooled else 2}
+    sums = {
+        key: {L: np.empty((k, w)) for L, k in leaves.items()} for key, w in widths.items()
+    }
+    # per cell length whose cells pool fA and fB as one joined row, the (2, c)
+    # sums of its rows' values and squares
+    joined = {
+        n: np.empty((2, c)) for n, c in cells.items() if pooled and (n <= 64 or n % 8)
+    }
+    keep = max((c * n for n, c in cells.items()), default=0) if dlr else 0
     x_keep, f_keep = np.empty((keep, d), order="F"), np.empty(keep)
 
     def add(plan, start):
-        """Reduce the chunk of rows ``start`` onward into the cells' sums."""
+        """Reduce the chunk of rows ``start`` onward into its leaves' sums."""
         if plan.x_a.shape != (size, d):
             raise ValueError("the chunks of a set must have the same number of rows")
-        here = {}  # the cells within this chunk: n -> (first cell, count)
-        for n, c in cells.items():
-            if n <= size and start // n < c:
-                here[n] = start // n, min(size // n, c - start // n)
-        inner = {n: k for n, (_, k) in here.items()}
-        local = {**inner, size: 1} if outer else inner
+        # per leaf length L, the count of this chunk's leaves, from leaf start // L
+        counts = {
+            L: min(size // L, k - start // L) for L, k in leaves.items() if start // L < k
+        }
         f_a, f_b = plan.f_a, plan.f_b
         diff = None if f_b is None else plan.f_ab - f_b
-        for kind in direct:
-            # no local holds a kind's terms, so one kind's are alive at a time
-            got = _block_sums(local, _row_term(kind, f_a, plan.f_ab, diff, plan.f_ca, f0))
-            for n, (j, k) in here.items():
-                sums[kind][n][j : j + k] = got[n].T
-            if outer:
-                chunk_sums[kind].append(got[size][:, 0])
-        if outer:
-            for key, f in (("a", f_a), ("b", f_b)):
-                if f is not None:
-                    chunk_sums[key].append(
-                        np.array([np.add.reduce(f), np.add.reduce(np.square(f))])
-                    )
+
+        def values(key):
+            """The per-row values whose leaf sums ``key`` holds."""
+            if key != "f":
+                return _row_term(key, f_a, plan.f_ab, diff, plan.f_ca, f0)
+            outputs = (f_a, f_b) if pooled else (f_a,)
+            return np.array([y for x in outputs for y in (x, x * x)])
+
+        for key in sums:
+            # no local holds a key's values, so one key's are alive at a time
+            got = _block_sums(counts, values(key))
+            for L, k in counts.items():
+                sums[key][L][start // L : start // L + k] = got[L].T
+        for n in joined.keys() & counts.keys():
+            # each cell's fA and fB joined into one row, as a lone cell's are
+            k = counts[n]
+            x = np.concatenate([f_a[: k * n].reshape(k, n), f_b[: k * n].reshape(k, n)], 1)
+            joined[n][:, start // n : start // n + k] = np.add.reduce([x, x * x], -1)
         if start < keep:
-            x_keep[start : start + size] = plan.x_a
-            f_keep[start : start + size] = f_a
-        if not here:
-            return
-        for key, fs, wanted in (("ab", (f_a, f_b), pooled), ("a", (f_a,), alone)):
-            if wanted:
-                got = _block_moments(inner, *fs)
-                for n, (j, k) in here.items():
-                    moments[key][n][:, j : j + k] = got[n]
-        if dlr:
-            for n, (j, k) in here.items():
-                for jj, s1 in enumerate(moments["a"][n][0, j : j + k]):
-                    cell = slice(jj * n, (jj + 1) * n)
-                    sums[EstimatorKind.DLR][n][j + jj] = _dlr_cell(
-                        plan.x_a[cell], f_a[cell], bins[n], s1
-                    )
+            x_keep[start : start + size] = plan.x_a[: keep - start]
+            f_keep[start : start + size] = f_a[: keep - start]
 
     rows = 0
     while plan is not None:
@@ -671,35 +639,31 @@ def estimate_main_index(
         if n not in cells or c * n > rows or (n <= size < rows and size % n):
             raise ValueError(f"{c} blocks of {n} rows do not fit a set of {rows}")
 
-    for n, c in outer.items():
-        m = n // size
-        for kind in direct:
-            sums[kind][n][:] = _tree_sums(chunk_sums[kind], m, c)
-        moments["a"][n][:] = _tree_sums(chunk_sums["a"], m, c).T
+    def d_hats(s1, s2, m):
+        """D_hat of each cell, from its sums of values and squares of m outputs."""
+        return np.array([_moments(a, b, m)[1] for a, b in zip(s1, s2)])
+
+    estimates = {kind: {} for kind in kinds}
+    for n, c in cells.items():
+        L = min(n, size)
+        f = _tree_sums(sums["f"][L], n // L, c)  # (c, 4 or 2): fA, fA^2[, fB, fB^2]
+        # each cell's mean(fA)^2, squared as a numpy scalar as a lone cell's is
+        f0_sq = np.array([(s1 / n) ** 2 for s1 in f[:, 0]])
+        if dlr or EstimatorKind.SOBOL in kinds:
+            d_a = d_hats(f[:, 0], f[:, 1], n)
         if pooled:
-            moments["ab"][n][:] = moments["a"][n] + _tree_sums(chunk_sums["b"], m, c).T
-        if dlr:
-            for j, s1 in enumerate(moments["a"][n][0]):
-                cell = slice(j * n, (j + 1) * n)
-                sums[EstimatorKind.DLR][n][j] = _dlr_cell(
-                    x_keep[cell], f_keep[cell], bins[n], s1
-                )
-
-    def d_hat(key, w):
-        """D_hat of each cell, from the sums of its blocks of w arrays."""
-        return {
-            n: np.array([_moments(a, b, w * n)[1] for a, b in zip(*s)])
-            for n, s in moments[key].items()
-        }
-
-    d_a = d_hat("a", 1) if alone else None
-    d_pooled = d_hat("ab", 2) if pooled else None
-    for kind, estimates in sums.items():
-        for n, s in estimates.items():
-            if kind != EstimatorKind.DLR:
-                s /= n
+            s = joined[n] if n in joined else (f[:, 0] + f[:, 2], f[:, 1] + f[:, 3])
+            d_pooled = d_hats(*s, 2 * n)
+        for kind in direct:
+            s = _tree_sums(sums[kind][L], n // L, c) / n
             if kind == EstimatorKind.SOBOL:
-                # mean(fA)^2 squared as a numpy scalar, as a cell's own mean is
-                s -= np.array([(s1 / n) ** 2 for s1 in moments["a"][n][0]])[:, None]
-            s /= (d_pooled if "b" in _OUTPUT_BLOCKS[kind] else d_a)[n][:, None]
-    return sums
+                s -= f0_sq[:, None]
+            s /= (d_pooled if "b" in _OUTPUT_BLOCKS[kind] else d_a)[:, None]
+            estimates[kind][n] = s
+        if dlr:
+            s = np.empty((c, d))
+            for j in range(c):
+                x, f_a = x_keep[j * n : (j + 1) * n], f_keep[j * n : (j + 1) * n]
+                s[j] = [_dlr(x[:, i], f_a, bins[n], f0_sq[j]) for i in range(d)]
+            estimates[EstimatorKind.DLR][n] = s / d_a[:, None]
+    return estimates

@@ -8,8 +8,10 @@ ladder (see :func:`sobolbench.sampling._replicate_layout`), so a ladder
 evaluates only its top rung, and each top-rung set is reduced once for
 every cell it holds.  A set is drawn, transformed, evaluated and reduced
 in chunks of ``_CHUNK_ROWS`` rows, one chunk at a time, so its memory is
-set by the chunk, not by N_top.  The root-mean-square error of each
-estimator's S_i against the model's analytic value is recorded:
+set by the chunk, not by N_top, beside the copies of A's columns and fA
+that DLR sorts.  Every cell of N rows is reduced as leaves of min(N,
+chunk) rows summed in one pairwise tree.  The root-mean-square error of
+each estimator's S_i against the model's analytic value is recorded:
 
     eps_i(N) = sqrt( (1/K) * sum_k (S_i_hat[k] - S_i_analytic)^2 )
 
@@ -187,8 +189,9 @@ class RateFit:
 
 
 def rmse_against(estimates: np.ndarray, analytic: np.ndarray) -> np.ndarray:
-    """Per-input RMSE of a (K, d) block of estimates against the d references."""
-    est = np.atleast_2d(np.asarray(estimates, dtype=float))
+    """Per-input RMSE of a (K, d) block of estimates against the d references,
+    summed over K in one order whatever the block's memory layout."""
+    est = np.ascontiguousarray(np.atleast_2d(estimates), dtype=float)
     ref = np.asarray(analytic, dtype=float)
     return np.sqrt(((est - ref) ** 2).mean(axis=0))
 
@@ -331,6 +334,7 @@ def run_benchmark(
         for p in range(cfg.p_min, cfg.p_max + 1):
             n = 1 << p
             block = np.concatenate([r[kind][n] for r in results if n in r[kind]])
+            block = np.ascontiguousarray(block)  # sums over K in one order
             rmse = rmse_against(block, model.analytic_main)
             mean_est = block.mean(axis=0)
             actual, table1 = cost(kind, model.d, n)

@@ -242,6 +242,18 @@ def test_constant_model_degenerate():
         estimate_mean_and_variance(np.array([]))
 
 
+@pytest.mark.parametrize("kind", [EstimatorKind.SK, EstimatorKind.OWEN, EstimatorKind.ORACLE])
+def test_constant_fa_degenerates_only_the_kinds_that_divide_by_its_variance(kind):
+    # D_hat of fA alone is formed only when sobol or dlr reads it: a kind
+    # that divides by D_hat pooled over fA and fB gives estimates at every
+    # cell of a set whose fA is constant and whose fB varies
+    plan = dataclasses.replace(_plan(build("Ishigami"), kind, 256), f_a=np.full(256, 2.0))
+    got = estimate_main_index(plan, {256: 1, 128: 2, 16: 16})
+    assert all(np.isfinite(s).all() for s in got[kind].values())
+    with pytest.raises(DegenerateModelError):
+        estimate_main_index(dataclasses.replace(plan, kinds=(kind, EstimatorKind.SOBOL)))
+
+
 def test_ishigami_variance_estimate():
     m = build("Ishigami")
     plan = _plan(m, EstimatorKind.SK, 1 << 16)
@@ -359,7 +371,8 @@ def test_cell_reduction_equals_public_formulas(name, sampler, n):
     # D_hat, pooled over fA and fB for the kinds that read B, bit for bit;
     # at n <= 64 the pooled sums are not the sums of fA's and fB's
     model = build(name)
-    plan = build_plan(ALL_KINDS, evaluation_set(model, ALL_KINDS, n, sampler))
+    bins = None if n & (n - 1) == 0 else 6
+    plan = build_plan(ALL_KINDS, evaluation_set(model, ALL_KINDS, n, sampler), bins)
     cell = _reduce(plan)
     a, b, ab, ca = plan.f_a, plan.f_b, plan.f_ab, plan.f_ca
     _, d_pooled = estimate_mean_and_variance(a, b)
@@ -380,6 +393,13 @@ def test_cell_reduction_equals_public_formulas(name, sampler, n):
     }
     for kind in ALL_KINDS:
         assert np.array_equal(_bits(cell[kind]), _bits(np.array(want[kind]))), kind
+
+
+@pytest.mark.parametrize("name,n", [("GFunc10B", 66), ("Ishigami", 300)])
+def test_cell_reduction_equals_public_formulas_off_multiples_of_8(name, n):
+    # numpy splits 2n > 128 pooled values at n - n % 8, in halves only when
+    # 8 divides n, so these cells' pooled sums are one joined row's too
+    test_cell_reduction_equals_public_formulas(name, MC, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -704,20 +724,42 @@ def test_evaluation_set_rejects_mismatched_use():
         build_plan((EstimatorKind.SK, EstimatorKind.OWEN), evaluations)
 
 
-@pytest.mark.parametrize("p", range(8, 17))
+@pytest.mark.parametrize("p", range(4, 17))
 def test_chunk_sum_tree_equals_numpy_sum(p):
-    # a cell longer than a chunk adds its chunks' sums in a pairwise tree,
-    # which for 2^p values in chunks of 2^k >= 128 is numpy's own sum, bit
-    # for bit: of one cell, and of each of 4 cells side by side
+    # a cell of m leaves adds its leaves' sums, leaf first, in a pairwise
+    # tree, which for 2^p values in leaves of 2^k >= 128 is numpy's own sum,
+    # bit for bit: of one cell, and of each of 4 cells side by side, for the
+    # values and their squares at once; a cell of one leaf (m = 1) is its sum
     rng = np.random.default_rng(p)
     n = 1 << p
     x = rng.standard_normal(4 * n) * 10.0 ** rng.uniform(-8, 8, 4 * n) + 3.0
-    want = np.add.reduce(x.reshape(4, n), -1).view(np.uint64)
-    for leaf in (1 << k for k in range(7, min(p, 13) + 1)):
-        chunk_sums = list(np.add.reduce(x.reshape(-1, leaf), -1))
-        assert _tree_sums(chunk_sums, n // leaf, 1).view(np.uint64) == want[0], leaf
-        got = _tree_sums(chunk_sums, n // leaf, 4).view(np.uint64)
+    x = np.stack([x, x * x])
+    want = np.add.reduce(x.reshape(2, 4, n), -1).T.view(np.uint64)
+    for leaf in {n, *(1 << k for k in range(7, min(p, 13) + 1))}:
+        leaves = np.add.reduce(x.reshape(2, -1, leaf), -1).T
+        got = _tree_sums(leaves, n // leaf, 1).view(np.uint64)
+        assert np.array_equal(got, want[:1]), leaf
+        got = _tree_sums(leaves, n // leaf, 4).view(np.uint64)
         assert np.array_equal(got, want), leaf
+
+
+def test_pooled_sums_are_the_sums_of_fa_and_fb_past_64_rows():
+    # numpy sums 2n > 128 values as two halves split at n - n % 8, so for
+    # power-of-two n >= 128 the joined row of fA and fB sums, values and
+    # squares, to sum(fA) + sum(fB) bit for bit; at n = 64 (8 interleaved
+    # accumulators) and at n = 100 (split at 96) some row does not, so
+    # those cells pool one joined row
+    rng = np.random.default_rng(5)
+    differs = set()
+    for n in [1 << p for p in range(1, 15)] + [100]:
+        for _ in range(20):
+            f = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8, 8, (2, n)) + 3.0
+            for x in (f, f * f):
+                joined = np.add.reduce(x.reshape(-1)).view(np.uint64)
+                if joined != (np.add.reduce(x[0]) + np.add.reduce(x[1])).view(np.uint64):
+                    differs.add(n)
+    assert 64 in differs and 100 in differs
+    assert max(differs - {100}) == 64
 
 
 def test_set_reduction_refuses_blocks_that_do_not_fit():

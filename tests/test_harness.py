@@ -777,16 +777,17 @@ def _set_peak_bytes(test, sampler, kinds, p_max):
 
 
 def test_set_peak_memory_is_set_by_the_chunk():
-    # a 2^16-row ParkAhn7 MC all-five set (d = 7) holds at once one chunk's
-    # 3d-column draw, its outputs (fA, fB and the d rows each of AB_i and
-    # CA_i) and the reduction's d rows each of fAB_i - fB and of one
-    # formula's terms, beside the copies of A's columns and fA that its DLR
-    # cells longer than a chunk read: 8 N (d + 1) bytes
-    n, d, rows = 1 << 16, 7, harness._CHUNK_ROWS
-    assert rows < n
+    # a ParkAhn7 MC all-five set (d = 7) of 2^16 rows, or of one chunk,
+    # holds at once one chunk's 3d-column draw, its outputs (fA, fB and the
+    # d rows each of AB_i and CA_i) and the reduction's d rows each of
+    # fAB_i - fB and of one formula's terms, beside the copies of A's
+    # columns and fA that its DLR cells read: 8 N (d + 1) bytes
+    d, rows = 7, harness._CHUNK_ROWS
     chunk = 8 * rows * (3 * d + 2 + 2 * d + 2 * d)
-    peak = _set_peak_bytes("ParkAhn7", "MC", tuple(EstimatorKind), 16)
-    assert peak < 1.2 * (8 * n * (d + 1) + chunk)
+    for n in (1 << 16, rows):
+        assert rows <= n
+        peak = _set_peak_bytes("ParkAhn7", "MC", tuple(EstimatorKind), n.bit_length() - 1)
+        assert peak < 1.2 * (8 * n * (d + 1) + chunk), n
 
 
 @pytest.mark.parametrize("test,sampler", [("ParkAhn7", "MC"), ("GFunc10A", "QMC")])
@@ -797,6 +798,32 @@ def test_set_without_dlr_peak_memory_does_not_grow_with_n(test, sampler):
     assert harness._CHUNK_ROWS <= 1 << 14
     small = _set_peak_bytes(test, sampler, kinds, 14)
     assert _set_peak_bytes(test, sampler, kinds, 16) <= 1.1 * small
+
+
+def test_records_do_not_depend_on_the_layout_of_the_estimates(monkeypatch):
+    # numpy sums K values in an order set by their memory layout, so a
+    # K = 10 ladder whose set reductions return F-ordered copies writes the
+    # same records: each (K, d) block is made C-ordered before it is summed
+    cfg = BenchmarkConfig(
+        test="Ishigami", estimators=tuple(EstimatorKind), sampler="QMC",
+        p_min=4, p_max=7, k=10,
+    )
+    want = run_benchmark(cfg, threads=1)
+    reduce = harness.estimate_main_index
+
+    def f_ordered(plans, blocks):
+        estimates = reduce(plans, blocks)
+        return {
+            kind: {n: np.asfortranarray(a) for n, a in s.items()}
+            for kind, s in estimates.items()
+        }
+
+    monkeypatch.setattr(harness, "estimate_main_index", f_ordered)
+    assert run_benchmark(cfg, threads=1) == want
+    block = np.random.default_rng(3).standard_normal((10, 7))
+    want = rmse_against(block, np.zeros(7)).view(np.uint64)
+    got = rmse_against(np.asfortranarray(block), np.zeros(7)).view(np.uint64)
+    assert np.array_equal(got, want)
 
 
 def _assert_cells_match_standalone_plans(
