@@ -288,6 +288,28 @@ def _outputs(model: InputModel, x: dict[str, np.ndarray], block: str) -> np.ndar
     return out
 
 
+def _set_blocks(kinds: Sequence[EstimatorKind]) -> tuple[list[str], list[str]]:
+    """The output blocks ``kinds`` read, in evaluation order, and the base
+    matrices those blocks read, in draw order."""
+    blocks = list(dict.fromkeys(b for kind in kinds for b in _OUTPUT_BLOCKS[kind]))
+    return blocks, sorted(set("".join(blocks)))
+
+
+def _row_bytes(kinds: Sequence[EstimatorKind], d: int) -> int:
+    """Bytes per row of a chunk of a set of ``kinds`` on d inputs, at most.
+
+    A chunk holds 8 bytes for each of its draw's W d columns and each output
+    value of its blocks (d for "ab" and "ca", one for "a" and "b"), and
+    with B, the d rows each of ``fAB - fB`` and of one formula's terms that
+    its reduction forms (see :func:`estimate_main_index`).
+    """
+    blocks, matrices = _set_blocks(kinds)
+    values = len(matrices) * d + sum(d if len(b) == 2 else 1 for b in blocks)
+    if "b" in matrices:
+        values += 2 * d
+    return 8 * values
+
+
 def evaluation_set(
     model: InputModel,
     kinds: Sequence[EstimatorKind],
@@ -313,8 +335,7 @@ def evaluation_set(
     ``transform_correlated_normal``'s dims check.
     """
     d = model.d
-    blocks = dict.fromkeys(b for kind in kinds for b in _OUTPUT_BLOCKS[kind])
-    matrices = sorted(set("".join(blocks)))
+    blocks, matrices = _set_blocks(kinds)
     width = len(matrices)
     u = generate_uniform(sampler, n, width * d, start, stop)
     if model.covariance is not None:
@@ -545,18 +566,21 @@ def estimate_main_index(
     rows j n to (j + 1) n.
 
     Every cell is reduced one way, as n / L leaves of L = min(n, chunk)
-    rows.  Each chunk sums each of its leaves (:func:`_block_sums`): each
-    direct formula's per-row term (:func:`_row_term`, formed once per chunk
-    for all d inputs, as is ``fAB - fB``), and the values and squares of fA
-    and fB.  A cell's sums are the pairwise tree numpy's own sum makes of
-    its leaves' (:func:`_tree_sums`), the bits of reducing the cell alone.
-    A kind that reads B divides by D_hat pooled over fA and fB, sobol and
-    dlr by D_hat of fA alone, formed only for them; those moments and the
-    mean(fA)^2 that sobol and dlr subtract come from the same sums.  numpy
-    sums the 2n pooled values as fA's n then fB's only for n a multiple of
-    8 above 64, so other cells sum fA and fB joined into one row.
-    DLR sorts and bins each cell on its own once the last chunk is reduced,
-    from copies of A's columns and fA, the only rows kept beyond their
+    rows.  Each chunk's A columns and fA are first copied into the rows
+    DLR keeps, and the chunk's plan is dropped: its x_a is the last
+    reference to the chunk's draw, so the draw is freed before any term is
+    formed.  Each chunk then sums each of its leaves (:func:`_block_sums`):
+    each direct formula's per-row term (:func:`_row_term`, formed once per
+    chunk for all d inputs, as is ``fAB - fB``), and the values and squares
+    of fA and fB.  A cell's sums are the pairwise tree numpy's own sum
+    makes of its leaves' (:func:`_tree_sums`), the bits of reducing the
+    cell alone.  A kind that reads B divides by D_hat pooled over fA and
+    fB, sobol and dlr by D_hat of fA alone, formed only for them; those
+    moments and the mean(fA)^2 that sobol and dlr subtract come from the
+    same sums.  numpy sums the 2n pooled values as fA's n then fB's only
+    for n a multiple of 8 above 64, so other cells sum fA and fB joined
+    into one row.  DLR sorts and bins each cell on its own once the last
+    chunk is reduced, from those copies, the only rows kept beyond their
     chunk.  Negative D_i_hat values, possible at small N for near-zero
     indices, are reported as-is.
     """
@@ -597,21 +621,19 @@ def estimate_main_index(
     keep = max((c * n for n, c in cells.items()), default=0) if dlr else 0
     x_keep, f_keep = np.empty((keep, d), order="F"), np.empty(keep)
 
-    def add(plan, start):
-        """Reduce the chunk of rows ``start`` onward into its leaves' sums."""
-        if plan.x_a.shape != (size, d):
-            raise ValueError("the chunks of a set must have the same number of rows")
+    def add(start, f_a, f_b, f_ab, f_ca):
+        """Reduce the outputs of the chunk of rows ``start`` onward into its
+        leaves' sums."""
         # per leaf length L, the count of this chunk's leaves, from leaf start // L
         counts = {
             L: min(size // L, k - start // L) for L, k in leaves.items() if start // L < k
         }
-        f_a, f_b = plan.f_a, plan.f_b
-        diff = None if f_b is None else plan.f_ab - f_b
+        diff = None if f_b is None else f_ab - f_b
 
         def values(key):
             """The per-row values whose leaf sums ``key`` holds."""
             if key != "f":
-                return _row_term(key, f_a, plan.f_ab, diff, plan.f_ca, f0)
+                return _row_term(key, f_a, f_ab, diff, f_ca, f0)
             outputs = (f_a, f_b) if pooled else (f_a,)
             return np.array([y for x in outputs for y in (x, x * x)])
 
@@ -625,15 +647,21 @@ def estimate_main_index(
             k = counts[n]
             x = np.concatenate([f_a[: k * n].reshape(k, n), f_b[: k * n].reshape(k, n)], 1)
             joined[n][:, start // n : start // n + k] = np.add.reduce([x, x * x], -1)
-        if start < keep:
-            x_keep[start : start + size] = plan.x_a[: keep - start]
-            f_keep[start : start + size] = f_a[: keep - start]
 
     rows = 0
     while plan is not None:
-        add(plan, rows)
+        if plan.x_a.shape != (size, d):
+            raise ValueError("the chunks of a set must have the same number of rows")
+        if rows < keep:
+            x_keep[rows : rows + size] = plan.x_a[: keep - rows]
+            f_keep[rows : rows + size] = plan.f_a[: keep - rows]
+        outputs = plan.f_a, plan.f_b, plan.f_ab, plan.f_ca
+        # the plan's x_a is the last reference to the chunk's draw, so the
+        # draw is freed here, before the reduction forms its terms
+        plan = None
+        add(rows, *outputs)
         rows += size
-        plan = None  # drop the chunk's arrays before the next chunk is drawn
+        outputs = None  # and the outputs, before the next chunk is drawn
         plan = next(chunks, None)
     for n, c in blocks.items():
         if n not in cells or c * n > rows or (n <= size < rows and size % n):

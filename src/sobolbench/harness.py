@@ -7,11 +7,13 @@ outputs.  Each run at N is a row block of a top-rung run, drawn once per
 ladder (see :func:`sobolbench.sampling._replicate_layout`), so a ladder
 evaluates only its top rung, and each top-rung set is reduced once for
 every cell it holds.  A set is drawn, transformed, evaluated and reduced
-in chunks of ``_CHUNK_ROWS`` rows, one chunk at a time, so its memory is
-set by the chunk, not by N_top, beside the copies of A's columns and fA
-that DLR sorts.  Every cell of N rows is reduced as leaves of min(N,
-chunk) rows summed in one pairwise tree.  The root-mean-square error of
-each estimator's S_i against the model's analytic value is recorded:
+in chunks of as many rows as fit ``_CHUNK_BYTES``, one chunk at a time,
+and each chunk's draw is freed before the chunk is reduced, so a set's
+memory is set by the chunk, not by N_top or the model's width, beside the
+copies of A's columns and fA that DLR sorts.  Every cell of N rows is
+reduced as leaves of min(N, chunk) rows summed in one pairwise tree.  The
+root-mean-square error of each estimator's S_i against the model's
+analytic value is recorded:
 
     eps_i(N) = sqrt( (1/K) * sum_k (S_i_hat[k] - S_i_analytic)^2 )
 
@@ -37,6 +39,7 @@ from .estimators import (
     _check_bin_count,
     _check_kinds,
     _kind_list,
+    _row_bytes,
     build_plan,
     cost,
     estimate_main_index,
@@ -68,24 +71,23 @@ THREADS_ENV_VAR = "SOBOLBENCH_THREADS"
 # (exact-zero analytic indices can produce them) and are dropped from fits.
 MIN_FIT_RMSE = 1e-14
 
-# Rows of a set drawn, transformed, evaluated and reduced at a time: a
-# power of two of at least 128 (see estimators.estimate_main_index), so a
-# set's memory is set by the chunk, not by its length.  Measured on the
-# ParkAhn7 MC (2 threads) and GFunc10A QMC ladders of perfbench/: 2^13
-# held 7 and 4 MB less at peak but took 3-17% longer on ParkAhn7, and
-# 2^12 took longer again on both; one chunk of 2^15 rows or more faults
-# its pages in again (see below).
-_CHUNK_ROWS = 1 << 14
+# Bytes a chunk of a set may hold (see _chunk_rows), so a set's memory is
+# set by the chunk, not by its length or its model's width.  Measured on
+# the ParkAhn7 MC (2 threads) and GFunc10A QMC ladders of perfbench/ with
+# all five estimators: ParkAhn7, whose per-chunk cost is high, took 6-13%
+# longer in chunks of 2^13 rows than of 2^14 (its 51 values a row fit
+# 2^14), and GFunc10A peaked about 5 MB lower in chunks of 2^13 rows (its
+# 72 values a row fit 2^13) than of 2^14, at the same ladder time.
+_CHUNK_BYTES = 1 << 23
 
 # glibc's malloc hands the free top of its heap back to the system once it
 # exceeds twice the largest mmapped block freed so far, and serves blocks
-# above that largest size by mmap.  A chunk frees up to about 9 MB of
-# arrays, over twice its largest one (the 4 MB draw), so without a larger
-# block freed first every chunk faulted its pages in again: about 30,000
-# minor faults and 20% of the time of a GFunc10A QMC ladder.  Freeing one
-# 8 MB block raises both thresholds for the process; other allocators
-# ignore it.
-np.empty(1 << 20)
+# above that largest size by mmap.  A chunk allocates at most _CHUNK_BYTES
+# in all, so once a block of that size is freed, every chunk's arrays come
+# from the heap and the heap is never trimmed between chunks; without it
+# every chunk faulted its pages in again: about 15,000 minor faults and
+# 15-40% more time on a GFunc10A QMC ladder.  Other allocators ignore it.
+np.empty(_CHUNK_BYTES // 8)
 
 
 class _TooFewPoints(ValueError):
@@ -254,16 +256,33 @@ def _set_plans(
 
     Each chunk is drawn, transformed and evaluated (see
     :func:`sobolbench.estimators.evaluation_set`) only when the reduction
-    asks for it.  A power-of-two run is cut into chunks of ``_CHUNK_ROWS``
-    rows; a shorter run, or one of another length, is one chunk.
+    asks for it, and its draw is freed before the chunk is reduced.  A
+    power-of-two run is cut into chunks of :func:`_chunk_rows` rows.
     """
-    rows = min(n, _CHUNK_ROWS) if n & (n - 1) == 0 else n
+    rows = _chunk_rows(model, kinds, n)
     for start in range(0, n, rows):
         # No local holds the chunk's set, so its arrays are freed once the
         # reduction drops its plan, before the next chunk is drawn.
         yield build_plan(
             kinds, evaluation_set(model, kinds, n, sampler, start, start + rows), bin_count
         )
+
+
+def _chunk_rows(model: InputModel, kinds: Sequence[EstimatorKind], n: int) -> int:
+    """Rows per chunk of the n-point run of a set of ``kinds`` on ``model``.
+
+    The largest power of two of at least 128 rows (so that leaves sum into
+    longer cells, see :func:`sobolbench.estimators._tree_sums`) whose
+    bytes (:func:`sobolbench.estimators._row_bytes`) fit ``_CHUNK_BYTES``.
+    A shorter run, or one whose length is not a power of two, is one
+    chunk, so its memory grows with n.
+    """
+    if n & (n - 1):
+        return n
+    rows, row_bytes = 128, _row_bytes(kinds, model.d)
+    while 2 * rows * row_bytes <= _CHUNK_BYTES:
+        rows *= 2
+    return min(n, rows)
 
 
 def _draw_groups(cfg: BenchmarkConfig) -> list[dict[int, int]]:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 import scipy
 
-from sobolbench import harness
+from sobolbench import estimators, harness
 from sobolbench.cli import write_records_csv
 from sobolbench.estimators import EstimatorKind
 from sobolbench.harness import BenchmarkConfig, run_benchmark
@@ -147,12 +147,21 @@ def test_long_ladder_records_match_golden_hash(tmp_path, test, sampler):
 def test_long_ladder_in_chunks_of_128_rows_matches_golden_hash(
     tmp_path, monkeypatch, test, sampler
 ):
-    # each 512-row top-rung set drawn, evaluated and reduced in 4 chunks,
-    # its cells of 256 and 512 rows summed from leaves of one chunk each,
+    # each 512-row top-rung set drawn, evaluated and reduced in 4 chunks of
+    # 128 rows (the least a chunk takes, under a budget of no bytes), its
+    # cells of 256 and 512 rows summed from leaves of one chunk each,
     # writes the same records
     want = _pinned_digest(GOLDEN_LONG[(test, sampler)])
-    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
+    draws, draw = [], estimators.generate_uniform
+
+    def counted_draw(spec, n, dims, start, stop):
+        draws.append((spec.run_index, start, stop))
+        return draw(spec, n, dims, start, stop)
+
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 0)
+    monkeypatch.setattr(estimators, "generate_uniform", counted_draw)
     assert _records_sha256(tmp_path, test, tuple(EstimatorKind), sampler, 6, 9) == want
+    assert draws == [(k, r, r + 128) for k in range(3) for r in range(0, 512, 128)]
 
 
 @pinned

@@ -1,7 +1,10 @@
 """Benchmark protocol: replicate RMSE, rate fitting, cost accounting."""
 
 import dataclasses
+import itertools
+import platform
 import re
+import resource
 import tracemalloc
 import weakref
 
@@ -440,7 +443,7 @@ def test_qmc_ladder_evaluates_only_its_top_rung(counted, monkeypatch):
     # transforms and evaluates only its K top runs, each row once: 2 model
     # calls (A and B; AB_i and CA_i come from the model's column factors)
     # per chunk, 2 chunks per run of N_top = 256 rows
-    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 0)  # 128-row chunks
     cfg = BenchmarkConfig(
         test="GFunc10A", estimators=tuple(EstimatorKind), sampler="QMC",
         p_min=4, p_max=8, k=3,
@@ -463,7 +466,7 @@ def test_mc_ladder_evaluates_every_cell(counted, monkeypatch):
     )
     run_benchmark(cfg)
     assert counted["rows"] == [128] * 3 * 16
-    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 0)  # 128-row chunks
     counted["rows"].clear(), counted["draws"].clear()
     run_benchmark(dataclasses.replace(cfg, p_max=8))
     assert counted["rows"] == [128] * 3 * 2 * 16
@@ -502,7 +505,7 @@ def test_mc_lower_cells_make_no_model_call(monkeypatch):
         reduced.append((chunks, s))
         return s
 
-    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 0)  # 128-row chunks
     monkeypatch.setattr(harness, "build", lambda test: dataclasses.replace(base, f=f))
     monkeypatch.setattr(harness, "evaluation_set", counted_set)
     monkeypatch.setattr(harness, "estimate_main_index", counted_reduce)
@@ -571,12 +574,23 @@ def test_set_reduction_equals_each_cell_alone(test, sampler, data):
                     harness._run_group(model, cfg, top, blocks)
                 break
         else:
-            # the set in one chunk, and in chunks of 128 rows: a standalone
-            # cell (one chunk) has the bits of its cell either way
-            for chunk in (harness._CHUNK_ROWS, 128):
+            # the set in one chunk, and in chunks of 128 rows (under a budget
+            # of no bytes): a standalone cell (one chunk) has the bits of its
+            # cell either way
+            n_top = 1 << p_max
+            for budget, chunk in ((harness._CHUNK_BYTES, n_top), (0, min(n_top, 128))):
+                rows = []
+
+                def plan(*args):
+                    made = estimators.build_plan(*args)
+                    rows.append(made.x_a.shape[0])
+                    return made
+
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(harness, "_CHUNK_ROWS", chunk)
+                    patch.setattr(harness, "_CHUNK_BYTES", budget)
+                    patch.setattr(harness, "build_plan", plan)
                     reduced = harness._run_group(model, cfg, top, blocks)
+                assert rows == [chunk] * (n_top // chunk)
                 assert list(reduced) == list(kinds)
                 for kind in kinds:
                     assert {n: len(s) for n, s in reduced[kind].items()} == blocks
@@ -602,7 +616,7 @@ def test_mc_ladder_draws_each_run_once(counted, test, kinds, width, monkeypatch)
     run_benchmark(cfg)
     assert counted["draws"] == _chunk_draws(3, 128, 128, width)
     assert counted["transformed"] == [128 * width] * 3
-    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 0)  # 128-row chunks
     counted["draws"].clear(), counted["transformed"].clear()
     run_benchmark(dataclasses.replace(cfg, p_max=9))
     assert counted["draws"] == _chunk_draws(3, 512, 128, width)
@@ -663,7 +677,7 @@ def test_qmc_dlr_only_draws_d_columns(counted, monkeypatch):
     assert counted["draws"] == _chunk_draws(3, 256, 256, 4)
     assert counted["transformed"] == [256 * 4] * 3
     assert counted["f"] == 3
-    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 0)  # 128-row chunks
     run_benchmark(_one_rung("DepQuad4", (EstimatorKind.DLR,), "QMC", p=8, k=3))
     assert counted["draws"][3:] == _chunk_draws(3, 256, 128, 4)
     assert counted["f"] == 3 + 6
@@ -726,7 +740,7 @@ def test_cell_fills_one_set_of_outputs_at_a_time(tracked):
     assert all(r() is None for r in handed_out[0])  # nor any of its outputs
 
 
-def test_mc_ladder_keeps_one_cell_of_outputs_alive(tracked, monkeypatch):
+def test_mc_ladder_keeps_one_cell_of_outputs_alive(tracked, counted, monkeypatch):
     # the cells of an MC replicate reduce row slices of its top-rung set,
     # and none of its outputs outlive the run: over a ParkAhn7 ladder
     # (p = 4..6, K = 2) on one thread at most one replicate's top-rung
@@ -747,9 +761,10 @@ def test_mc_ladder_keeps_one_cell_of_outputs_alive(tracked, monkeypatch):
     assert sum(bool(refs) for refs in handed_out) == 2  # one set per replicate
     assert len(live) == 0
     assert all(r() is None for refs in handed_out for r in refs)
-    monkeypatch.setattr(harness, "_CHUNK_ROWS", 128)
-    sets_alive.clear(), handed_out.clear()
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 0)  # 128-row chunks
+    sets_alive.clear(), handed_out.clear(), counted["draws"].clear()
     run_benchmark(dataclasses.replace(cfg, p_max=9), threads=1)
+    assert counted["draws"] == _chunk_draws(2, 512, 128, 21)
     assert len(sets_alive) == 2 * 4 * 16
     assert max(sets_alive) == 1
     assert sum(bool(refs) for refs in handed_out) == 2 * 4  # one set per chunk
@@ -777,17 +792,22 @@ def _set_peak_bytes(test, sampler, kinds, p_max):
 
 
 def test_set_peak_memory_is_set_by_the_chunk():
-    # a ParkAhn7 MC all-five set (d = 7) of 2^16 rows, or of one chunk,
-    # holds at once one chunk's 3d-column draw, its outputs (fA, fB and the
-    # d rows each of AB_i and CA_i) and the reduction's d rows each of
-    # fAB_i - fB and of one formula's terms, beside the copies of A's
-    # columns and fA that its DLR cells read: 8 N (d + 1) bytes
-    d, rows = 7, harness._CHUNK_ROWS
-    chunk = 8 * rows * (3 * d + 2 + 2 * d + 2 * d)
-    for n in (1 << 16, rows):
-        assert rows <= n
-        peak = _set_peak_bytes("ParkAhn7", "MC", tuple(EstimatorKind), n.bit_length() - 1)
-        assert peak < 1.2 * (8 * n * (d + 1) + chunk), n
+    # a ParkAhn7 MC or GFunc10A QMC all-five set of 2^16 rows, or of one
+    # chunk, holds at once the copies of A's columns and fA that its DLR
+    # cells read, 8 N (d + 1) bytes, and one chunk's 3d-column draw and
+    # outputs (fA, fB and the d rows each of AB_i and CA_i): the draw is
+    # freed before the chunk's reduction forms its d rows each of
+    # fAB_i - fB and of one formula's terms.  Holding the draw through the
+    # reduction peaks 22% above this.
+    kinds = tuple(EstimatorKind)
+    for test, sampler in (("ParkAhn7", "MC"), ("GFunc10A", "QMC")):
+        model = build(test)
+        d, rows = model.d, harness._chunk_rows(model, kinds, 1 << 16)
+        chunk = 8 * rows * (3 * d + 2 + 2 * d)
+        for n in (1 << 16, rows):
+            assert rows < 1 << 16
+            peak = _set_peak_bytes(test, sampler, kinds, n.bit_length() - 1)
+            assert peak < 1.1 * (8 * n * (d + 1) + chunk), (test, n)
 
 
 @pytest.mark.parametrize("test,sampler", [("ParkAhn7", "MC"), ("GFunc10A", "QMC")])
@@ -795,9 +815,56 @@ def test_set_without_dlr_peak_memory_does_not_grow_with_n(test, sampler):
     # without DLR nothing is kept beyond its chunk, so an sk + owen set of
     # 2^16 rows peaks within 10% of one of 2^14 rows, at most one chunk
     kinds = (EstimatorKind.SK, EstimatorKind.OWEN)
-    assert harness._CHUNK_ROWS <= 1 << 14
+    assert harness._chunk_rows(build(test), kinds, 1 << 16) <= 1 << 14
     small = _set_peak_bytes(test, sampler, kinds, 14)
     assert _set_peak_bytes(test, sampler, kinds, 16) <= 1.1 * small
+
+
+@pytest.mark.parametrize("test", [t.value for t in CaseId])
+def test_chunk_rows_fit_the_byte_budget(test):
+    # for every kind list a bundled model takes, a long run is cut into the
+    # longest power-of-two chunks of at least 128 rows whose bytes fit the
+    # budget.  A row's bytes are read off a set of 128 rows: its draw's
+    # columns and its outputs, and with B the reduction's d rows each of
+    # fAB_i - fB and of one formula's terms.  A shorter run, or one whose
+    # length is not a power of two, is one chunk.
+    model = build(test)
+    lists = []
+    for r in range(1, len(EstimatorKind) + 1):
+        for kinds in itertools.combinations(EstimatorKind, r):
+            try:
+                lists.append(estimators._check_kinds(kinds, 128, None, model))
+            except estimators.IncompatibleModelError:
+                continue
+    assert len(lists) == (1 if model.has_dependent_inputs else 31)
+    for kinds in lists:
+        s = estimators.evaluation_set(model, kinds, 128, SamplerSpec("MC"))
+        values = len(s.x) * model.d + sum(f.size for f in s.f.values()) // 128
+        row_bytes = 8 * (values + (2 * model.d if "b" in s.x else 0))
+        rows = harness._chunk_rows(model, kinds, 1 << 30)
+        assert rows >= 128 and rows & (rows - 1) == 0, kinds
+        assert rows * row_bytes <= harness._CHUNK_BYTES < 2 * rows * row_bytes, kinds
+        for n in (rows // 2, rows, 3 * rows, rows + 1):
+            assert harness._chunk_rows(model, kinds, n) == n, (kinds, n)
+    if test in ("GFunc10A", "ParkAhn7"):
+        want = {"GFunc10A": 1 << 13, "ParkAhn7": 1 << 14}[test]
+        assert harness._chunk_rows(model, tuple(EstimatorKind), 1 << 30) == want
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_ladder_faults_in_no_chunk_pages_again():
+    # importing harness frees one block of _CHUNK_BYTES, which raises glibc's
+    # mmap and trim thresholds past all that a chunk allocates, so after a
+    # warm-up a GFunc10A QMC ladder (p = 8..15, K = 10, one thread) reuses
+    # its heap; without the block it took about 15,000 minor faults
+    cfg = BenchmarkConfig(
+        test="GFunc10A", estimators=tuple(EstimatorKind), sampler="QMC",
+        p_min=8, p_max=15, k=10,
+    )
+    run_benchmark(cfg, threads=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_benchmark(cfg, threads=1)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def test_records_do_not_depend_on_the_layout_of_the_estimates(monkeypatch):
