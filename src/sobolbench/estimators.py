@@ -25,7 +25,8 @@ leading ``{N: count}`` blocks, each direct formula's per-row term is
 formed once over each chunk's rows, and every cell, a lower rung's
 included, is reduced one way: as leaves of min(N, chunk) rows, whose sums
 of that term and of the outputs (behind each D_hat) add up in one pairwise
-tree.  DLR sorts every cell from copies of A's columns and fA.
+tree.  DLR sorts every cell from copies of A's columns and fA, a set's
+cells of one length in one call per input.
 
 What each estimator needs is stated here alone: the blocks it reads and
 so its cost (:func:`cost`), and which estimator lists, bin counts and
@@ -256,26 +257,12 @@ class EvaluationSet:
 
 
 def _outputs(model: InputModel, x: dict[str, np.ndarray], block: str) -> np.ndarray:
-    """Outputs of one block over base matrices ``x`` (see :class:`EvaluationSet`)."""
+    """Outputs of one block over base matrices ``x`` (see :class:`EvaluationSet`),
+    by model calls."""
     if len(block) == 1:
         return model.f(x[block])
     donor, base = x[block[0]], x[block[1]]
     out = np.empty((model.d, len(base)))
-    if model.factors is not None:
-        # One sweep over the columns: after step t, row i < t holds the
-        # product of factors 0..t with factor i from the donor, and ``acc``
-        # the product of the base's factors 0..t.  So each row gets the
-        # multiplies f makes on the base with column i taken from the donor,
-        # on the same operands in the same order.
-        for t, g in enumerate(model.factors):
-            fb = g(base[:, t])
-            out[:t] *= fb
-            if t == 0:
-                out[0], acc = g(donor[:, 0]), fb
-            else:
-                np.multiply(acc, g(donor[:, t]), out=out[t])
-                acc *= fb
-        return out
     # The mixed matrices are the base itself: column i is saved, swapped in
     # from the donor for one call and restored after it, so f must not
     # write to x.
@@ -286,6 +273,34 @@ def _outputs(model: InputModel, x: dict[str, np.ndarray], block: str) -> np.ndar
         out[i] = model.f(base)
         base[:, i] = saved
     return out
+
+
+def _factor_sweep(
+    factors: Sequence, x: dict[str, np.ndarray], mixed: Sequence[str]
+) -> dict[str, np.ndarray]:
+    """The ``mixed`` blocks of a product model, and its outputs at their bases,
+    from one sweep over the columns.
+
+    At column t each matrix's factor ``g_t(x[m][:, t])`` is formed once and
+    serves every block.  After step t, row i <= t of block "xy" holds the
+    product of factors 0..t at y with factor i from x, and ``acc[y]`` the
+    product of y's factors 0..t.  So each row gets the multiplies f makes
+    on y with column i taken from x, on the same operands in the same
+    order, and ``acc[y]`` after the last column is f(y), bit for bit.
+    """
+    matrices, bases = sorted(set("".join(mixed))), {b[1] for b in mixed}
+    out = {b: np.empty((len(factors), len(x["a"]))) for b in mixed}
+    acc = {}
+    for t, g in enumerate(factors):
+        fx = {m: g(x[m][:, t]) for m in matrices}
+        for block, rows in out.items():
+            rows[:t] *= fx[block[1]]
+            if t:
+                np.multiply(acc[block[1]], fx[block[0]], out=rows[t])
+            else:
+                rows[0] = fx[block[0]]
+        acc = {m: np.multiply(acc[m], fx[m], out=acc[m]) if t else fx[m] for m in bases}
+    return {**out, **acc}
 
 
 def _set_blocks(kinds: Sequence[EstimatorKind]) -> tuple[list[str], list[str]]:
@@ -343,7 +358,16 @@ def evaluation_set(
     else:
         draw = transform_independent(u, model.marginals * width, u.values)
     x = {m: draw[:, j * d : (j + 1) * d] for j, m in enumerate(matrices)}
-    return EvaluationSet(model, x, {b: _outputs(model, x, b) for b in blocks})
+    # A's outputs, which every kind reads, are one model call; a product
+    # model's mixed blocks, and its outputs at their other bases, come from
+    # one sweep over its factors
+    f = {"a": _outputs(model, x, "a")}
+    mixed = [b for b in blocks if len(b) == 2]
+    if model.factors is not None and mixed:
+        f = {**_factor_sweep(model.factors, x, mixed), **f}
+    return EvaluationSet(
+        model, x, {b: f[b] if b in f else _outputs(model, x, b) for b in blocks}
+    )
 
 
 def build_plan(
@@ -466,23 +490,26 @@ def estimate_oracle(
 
 
 def _argsort_ties_by_index(x: np.ndarray) -> np.ndarray:
-    """``np.argsort(x, kind="stable")`` of a float64 x, from a sort of packed keys.
+    """``np.argsort(x, kind="stable")`` of a float64 x, along its last axis,
+    from one sort of packed keys.
 
     Each key is x's own bits with the low ``L = ceil(log2 N)`` bits replaced
-    by the row index, sorted as float64; the sorted keys' low bits are an
-    order.  It is taken without reading x when the sorted keys' high parts
-    (low bits cleared, read as floats) are finite and strictly increase.
-    Proof: x lies between its high part h and the next high part away from
-    zero, so high parts h < h' give x < x', for either sign and across
-    zero.  x then strictly increases along the order, which makes it the
-    only one, and a permutation.  Finite high parts mean finite keys, which
-    a sort moves without changing a bit.  Ties, -0 beside +0 (equal as
-    floats), NaN (whose payload, index bits included, the sort may drop)
-    and ±inf (high part ±inf) fail that check.  They fall to the check that
-    x itself strictly increases along the order, then to a stable argsort
-    of x, so that ties keep sample order.
+    by the index along the last axis (of length N), sorted as float64; the
+    sorted keys' low bits are an order.  It is taken without reading x when
+    the sorted keys' high parts (low bits cleared, read as floats) are
+    finite and strictly increase.  Proof: x lies between its high part h and
+    the next high part away from zero, so high parts h < h' give x < x',
+    for either sign and across zero.  x then strictly increases along the
+    order, which makes it the only one, and a permutation.  Finite high
+    parts mean finite keys, which a sort moves without changing a bit.
+    Ties, -0 beside +0 (equal as floats), NaN (whose payload, index bits
+    included, the sort may drop) and ±inf (high part ±inf) fail that check,
+    made once over every row.  Each row is then checked alone: its order
+    stands if x itself strictly increases along it (as it does wherever the
+    first check holds), or else is a stable argsort of the row, so that
+    ties keep sample order.
     """
-    n = len(x)
+    n = x.shape[-1]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
     key = x.view(np.uint64) & ~low
     key |= np.arange(n, dtype=np.uint64)
@@ -490,12 +517,17 @@ def _argsort_ties_by_index(x: np.ndarray) -> np.ndarray:
     order = (key & low).view(np.int64)
     key &= ~low
     high = key.view(np.float64)
-    if high[0] > -np.inf and high[-1] < np.inf and np.all(high[1:] > high[:-1]):
+    if (
+        (high[..., 0] > -np.inf).all()
+        and (high[..., -1] < np.inf).all()
+        and (high[..., 1:] > high[..., :-1]).all()
+    ):
         return order
-    ordered = x[order]
-    if np.all(ordered[1:] > ordered[:-1]):
-        return order
-    return np.argsort(x, kind="stable")
+    for row, row_order in zip(x.reshape(-1, n), order.reshape(-1, n)):
+        ordered = row[row_order]
+        if not (ordered[1:] > ordered[:-1]).all():
+            row_order[:] = np.argsort(row, kind="stable")
+    return order
 
 
 def estimate_dlr(
@@ -508,16 +540,26 @@ def estimate_dlr(
     of N_m points, and D_i_hat = (1/M) sum_j m_j^2 - f0_hat^2 with m_j the
     bin means and f0_hat the plain mean of all N outputs.
     """
-    return _dlr(x_i_column, f_a, bins, _mean(f_a) ** 2)
-
-
-def _dlr(x_i_column: np.ndarray, f_a: np.ndarray, bins: BinSchedule, f0_sq) -> float:
-    """:func:`estimate_dlr` given ``f0_sq = mean(fA)^2``."""
     if x_i_column.shape[0] != bins.n or f_a.shape[0] != bins.n:
         raise ValueError("array length does not match the bin schedule")
-    order = _argsort_ties_by_index(x_i_column)
-    bin_means = _mean(f_a[order].reshape(bins.m, bins.n_m))
-    return float(_mean(bin_means**2) - f0_sq)
+    return float(_dlr(x_i_column[None], f_a[None], bins, _mean(f_a) ** 2)[0])
+
+
+def _dlr(x: np.ndarray, f_a: np.ndarray, bins: BinSchedule, f0_sq) -> np.ndarray:
+    """:func:`estimate_dlr` of each row of the (c, N) blocks x and fA, given
+    each row's ``f0_sq = mean(fA)^2``, from one sort of the block.
+
+    Row j's outputs are gathered by one flat take, at its order plus j N,
+    and its bin means reduce the same values in the same order as the row
+    alone, so each row's estimate has the bits of that row's
+    :func:`estimate_dlr`.
+    """
+    c, n = x.shape
+    order = _argsort_ties_by_index(x)
+    if c > 1:
+        order += np.arange(0, c * n, n)[:, None]
+    bin_means = _mean(f_a.take(order).reshape(c, bins.m, bins.n_m))
+    return _mean(bin_means**2) - f0_sq
 
 
 def _block_sums(blocks: dict[int, int], x: np.ndarray) -> dict[int, np.ndarray]:
@@ -579,10 +621,12 @@ def estimate_main_index(
     moments and the mean(fA)^2 that sobol and dlr subtract come from the
     same sums.  numpy sums the 2n pooled values as fA's n then fB's only
     for n a multiple of 8 above 64, so other cells sum fA and fB joined
-    into one row.  DLR sorts and bins each cell on its own once the last
-    chunk is reduced, from those copies, the only rows kept beyond their
-    chunk.  Negative D_i_hat values, possible at small N for near-zero
-    indices, are reported as-is.
+    into one row.  DLR sorts and bins the cells once the last chunk is
+    reduced, from those copies, the only rows kept beyond their chunk: the
+    c cells of length n are the contiguous (c, n) block of each kept
+    column, which :func:`_dlr` reduces in one pass, each row with the bits
+    of its cell alone.  Negative D_i_hat values, possible at small N for
+    near-zero indices, are reported as-is.
     """
     chunks = iter((plans,) if isinstance(plans, EvaluationPlan) else plans)
     plan = next(chunks)
@@ -689,9 +733,8 @@ def estimate_main_index(
             s /= (d_pooled if "b" in _OUTPUT_BLOCKS[kind] else d_a)[:, None]
             estimates[kind][n] = s
         if dlr:
-            s = np.empty((c, d))
-            for j in range(c):
-                x, f_a = x_keep[j * n : (j + 1) * n], f_keep[j * n : (j + 1) * n]
-                s[j] = [_dlr(x[:, i], f_a, bins[n], f0_sq[j]) for i in range(d)]
+            # the c cells of length n are one (c, n) block of each kept column
+            x, f_a = x_keep[: c * n].T.reshape(d, c, n), f_keep[: c * n].reshape(c, n)
+            s = np.stack([_dlr(x_i, f_a, bins[n], f0_sq) for x_i in x], 1)
             estimates[EstimatorKind.DLR][n] = s / d_a[:, None]
     return estimates

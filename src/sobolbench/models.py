@@ -49,9 +49,11 @@ class InputModel:
     (n,) to a new array of n factors, value by value, without writing to
     the column, such that ``f(x)`` is ``factors[0](x[:, 0]) *
     factors[1](x[:, 1]) * ...`` multiplied left to right, bit for bit.  A
-    set's AB_i and CA_i outputs are then products of per-column factors
-    (see :func:`sobolbench.estimators._outputs`), and ``f`` is called only
-    on the base matrices: 2 model calls per set in place of 2d + 2.  A copy
+    set's AB_i and CA_i outputs are then products of per-column factors,
+    each formed once per base matrix in one sweep over the columns, and
+    its outputs at B are B's running product from that sweep (see
+    :func:`sobolbench.estimators._factor_sweep`), so ``f`` is called only
+    on A: one model call per chunk of a set in place of 2d + 2.  A copy
     made with ``dataclasses.replace(model, f=g)`` keeps the factors, so
     ``g`` must return ``f``'s outputs.
     """

@@ -56,10 +56,10 @@ __all__ = [
 # Raw Sobol' sequence indices lie in [0, 2^32); index 0 is never returned.
 SOBOL_PERIOD = 1 << MAXBIT
 
-# Raw indices _sobol_raw builds row-major, scales and copies at a time into
-# its column-major result, in blocks that start at multiples of it: one
-# cast-and-transpose ufunc call is 3-4x slower, and the block's temporaries
-# (12 bytes a coordinate) stay small beside the draw.
+# Raw indices _sobol_raw builds at a time, in blocks that start at multiples
+# of it: each block's XOR is one (dims, rows) uint32 temporary (4 bytes a
+# coordinate), small beside the draw, which is scaled straight into the
+# block's columns of the column-major result.
 _SOBOL_BLOCK_ROWS = 2048
 
 
@@ -139,21 +139,23 @@ def _replicate_layout(
 
 @functools.cache
 def _gray_byte_tables(dims: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (MAXBIT/8, 256, dims) and (256, dims) uint32 tables of _sobol_raw,
+    """The (MAXBIT/8, dims, 256) and (dims, 256) uint32 tables of _sobol_raw,
     cached per dims.
 
-    ``T[c, b]`` is the XOR of the direction vectors ``V[8c + j]`` over the set
-    bits ``j`` of the byte value ``b``; each table is filled by doubling,
-    ``T[c, 2^j : 2^(j+1)] = T[c, :2^j] ^ V[8c + j]``.  The second table holds
-    the points of the Gray codes below 256: row ``r`` is ``T[0, gray(r)]``.
+    ``T[c, :, b]`` is the XOR of the direction vectors ``V[8c + j]`` over the
+    set bits ``j`` of the byte value ``b``; each table is filled by doubling,
+    ``T[c, :, 2^j : 2^(j+1)] = T[c, :, :2^j] ^ V[8c + j]``.  The second table
+    holds the points of the Gray codes below 256: column ``r`` is
+    ``T[0, :, gray(r)]``.  Both are laid out dims first, as the columns of
+    the column-major draw they build.
     """
     V = direction_vectors(dims)
-    tables = np.zeros((MAXBIT // 8, 256, dims), dtype=np.uint32)
+    tables = np.zeros((MAXBIT // 8, dims, 256), dtype=np.uint32)
     for c in range(MAXBIT // 8):
         for j in range(8):
-            tables[c, 1 << j : 2 << j] = tables[c, : 1 << j] ^ V[8 * c + j]
+            tables[c, :, 1 << j : 2 << j] = tables[c, :, : 1 << j] ^ V[8 * c + j, :, None]
     r = np.arange(256)
-    return tables, tables[0][r ^ (r >> 1)]
+    return tables, np.ascontiguousarray(tables[0][:, r ^ (r >> 1)])
 
 
 def _sobol_raw(start: int, n: int, dims: int) -> np.ndarray:
@@ -168,9 +170,10 @@ def _sobol_raw(start: int, n: int, dims: int) -> np.ndarray:
     that is zero for every head contributes nothing and is skipped), and
     ``L`` is the low table; both come from :func:`_gray_byte_tables`.  The
     draw is built in blocks of ``_SOBOL_BLOCK_ROWS`` raw indices, each the
-    XOR of its heads with ``L`` broadcast, trimmed to the rows asked for.
-    XOR is exact, so the grouping gives the same bits as one pass per
-    direction vector.
+    XOR of its heads with ``L`` broadcast, trimmed to the rows asked for and
+    scaled by 2^-32 into those rows of the result, which are columns of its
+    transpose.  XOR and the power-of-two scale are exact, so the grouping
+    gives the same bits as one pass per direction vector.
     """
     if start + n > SOBOL_PERIOD:
         raise ValueError("sequence index exceeds the 2^32 generator period")
@@ -178,18 +181,18 @@ def _sobol_raw(start: int, n: int, dims: int) -> np.ndarray:
     end, q0 = start + n, start >> 8
     idx = np.arange(q0, ((end - 1) >> 8) + 1, dtype=np.uint32) << np.uint32(8)
     gray = idx ^ (idx >> np.uint32(1))
-    heads = np.zeros((len(gray), dims), dtype=np.uint32)
+    heads = np.zeros((dims, len(gray)), dtype=np.uint32)
     for c, table in enumerate(tables):
         byte = (gray >> np.uint32(8 * c)) & np.uint32(0xFF)
         if byte.any():
-            heads ^= np.take(table, byte, axis=0)
+            heads ^= np.take(table, byte, axis=1)
     out = np.empty((n, dims), order="F")
     for lo in range(start - start % _SOBOL_BLOCK_ROWS, end, _SOBOL_BLOCK_ROWS):
         first, stop = max(lo, start), min(lo + _SOBOL_BLOCK_ROWS, end)
         q = first >> 8
-        block = heads[q - q0 : ((stop - 1) >> 8) - q0 + 1, None] ^ low
-        rows = block.reshape(-1, dims)[first - (q << 8) :][: stop - first]
-        np.copyto(out[first - start : stop - start], rows * 2.0**-MAXBIT)
+        block = heads[:, q - q0 : ((stop - 1) >> 8) - q0 + 1, None] ^ low[:, None]
+        rows = block.reshape(dims, -1)[:, first - (q << 8) :][:, : stop - first]
+        np.multiply(rows, 2.0**-MAXBIT, out=out.T[:, first - start : stop - start])
     return out
 
 

@@ -14,6 +14,8 @@ from sobolbench.estimators import (
     EstimatorKind,
     IncompatibleModelError,
     _argsort_ties_by_index,
+    _dlr,
+    _mean,
     _tree_sums,
     bin_schedule,
     build_plan,
@@ -1014,6 +1016,36 @@ _LAST_BITS = 1.0 + np.arange(8) * 2.0**-52  # 8 values apart in the 3 index bits
 def test_packed_key_order_on_edge_values(x):
     x = np.array(x, dtype=float)
     assert np.array_equal(_argsort_ties_by_index(x), np.argsort(x, kind="stable"))
+
+
+@st.composite
+def _dlr_blocks(draw):
+    """(c, n) blocks of x, c = 1..10 and n = 2^2..2^12, whose rows are each
+    distinct values (the packed keys' order stands) or take a share of
+    their values from ties, -0.0 beside +0.0, ±inf and NaN (which fall
+    back to the per-row checks), and (c, n) standard normal outputs."""
+    c, n = draw(st.integers(1, 10)), 1 << draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((c, n))
+    specials = np.array([0.0, -0.0, 0.5, np.inf, -np.inf, np.nan, -np.nan])
+    for row in x:
+        share = draw(st.sampled_from([0.0, 0.0, 0.05, 0.5, 1.0]))
+        tied = rng.random(n) < share
+        row[tied] = rng.choice(specials, tied.sum())
+    return x, rng.standard_normal((c, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dlr_blocks())
+def test_block_dlr_equals_estimate_dlr_on_each_row(block):
+    # one sort of a (c, n) block, one flat gather and one bin reduction
+    # give each row the bits of that row's estimate alone
+    x, f = block
+    bins = default_bin_schedule(x.shape[1])
+    f0_sq = np.array([_mean(row) ** 2 for row in f])
+    got = _dlr(x, f, bins, f0_sq)
+    want = np.array([estimate_dlr(xr, fr, bins) for xr, fr in zip(x, f)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_dlr_length_mismatch():

@@ -7,6 +7,7 @@ import re
 import resource
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -372,8 +373,10 @@ def _cells(groups):
 def counted(monkeypatch):
     """Counts run_benchmark's model calls and records the rows of each, its
     unit draws as (run index, first row, end row, width) and the number of
-    unit values each transform call maps."""
-    work = {"f": 0, "rows": [], "draws": [], "transformed": []}
+    unit values each transform call maps.  A product model's factor calls
+    are counted per factor, those inside f included: its f is the product
+    of its counted factors, which the factors contract makes f's bits."""
+    work = {"f": 0, "rows": [], "draws": [], "transformed": [], "factors": Counter()}
     draw = estimators.generate_uniform
 
     def counted_draw(spec, n, dims, start=0, stop=None):
@@ -389,15 +392,30 @@ def counted(monkeypatch):
 
     build_model = harness.build
 
+    def counted_factor(i, g):
+        def factor(column):
+            work["factors"][i] += 1
+            return g(column)
+
+        return factor
+
     def counted_build(test):
         model = build_model(test)
+        factors = model.factors and tuple(
+            counted_factor(i, g) for i, g in enumerate(model.factors)
+        )
 
         def f(x):
             work["f"] += 1
             work["rows"].append(len(x))
-            return model.f(x)
+            if factors is None:
+                return model.f(x)
+            out = factors[0](x[:, 0])
+            for i in range(1, model.d):
+                out *= factors[i](x[:, i])
+            return out
 
-        return dataclasses.replace(model, f=f)
+        return dataclasses.replace(model, f=f, factors=factors)
 
     monkeypatch.setattr(estimators, "generate_uniform", counted_draw)
     for name in ("transform_independent", "transform_correlated_normal"):
@@ -427,22 +445,26 @@ def _chunk_draws(k, n_top, chunk, width):
 @pytest.mark.parametrize("test,sampler", [("GFunc10A", "QMC"), ("ParkAhn7", "MC")])
 def test_cell_evaluates_once_for_all_estimators(counted, test, sampler):
     # one 3d draw, one transform and one block of model calls per cell serve
-    # all five estimators under either sampler: 2 calls (A and B) on the
-    # product model GFunc10A, whose AB_i and CA_i outputs are products of
-    # its column factors, and 2d + 2 = 16 on ParkAhn7 (d = 7)
+    # all five estimators under either sampler: 1 call (A) on the product
+    # model GFunc10A, whose outputs at B, AB_i and CA_i come from one sweep
+    # over its column factors, each factor called on A, B and C there and
+    # on A inside f; and 2d + 2 = 16 calls on ParkAhn7 (d = 7)
     d = build(test).d
     run_benchmark(_one_rung(test, tuple(EstimatorKind), sampler))
     assert counted["draws"] == _chunk_draws(2, 64, 64, 3 * d)
     assert counted["transformed"] == [64 * 3 * d] * 2
-    assert counted["f"] == 2 * {"GFunc10A": 2, "ParkAhn7": 16}[test]
+    assert counted["f"] == 2 * {"GFunc10A": 1, "ParkAhn7": 16}[test]
+    if test == "GFunc10A":
+        assert counted["factors"] == {i: 2 * 4 for i in range(d)}
 
 
 def test_qmc_ladder_evaluates_only_its_top_rung(counted, monkeypatch):
     # every lower-rung QMC cell reduces rows of a top-rung run, so a GFunc10A
     # ladder (d = 10, p = 4..8, K = 3) in chunks of 128 rows draws,
-    # transforms and evaluates only its K top runs, each row once: 2 model
-    # calls (A and B; AB_i and CA_i come from the model's column factors)
-    # per chunk, 2 chunks per run of N_top = 256 rows
+    # transforms and evaluates only its K top runs, each row once: 1 model
+    # call (A; B, AB_i and CA_i come from the sweep over the model's column
+    # factors) and 4 calls of each factor per chunk, 2 chunks per run of
+    # N_top = 256 rows
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 0)  # 128-row chunks
     cfg = BenchmarkConfig(
         test="GFunc10A", estimators=tuple(EstimatorKind), sampler="QMC",
@@ -451,7 +473,62 @@ def test_qmc_ladder_evaluates_only_its_top_rung(counted, monkeypatch):
     run_benchmark(cfg)
     assert counted["draws"] == _chunk_draws(3, 256, 128, 30)
     assert counted["transformed"] == [128 * 30] * 6
-    assert counted["rows"] == [128] * 12
+    assert counted["rows"] == [128] * 6
+    assert counted["factors"] == {i: 6 * 4 for i in range(10)}
+
+
+@pytest.mark.parametrize(
+    "kinds,calls",
+    [
+        (tuple(EstimatorKind), 4),
+        ((EstimatorKind.SK,), 3),
+        ((EstimatorKind.SOBOL,), 3),
+        ((EstimatorKind.DLR,), 1),
+    ],
+    ids=["all5", "sk", "sobol", "dlr"],
+)
+def test_product_model_calls_each_factor_once_per_matrix(counted, kinds, calls):
+    # a GFunc10A set calls f once, on A, and each factor once on each matrix
+    # its mixed blocks read (A and B for sk and sobol, and C for owen) in
+    # the sweep: a dlr-only set reads no mixed block, so only f calls them
+    run_benchmark(_one_rung("GFunc10A", kinds, "QMC", p=8, k=2))
+    assert counted["f"] == 2
+    assert counted["factors"] == {i: 2 * calls for i in range(10)}
+
+
+@pytest.fixture()
+def sorts(monkeypatch):
+    """The (rows, row length) shape of each block DLR's row sort orders."""
+    shapes = Counter()
+    argsort = estimators._argsort_ties_by_index
+
+    def counted_argsort(x):
+        shapes[x.shape] += 1
+        return argsort(x)
+
+    monkeypatch.setattr(estimators, "_argsort_ties_by_index", counted_argsort)
+    return shapes
+
+
+def test_dlr_sorts_once_per_set_cell_length_and_input(sorts, monkeypatch):
+    # a GFunc10A QMC ladder (d = 10, p = 4..8, K = 3, 128-row chunks) keeps
+    # its cells of one length in one top-rung set as one block, sorted in
+    # one call per input: set 0 holds the N_top = 256 run, two of 128 rows
+    # and three each of 64, 32 and 16, set 1 one each of 256 and 128, set 2
+    # one of 256, so 8 blocks of 10 inputs, 80 sorts for 15 cells
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 0)  # 128-row chunks
+    cfg = BenchmarkConfig(
+        test="GFunc10A", estimators=tuple(EstimatorKind), sampler="QMC",
+        p_min=4, p_max=8, k=3,
+    )
+    run_benchmark(cfg)
+    blocks = {(1, 256): 3, (2, 128): 1, (1, 128): 1, (3, 64): 1, (3, 32): 1, (3, 16): 1}
+    assert sorts == {shape: 10 * sets for shape, sets in blocks.items()}
+    # each ParkAhn7 MC run (d = 7, p = 4..7, K = 3) is its own set, one cell
+    # of each N: one sort per run, N and input
+    sorts.clear()
+    run_benchmark(dataclasses.replace(cfg, test="ParkAhn7", sampler="MC", p_max=7))
+    assert sorts == {(1, 1 << p): 3 * 7 for p in range(4, 8)}
 
 
 def test_mc_ladder_evaluates_every_cell(counted, monkeypatch):

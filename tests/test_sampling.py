@@ -154,7 +154,8 @@ def test_qmc_last_block_before_period_matches_reference(dims):
 @pytest.mark.filterwarnings("ignore:The balance properties")
 @pytest.mark.parametrize("dims", [1, 21, 64])
 def test_qmc_draw_across_row_blocks_matches_reference(dims):
-    # The draw is built _SOBOL_BLOCK_ROWS raw indices at a time: these rows
+    # The draw is built _SOBOL_BLOCK_ROWS raw indices at a time, each block
+    # scaled straight into its rows of the column-major result: these rows
     # start off a multiple of the block size, end in a partial block, and
     # cross 2^16, so the third Gray-code byte is zero for some 256-row
     # heads and not for others.
@@ -189,7 +190,9 @@ def test_qmc_draw_at_256_row_edges_matches_reference(dims, start, n):
     if getattr(eng, "_sv", None) is None:
         pytest.skip("this scipy does not expose its direction vectors")
     want = _sobol_by_bit(eng._sv.T, start, n) * 2.0**-32
-    assert np.array_equal(_sobol_raw(start, n, dims), want)
+    got = _sobol_raw(start, n, dims)
+    assert got.flags.f_contiguous
+    assert np.array_equal(got, want)
 
 
 def _run_fresh(code: str) -> str:
