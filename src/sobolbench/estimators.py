@@ -61,11 +61,6 @@ __all__ = [
     "cost",
     "evaluation_set",
     "build_plan",
-    "estimate_mean_and_variance",
-    "estimate_sobol_original",
-    "estimate_sk",
-    "estimate_owen",
-    "estimate_oracle",
     "estimate_dlr",
     "estimate_main_index",
 ]
@@ -425,16 +420,6 @@ def _moments(s1, s2, m: int) -> tuple[float, float]:
     return f0_hat, d_hat
 
 
-def estimate_mean_and_variance(
-    f_a: np.ndarray, f_b: Optional[np.ndarray] = None
-) -> tuple[float, float]:
-    """Pooled (f0_hat, D_hat) over all provided outputs (see :func:`_moments`)."""
-    pooled = f_a if f_b is None else np.concatenate([f_a, f_b])
-    if pooled.size == 0:
-        raise ValueError("at least one output array must be nonempty")
-    return _moments(np.add.reduce(pooled), np.add.reduce(pooled**2), pooled.size)
-
-
 def _row_term(
     kind: EstimatorKind,
     f_a: np.ndarray,
@@ -456,37 +441,6 @@ def _row_term(
         term *= diff
         return term
     return (f_a - f0) * diff
-
-
-def estimate_sobol_original(f_a: np.ndarray, f_ab_i: np.ndarray) -> float:
-    """D_i_hat = mean(fA * fAB_i) - mean(fA)^2.
-
-    The subtracted square of the estimated mean is the known weakness of this
-    formula: for |f0| >> sqrt(D_i) the cancellation error dominates.
-    """
-    term = _row_term(EstimatorKind.SOBOL, f_a, f_ab_i, None)
-    return float(_mean(term) - _mean(f_a) ** 2)
-
-
-def estimate_sk(f_a: np.ndarray, f_b: np.ndarray, f_ab_i: np.ndarray) -> float:
-    """D_i_hat = mean(fA * (fAB_i - fB))."""
-    return float(_mean(_row_term(EstimatorKind.SK, f_a, f_ab_i, f_ab_i - f_b)))
-
-
-def estimate_owen(
-    f_a: np.ndarray, f_b: np.ndarray, f_ab_i: np.ndarray, f_ca_i: np.ndarray
-) -> float:
-    """D_i_hat = mean((fA - fCA_i) * (fAB_i - fB))."""
-    term = _row_term(EstimatorKind.OWEN, f_a, f_ab_i, f_ab_i - f_b, f_ca_i)
-    return float(_mean(term))
-
-
-def estimate_oracle(
-    f_a: np.ndarray, f_b: np.ndarray, f_ab_i: np.ndarray, f0: float
-) -> float:
-    """D_i_hat = mean((fA - f0) * (fAB_i - fB)) with f0 the exact mean."""
-    term = _row_term(EstimatorKind.ORACLE, f_a, f_ab_i, f_ab_i - f_b, f0=f0)
-    return float(_mean(term))
 
 
 def _argsort_ties_by_index(x: np.ndarray) -> np.ndarray:

@@ -16,10 +16,6 @@ from sobolbench.estimators import (
     build_plan,
     default_bin_schedule,
     estimate_dlr,
-    estimate_oracle,
-    estimate_owen,
-    estimate_sk,
-    estimate_sobol_original,
     evaluation_set,
 )
 from sobolbench.harness import (
@@ -33,6 +29,8 @@ from sobolbench.harness import (
 )
 from sobolbench.models import InputModel, build
 from sobolbench.sampling import SamplerSpec, Uniform
+
+from test_estimators import _d_i
 
 QMC = SamplerSpec(kind="QMC", run_index=0)
 ALL_KINDS = tuple(EstimatorKind)
@@ -343,6 +341,7 @@ def test_c5_quadrature_equivalence():
 
 
 def test_c6_identities():
+    sobol, sk, owen, oracle = DIRECT_KINDS
     rng = np.random.default_rng(7)
     f_a = rng.standard_normal(1024) + 2.0
     f_b = rng.standard_normal(1024) + 2.0
@@ -350,17 +349,17 @@ def test_c6_identities():
     f_ca = rng.standard_normal(1024) + 2.0
     c = 13.0
     checks = {
-        "oracle(f0=0) == sk": estimate_oracle(f_a, f_b, f_ab, 0.0)
-        == estimate_sk(f_a, f_b, f_ab),
-        "owen(fCA_i -> 0) == sk": estimate_owen(f_a, f_b, f_ab, np.zeros(1024))
-        == estimate_sk(f_a, f_b, f_ab),
-        "sk(fAB_i = fB) == 0": estimate_sk(f_a, f_b, f_b) == 0.0,
-        "owen(fAB_i = fB) == 0": estimate_owen(f_a, f_b, f_b, f_ca) == 0.0,
-        "oracle(fAB_i = fB) == 0": estimate_oracle(f_a, f_b, f_b, 2.0) == 0.0,
+        "oracle(f0=0) == sk": _d_i(oracle, f_a, f_b, f_ab, f0=0.0)
+        == _d_i(sk, f_a, f_b, f_ab),
+        "owen(fCA_i -> 0) == sk": _d_i(owen, f_a, f_b, f_ab, np.zeros(1024))
+        == _d_i(sk, f_a, f_b, f_ab),
+        "sk(fAB_i = fB) == 0": _d_i(sk, f_a, f_b, f_b) == 0.0,
+        "owen(fAB_i = fB) == 0": _d_i(owen, f_a, f_b, f_b, f_ca) == 0.0,
+        "oracle(fAB_i = fB) == 0": _d_i(oracle, f_a, f_b, f_b, f0=2.0) == 0.0,
     }
     # scale equivariance of S_i_hat: D_i and D both pick up c^2
-    d_i = estimate_sk(f_a, f_b, f_ab)
-    d_i_scaled = estimate_sk(c * f_a, c * f_b, c * f_ab)
+    d_i = _d_i(sk, f_a, f_b, f_ab)
+    d_i_scaled = _d_i(sk, c * f_a, c * f_b, c * f_ab)
     checks["scale equivariance"] = abs(d_i_scaled - c * c * d_i) < 1e-9 * abs(d_i)
 
     # shift invariance: exact for owen/oracle/dlr; S-K needs the fAB-fB
@@ -370,23 +369,20 @@ def test_c6_identities():
     w = f_ab - f_ab.mean() + f_b.mean()
     shift_errs = [
         abs(
-            estimate_owen(f_a + c, f_b + c, f_ab + c, f_ca + c)
-            - estimate_owen(f_a, f_b, f_ab, f_ca)
+            _d_i(owen, f_a + c, f_b + c, f_ab + c, f_ca + c)
+            - _d_i(owen, f_a, f_b, f_ab, f_ca)
         ),
         abs(
-            estimate_oracle(f_a + c, f_b + c, f_ab + c, 2.0 + c)
-            - estimate_oracle(f_a, f_b, f_ab, 2.0)
+            _d_i(oracle, f_a + c, f_b + c, f_ab + c, f0=2.0 + c)
+            - _d_i(oracle, f_a, f_b, f_ab, f0=2.0)
         ),
         abs(estimate_dlr(x, f_a + c, bins) - estimate_dlr(x, f_a, bins)),
-        abs(estimate_sk(f_a + c, f_b + c, w + c) - estimate_sk(f_a, f_b, w)),
+        abs(_d_i(sk, f_a + c, f_b + c, w + c) - _d_i(sk, f_a, f_b, w)),
     ]
     checks["shift invariance (sk/owen/oracle/dlr)"] = max(shift_errs) < 1e-9
     # ... and the original formula demonstrably lacks it
     checks["sobol shift sensitivity"] = (
-        abs(
-            estimate_sobol_original(f_a + c, f_ab + c)
-            - estimate_sobol_original(f_a, f_ab)
-        )
+        abs(_d_i(sobol, f_a + c, None, f_ab + c) - _d_i(sobol, f_a, None, f_ab))
         > 0.01
     )
     bad = [k for k, ok in checks.items() if not ok]

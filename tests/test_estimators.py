@@ -16,6 +16,8 @@ from sobolbench.estimators import (
     _argsort_ties_by_index,
     _dlr,
     _mean,
+    _moments,
+    _row_term,
     _tree_sums,
     bin_schedule,
     build_plan,
@@ -23,11 +25,6 @@ from sobolbench.estimators import (
     default_bin_schedule,
     estimate_dlr,
     estimate_main_index,
-    estimate_mean_and_variance,
-    estimate_oracle,
-    estimate_owen,
-    estimate_sk,
-    estimate_sobol_original,
     evaluation_set,
 )
 from sobolbench.harness import estimate_cell
@@ -54,6 +51,24 @@ DIRECT_KINDS = (
     EstimatorKind.OWEN,
     EstimatorKind.ORACLE,
 )
+SOBOL, SK, OWEN, ORACLE = DIRECT_KINDS
+
+
+def _d_i(kind, f_a, f_b, f_ab_i, f_ca_i=None, f0=None):
+    """One input's D_i_hat by ``kind``'s per-row term (:func:`_row_term`),
+    averaged as a lone row; sobol reads no fB and subtracts mean(fA)^2."""
+    diff = None if f_b is None else f_ab_i - f_b
+    d_i = _mean(_row_term(kind, f_a, f_ab_i, diff, f_ca_i, f0))
+    if kind == SOBOL:
+        d_i = d_i - _mean(f_a) ** 2
+    return float(d_i)
+
+
+def _moments_of(*outputs):
+    """(f0_hat, D_hat) pooled over ``outputs`` joined, by the set reduction's
+    one formula (:func:`_moments`)."""
+    pooled = np.concatenate(outputs)
+    return _moments(np.add.reduce(pooled), np.add.reduce(pooled**2), pooled.size)
 
 
 def _plan(model, kind, n, sampler=QMC, bin_count=None):
@@ -102,36 +117,36 @@ def arrays():
 
 def test_oracle_with_zero_f0_equals_sk(arrays):
     f_a, f_b, f_ab, _ = arrays
-    assert estimate_oracle(f_a, f_b, f_ab, 0.0) == estimate_sk(f_a, f_b, f_ab)
+    assert _d_i(ORACLE, f_a, f_b, f_ab, f0=0.0) == _d_i(SK, f_a, f_b, f_ab)
 
 
 def test_owen_reduces_to_sk_when_centering_term_vanishes(arrays):
     # dropping the f(CA_i) outputs (all-zero column) recovers the S-K formula
     f_a, f_b, f_ab, _ = arrays
     zero = np.zeros_like(f_a)
-    assert estimate_owen(f_a, f_b, f_ab, zero) == estimate_sk(f_a, f_b, f_ab)
+    assert _d_i(OWEN, f_a, f_b, f_ab, zero) == _d_i(SK, f_a, f_b, f_ab)
 
 
 def test_owen_with_fca_equal_fa_is_exactly_zero(arrays):
     # the (fA - fCA_i) factor cancels pointwise; the estimate is exactly 0
     f_a, f_b, f_ab, _ = arrays
-    assert estimate_owen(f_a, f_b, f_ab, f_a) == 0.0
+    assert _d_i(OWEN, f_a, f_b, f_ab, f_a) == 0.0
 
 
 def test_direct_formulas_zero_when_fab_equals_fb(arrays):
     f_a, f_b, _, f_ca = arrays
-    assert estimate_sk(f_a, f_b, f_b) == 0.0
-    assert estimate_owen(f_a, f_b, f_b, f_ca) == 0.0
-    assert estimate_oracle(f_a, f_b, f_b, 3.0) == 0.0
+    assert _d_i(SK, f_a, f_b, f_b) == 0.0
+    assert _d_i(OWEN, f_a, f_b, f_b, f_ca) == 0.0
+    assert _d_i(ORACLE, f_a, f_b, f_b, f0=3.0) == 0.0
 
 
 def test_sobol_original_near_zero_for_independent_fab(arrays):
     # the original formula has no exact cancellation, only the MC limit
     f_a, f_b, _, _ = arrays
-    assert abs(estimate_sobol_original(f_a, f_b)) < 0.2
+    assert abs(_d_i(SOBOL, f_a, None, f_b)) < 0.2
     # fAB_i = fA is the S_y = 1 case: recovers the sample variance
     var = float((f_a**2).mean() - f_a.mean() ** 2)
-    assert estimate_sobol_original(f_a, f_a) == pytest.approx(var, rel=1e-12)
+    assert _d_i(SOBOL, f_a, None, f_a) == pytest.approx(var, rel=1e-12)
 
 
 def test_scale_equivariance(arrays):
@@ -140,15 +155,15 @@ def test_scale_equivariance(arrays):
     bins = default_bin_schedule(512)
     x = np.random.default_rng(1).random(512)
     cases = [
-        (estimate_sobol_original(f_a, f_ab), estimate_sobol_original(c * f_a, c * f_ab)),
-        (estimate_sk(f_a, f_b, f_ab), estimate_sk(c * f_a, c * f_b, c * f_ab)),
+        (_d_i(SOBOL, f_a, None, f_ab), _d_i(SOBOL, c * f_a, None, c * f_ab)),
+        (_d_i(SK, f_a, f_b, f_ab), _d_i(SK, c * f_a, c * f_b, c * f_ab)),
         (
-            estimate_owen(f_a, f_b, f_ab, f_ca),
-            estimate_owen(c * f_a, c * f_b, c * f_ab, c * f_ca),
+            _d_i(OWEN, f_a, f_b, f_ab, f_ca),
+            _d_i(OWEN, c * f_a, c * f_b, c * f_ab, c * f_ca),
         ),
         (
-            estimate_oracle(f_a, f_b, f_ab, 3.0),
-            estimate_oracle(c * f_a, c * f_b, c * f_ab, c * 3.0),
+            _d_i(ORACLE, f_a, f_b, f_ab, f0=3.0),
+            _d_i(ORACLE, c * f_a, c * f_b, c * f_ab, f0=c * 3.0),
         ),
         (estimate_dlr(x, f_a, bins), estimate_dlr(x, c * f_a, bins)),
     ]
@@ -160,12 +175,12 @@ def test_shift_invariance_machine_level(arrays):
     f_a, f_b, f_ab, f_ca = arrays
     c = 100.0
     # Owen and Oracle: the shift cancels inside a difference of outputs
-    assert estimate_owen(f_a + c, f_b + c, f_ab + c, f_ca + c) == pytest.approx(
-        estimate_owen(f_a, f_b, f_ab, f_ca), abs=1e-10
+    assert _d_i(OWEN, f_a + c, f_b + c, f_ab + c, f_ca + c) == pytest.approx(
+        _d_i(OWEN, f_a, f_b, f_ab, f_ca), abs=1e-10
     )
     f0 = float(f_a.mean())
-    assert estimate_oracle(f_a + c, f_b + c, f_ab + c, f0 + c) == pytest.approx(
-        estimate_oracle(f_a, f_b, f_ab, f0), abs=1e-10
+    assert _d_i(ORACLE, f_a + c, f_b + c, f_ab + c, f0=f0 + c) == pytest.approx(
+        _d_i(ORACLE, f_a, f_b, f_ab, f0=f0), abs=1e-10
     )
     # DLR: bin means and the global mean shift together
     x = np.random.default_rng(2).random(512)
@@ -177,8 +192,8 @@ def test_shift_invariance_machine_level(arrays):
     # exactly centered the estimate is machine-level invariant too
     w = f_ab - f_ab.mean() + f_b.mean()
     assert abs(np.mean(w - f_b)) < 1e-12
-    assert estimate_sk(f_a + c, f_b + c, w + c) == pytest.approx(
-        estimate_sk(f_a, f_b, w), abs=1e-9
+    assert _d_i(SK, f_a + c, f_b + c, w + c) == pytest.approx(
+        _d_i(SK, f_a, f_b, w), abs=1e-9
     )
 
 
@@ -186,17 +201,17 @@ def test_sk_shift_decomposition(arrays):
     # general arrays: shifting f changes S-K by exactly c * mean(fAB_i - fB)
     f_a, f_b, f_ab, _ = arrays
     c = 5.0
-    shifted = estimate_sk(f_a + c, f_b + c, f_ab + c)
+    shifted = _d_i(SK, f_a + c, f_b + c, f_ab + c)
     assert shifted == pytest.approx(
-        estimate_sk(f_a, f_b, f_ab) + c * float(np.mean(f_ab - f_b)), rel=1e-12
+        _d_i(SK, f_a, f_b, f_ab) + c * float(np.mean(f_ab - f_b)), rel=1e-12
     )
 
 
 def test_sobol_original_not_shift_invariant(arrays):
     # the f0^2 cancellation defect: a large shift visibly moves the estimate
     f_a, _, f_ab, _ = arrays
-    base = estimate_sobol_original(f_a, f_ab)
-    assert abs(estimate_sobol_original(f_a + 100.0, f_ab + 100.0) - base) > 0.01
+    base = _d_i(SOBOL, f_a, None, f_ab)
+    assert abs(_d_i(SOBOL, f_a + 100.0, None, f_ab + 100.0) - base) > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +219,12 @@ def test_sobol_original_not_shift_invariant(arrays):
 
 
 def test_mean_and_variance_two_point():
-    f0, d = estimate_mean_and_variance(np.array([0.0, 2.0]))
+    f0, d = _moments_of(np.array([0.0, 2.0]))
     assert f0 == 1.0 and d == 1.0
 
 
 def test_mean_and_variance_pools_both_arrays():
-    f0, d = estimate_mean_and_variance(np.array([0.0, 2.0]), np.array([4.0, 6.0]))
+    f0, d = _moments_of(np.array([0.0, 2.0]), np.array([4.0, 6.0]))
     assert f0 == 3.0 and d == 5.0
 
 
@@ -228,7 +243,7 @@ def test_oracle_at_pooled_mean_matches_scipy_sobol_indices(name, sampler):
     f_a, f_b, f_ab = (evaluations.f[block] for block in ("a", "b", "ab"))
     pooled = np.concatenate([f_a, f_b])
     want = [
-        estimate_oracle(f_a, f_b, f_ab_i, pooled.mean()) / np.var(pooled)
+        _d_i(ORACLE, f_a, f_b, f_ab_i, f0=pooled.mean()) / np.var(pooled)
         for f_ab_i in f_ab
     ]
     got = sobol_indices(
@@ -239,9 +254,7 @@ def test_oracle_at_pooled_mean_matches_scipy_sobol_indices(name, sampler):
 
 def test_constant_model_degenerate():
     with pytest.raises(DegenerateModelError, match="zero variance"):
-        estimate_mean_and_variance(np.full(16, 5.0))
-    with pytest.raises(ValueError):
-        estimate_mean_and_variance(np.array([]))
+        _moments_of(np.full(16, 5.0))
 
 
 @pytest.mark.parametrize("kind", [EstimatorKind.SK, EstimatorKind.OWEN, EstimatorKind.ORACLE])
@@ -259,7 +272,7 @@ def test_constant_fa_degenerates_only_the_kinds_that_divide_by_its_variance(kind
 def test_ishigami_variance_estimate():
     m = build("Ishigami")
     plan = _plan(m, EstimatorKind.SK, 1 << 16)
-    _, d_hat = estimate_mean_and_variance(plan.f_a, plan.f_b)
+    _, d_hat = _moments_of(plan.f_a, plan.f_b)
     assert d_hat == pytest.approx(13.845, abs=0.01)
 
 
@@ -377,17 +390,13 @@ def test_cell_reduction_equals_public_formulas(name, sampler, n):
     plan = build_plan(ALL_KINDS, evaluation_set(model, ALL_KINDS, n, sampler), bins)
     cell = _reduce(plan)
     a, b, ab, ca = plan.f_a, plan.f_b, plan.f_ab, plan.f_ca
-    _, d_pooled = estimate_mean_and_variance(a, b)
-    _, d_a = estimate_mean_and_variance(a)
+    _, d_pooled = _moments_of(a, b)
+    _, d_a = _moments_of(a)
     want = {
-        EstimatorKind.SOBOL: [estimate_sobol_original(a, x) / d_a for x in ab],
-        EstimatorKind.SK: [estimate_sk(a, b, x) / d_pooled for x in ab],
-        EstimatorKind.OWEN: [
-            estimate_owen(a, b, x, y) / d_pooled for x, y in zip(ab, ca)
-        ],
-        EstimatorKind.ORACLE: [
-            estimate_oracle(a, b, x, model.analytic_f0) / d_pooled for x in ab
-        ],
+        SOBOL: [_d_i(SOBOL, a, None, x) / d_a for x in ab],
+        SK: [_d_i(SK, a, b, x) / d_pooled for x in ab],
+        OWEN: [_d_i(OWEN, a, b, x, y) / d_pooled for x, y in zip(ab, ca)],
+        ORACLE: [_d_i(ORACLE, a, b, x, f0=model.analytic_f0) / d_pooled for x in ab],
         EstimatorKind.DLR: [
             estimate_dlr(x, a, bin_schedule(n, plan.bin_count)) / d_a
             for x in plan.x_a.T
@@ -1120,9 +1129,9 @@ def test_estimates_carry_metadata():
     assert list(cell) == [EstimatorKind.OWEN] and cell[EstimatorKind.OWEN].shape == (4,)
     # S_i is input i's D_i over the one pooled D, in input order
     plan = _plan(m, EstimatorKind.OWEN, 256)
-    _, d_hat = estimate_mean_and_variance(plan.f_a, plan.f_b)
+    _, d_hat = _moments_of(plan.f_a, plan.f_b)
     d_i = [
-        estimate_owen(plan.f_a, plan.f_b, f_ab_i, f_ca_i)
+        _d_i(OWEN, plan.f_a, plan.f_b, f_ab_i, f_ca_i)
         for f_ab_i, f_ca_i in zip(plan.f_ab, plan.f_ca)
     ]
     assert d_hat > 0 and list(cell[EstimatorKind.OWEN]) == [x / d_hat for x in d_i]
